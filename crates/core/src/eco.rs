@@ -200,6 +200,12 @@ impl PipelineSession {
     /// [`rerun`](Self::rerun), also returning the patched design so the
     /// caller can keep it (and the report's carry) for the next ECO in
     /// the chain.
+    ///
+    /// The rerun collapses the patched circuit's fault universe itself;
+    /// it reads only the session's design and configuration, never its
+    /// fault list, so a session opened with
+    /// [`shared_with_faults`](Self::shared_with_faults) and an empty list
+    /// skips collapsing the base design for nothing.
     pub fn rerun_with_design(
         &self,
         prior: &PipelineReport,

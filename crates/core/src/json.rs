@@ -322,6 +322,7 @@ impl std::error::Error for JsonError {}
 /// violation.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -337,6 +338,7 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -496,13 +498,24 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // '"', '\\' or control byte at once. Those delimiters
+                    // are ASCII, so they never sit inside a multi-byte
+                    // sequence: the run starts and ends on char
+                    // boundaries of the `&str` input and needs no
+                    // re-validation — one pass over the string, however
+                    // long.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let s = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(s);
                 }
             }
         }

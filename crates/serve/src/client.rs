@@ -7,14 +7,18 @@
 //! `smoke` binary and the integration tests; deliberately
 //! dependency-free so CI can exercise the full wire format without
 //! external tooling.
+//!
+//! Like the server, the client turns Nagle off (`TCP_NODELAY`) and sends
+//! each request's head and body as one vectored write, so a request
+//! never waits on the server's delayed ACK of its head.
 
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use fscan::json::{config_to_value, Value};
 use fscan::PipelineConfig;
 
-use crate::http::{read_response, RequestError, Response};
+use crate::http::{read_response, write_all_vectored, RequestError, Response};
 
 /// Everything needed to POST one `/run`.
 #[derive(Clone, Debug)]
@@ -60,12 +64,26 @@ impl<'a> RunRequest<'a> {
     }
 }
 
-fn exchange(addr: SocketAddr, head: &str, body: &[u8]) -> Result<Response, RequestError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+/// Opens a connection with Nagle off.
+fn connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Sends one request (head and body in one write) and reads the
+/// response.
+fn send(stream: &mut TcpStream, head: &str, body: &[u8]) -> Result<Response, RequestError> {
+    write_all_vectored(
+        stream,
+        &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)],
+    )?;
     stream.flush()?;
-    read_response(&mut stream)
+    read_response(stream)
+}
+
+fn exchange(addr: SocketAddr, head: &str, body: &[u8]) -> Result<Response, RequestError> {
+    send(&mut connect(addr)?, head, body)
 }
 
 /// Sends `GET path`.
@@ -114,15 +132,12 @@ impl Session {
     /// Opens a connection for a sequence of exchanges.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Session> {
         Ok(Session {
-            stream: TcpStream::connect(addr)?,
+            stream: connect(addr)?,
         })
     }
 
     fn exchange(&mut self, head: &str, body: &[u8]) -> Result<Response, RequestError> {
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
-        read_response(&mut self.stream)
+        send(&mut self.stream, head, body)
     }
 
     /// Sends `GET path` on the held connection.

@@ -45,6 +45,32 @@
 //! [`fscan::Error::kind`]. Every `/run` response carries an
 //! `x-fscan-cache: hit|miss` header.
 //!
+//! ## Wire path
+//!
+//! The accept loop sets `TCP_NODELAY` on every connection before the
+//! handoff, and every response or chunk leaves in one write
+//! ([`crate::http`] coalesces head and body into one vectored write).
+//! With Nagle on, a head-then-body pair of writes parks the body until
+//! the client ACKs the head, and the client's delayed ACK holds that
+//! back for ~40 ms — a fixed stall on every exchange that used to be
+//! ~44 ms of the ~48 ms median `/eco` round trip of the `eco_serve`
+//! benchmark (about 5 ms without it). One write per response keeps
+//! Nagle-off from splitting a response into a packet per piece. There
+//! is no option for either: a request/response server never wants
+//! Nagle's batching.
+//!
+//! ## One thread per request
+//!
+//! A worker runs its request's pipeline on its own thread: a config
+//! whose `threads` is 0 (the default, "one per hardware thread") is
+//! served as 1, and a request that names a count gets it. The pool's
+//! workers are the server's parallelism. Fanned out again, every busy
+//! worker would start a stage thread per hardware thread at each
+//! sharded stage, so a request's time would depend on what the other
+//! workers were doing, and its report's `shards` split on the
+//! scheduler. Run on the worker, a report is the same whatever the
+//! pool size.
+//!
 //! ## Ownership and shutdown
 //!
 //! Workers run owned [`PipelineSession`]s over `Arc<ScanDesign>`s
@@ -197,6 +223,10 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(conn) = conn else { continue };
+                // Nagle off before the handoff, so worker replies and the
+                // busy 503 alike leave in one segment per write (see the
+                // module docs' "Wire path").
+                let _ = conn.set_nodelay(true);
                 // Bounded handoff: a full queue sheds load with an
                 // immediate 503 instead of buffering connections (and
                 // their bodies) without limit. Dropping the sender
@@ -267,7 +297,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let request = match read_request(&mut reader) {
+        let mut request = match read_request(&mut reader) {
             Ok(r) => r,
             Err(RequestError::TooLarge(_)) => {
                 let _ = error_response(stream, 413, "json", "request body too large", true);
@@ -286,7 +316,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         }
         served += 1;
         let close = request.wants_close();
-        let _ = dispatch(stream, &request, shared, close);
+        let _ = dispatch(stream, &mut request, shared, close);
         if close || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -295,7 +325,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
 
 fn dispatch(
     stream: &mut TcpStream,
-    request: &Request,
+    request: &mut Request,
     shared: &Shared,
     close: bool,
 ) -> io::Result<()> {
@@ -350,46 +380,49 @@ struct RunParams {
     stream: bool,
 }
 
-fn parse_run_request(request: &Request) -> Result<RunParams, Error> {
+/// The fields of a JSON request envelope, owned: string values (the
+/// `.bench` text above all) are moved out of the parsed document, not
+/// copied.
+fn envelope_fields(body: &[u8], what: &str) -> Result<Vec<(String, Value)>, Error> {
+    let text =
+        std::str::from_utf8(body).map_err(|_| json::JsonError::new("request body is not UTF-8"))?;
+    match json::parse(text)? {
+        Value::Object(fields) => Ok(fields),
+        _ => Err(json::JsonError::new(format!("{what}: expected an object")).into()),
+    }
+}
+
+/// Takes the string out of an envelope field.
+fn string_field(value: Value, what: &str) -> Result<String, json::JsonError> {
+    match value {
+        Value::Str(s) => Ok(s),
+        _ => Err(json::JsonError::new(format!("{what}: expected a string"))),
+    }
+}
+
+fn parse_run_request(request: &mut Request) -> Result<RunParams, Error> {
     let is_json = request
         .header("content-type")
         .is_some_and(|t| t.contains("application/json"))
         || request.body.first() == Some(&b'{');
     if is_json {
-        let text = std::str::from_utf8(&request.body)
-            .map_err(|_| json::JsonError::new("request body is not UTF-8"))?;
-        let doc = json::parse(text)?;
-        let obj = doc
-            .as_object()
-            .ok_or_else(|| json::JsonError::new("run envelope: expected an object"))?;
+        let fields = envelope_fields(&request.body, "run envelope")?;
         let mut bench = None;
         let mut name = "upload".to_string();
         let mut chains = 1usize;
         let mut config = PipelineConfig::default();
         let mut stream = false;
-        for (key, value) in obj {
+        for (key, value) in fields {
             match key.as_str() {
-                "bench" => {
-                    bench = Some(
-                        value
-                            .as_str()
-                            .ok_or_else(|| json::JsonError::new("run envelope: bench: expected a string"))?
-                            .to_string(),
-                    );
-                }
-                "name" => {
-                    name = value
-                        .as_str()
-                        .ok_or_else(|| json::JsonError::new("run envelope: name: expected a string"))?
-                        .to_string();
-                }
+                "bench" => bench = Some(string_field(value, "run envelope: bench")?),
+                "name" => name = string_field(value, "run envelope: name")?,
                 "chains" => {
                     chains = value
                         .as_u64()
                         .ok_or_else(|| json::JsonError::new("run envelope: chains: expected an integer"))?
                         as usize;
                 }
-                "config" => config = config_from_value(value).map_err(Error::from)?,
+                "config" => config = config_from_value(&value).map_err(Error::from)?,
                 "stream" => {
                     stream = value
                         .as_bool()
@@ -414,9 +447,8 @@ fn parse_run_request(request: &Request) -> Result<RunParams, Error> {
             stream,
         })
     } else {
-        let bench = std::str::from_utf8(&request.body)
-            .map_err(|_| json::JsonError::new("request body is not UTF-8"))?
-            .to_string();
+        let bench = String::from_utf8(std::mem::take(&mut request.body))
+            .map_err(|_| json::JsonError::new("request body is not UTF-8"))?;
         let name = request.query("name").unwrap_or("upload").to_string();
         let chains = match request.query("chains") {
             Some(v) => v
@@ -482,9 +514,19 @@ fn build_design(params: &RunParams) -> Result<Arc<ScanDesign>, Error> {
     Ok(Arc::new(design))
 }
 
+/// The configuration a worker runs a request's pipeline with: a
+/// `threads` of 0 becomes 1, so the stages run on the worker's own
+/// thread (see the module docs' "One thread per request").
+fn on_worker(mut config: PipelineConfig) -> PipelineConfig {
+    if config.threads == 0 {
+        config.threads = 1;
+    }
+    config
+}
+
 fn handle_run(
     stream: &mut TcpStream,
-    request: &Request,
+    request: &mut Request,
     shared: &Shared,
     close: bool,
 ) -> io::Result<()> {
@@ -507,7 +549,7 @@ fn handle_run(
     };
     let key_header = format!("{key:016x}");
 
-    let session = PipelineSession::shared(Arc::clone(&design), params.config);
+    let session = PipelineSession::shared(Arc::clone(&design), on_worker(params.config));
     shared.counters.runs.fetch_add(1, Ordering::Relaxed);
     if params.stream {
         stream_run(stream, session, cache_header, &key_header, close, shared, key, design)
@@ -661,18 +703,13 @@ struct EcoParams {
 }
 
 fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| json::JsonError::new("request body is not UTF-8"))?;
-    let doc = json::parse(text)?;
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| json::JsonError::new("eco envelope: expected an object"))?;
+    let fields = envelope_fields(&request.body, "eco envelope")?;
     let mut base = None;
     let mut bench = None;
     let mut name = "upload".to_string();
     let mut chains = 1usize;
     let mut config = PipelineConfig::default();
-    for (key, value) in obj {
+    for (key, value) in fields {
         match key.as_str() {
             "base" => {
                 let text = value
@@ -686,27 +723,15 @@ fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
                     })?;
                 base = Some(parsed);
             }
-            "bench" => {
-                bench = Some(
-                    value
-                        .as_str()
-                        .ok_or_else(|| json::JsonError::new("eco envelope: bench: expected a string"))?
-                        .to_string(),
-                );
-            }
-            "name" => {
-                name = value
-                    .as_str()
-                    .ok_or_else(|| json::JsonError::new("eco envelope: name: expected a string"))?
-                    .to_string();
-            }
+            "bench" => bench = Some(string_field(value, "eco envelope: bench")?),
+            "name" => name = string_field(value, "eco envelope: name")?,
             "chains" => {
                 chains = value
                     .as_u64()
                     .ok_or_else(|| json::JsonError::new("eco envelope: chains: expected an integer"))?
                     as usize;
             }
-            "config" => config = config_from_value(value).map_err(Error::from)?,
+            "config" => config = config_from_value(&value).map_err(Error::from)?,
             other => {
                 return Err(json::JsonError::new(format!(
                     "eco envelope: unknown key `{other}`"
@@ -796,14 +821,22 @@ fn handle_eco(
         }
     };
     let new_key = design_key_parts(&params.name, params.chains, bench_hash);
+    let config = on_worker(params.config);
 
     shared.counters.runs.fetch_add(1, Ordering::Relaxed);
+    // The rerun collapses the fault universe of the patched circuit
+    // itself and never reads the session's own fault list, so the
+    // session opens without enumerating the base design's.
     let incremental = NetlistDelta::diff(base.design.circuit(), new_design.circuit())
         .ok()
         .and_then(|delta| {
-            PipelineSession::shared(Arc::clone(&base.design), params.config.clone())
-                .rerun_with_design(&base.report, &delta)
-                .ok()
+            PipelineSession::shared_with_faults(
+                Arc::clone(&base.design),
+                config.clone(),
+                Vec::new(),
+            )
+            .rerun_with_design(&base.report, &delta)
+            .ok()
         });
     let (report, design, reused, recomputed) = match incremental {
         Some((report, patched)) => {
@@ -817,8 +850,7 @@ fn handle_eco(
         }
         None => {
             let design = Arc::new(new_design);
-            let report =
-                PipelineSession::shared(Arc::clone(&design), params.config).run();
+            let report = PipelineSession::shared(Arc::clone(&design), config).run();
             let recomputed = report.total_faults as u64;
             (Arc::new(report), design, 0, recomputed)
         }

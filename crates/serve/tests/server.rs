@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use fscan::json;
 use fscan_netlist::{generate, write_bench, GeneratorConfig};
@@ -278,6 +279,37 @@ fn keep_alive_serves_many_requests_per_connection() {
     handle.shutdown();
 }
 
+/// A keep-alive exchange costs its own work, not a delayed-ACK round
+/// trip. With Nagle on and head and body sent as two writes, the second
+/// write of every request and every response waited for the peer's
+/// delayed ACK of the first (~40 ms): 50 health checks took ~2.2 s and
+/// 20 runs of this design ~1.8 s.
+#[test]
+fn keep_alive_exchanges_do_not_stall_on_delayed_acks() {
+    let handle = spawn(&ServerConfig::default()).unwrap();
+    let mut session = client::Session::connect(handle.addr()).unwrap();
+    let start = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(session.get("/healthz").unwrap().status, 200);
+    }
+    let health = start.elapsed();
+    let bench = bench_text(11);
+    let run = RunRequest::new(&bench, "itest", 1);
+    let start = Instant::now();
+    for _ in 0..20 {
+        let r = session.post_run(&run).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+    }
+    let runs = start.elapsed();
+    drop(session);
+    handle.shutdown();
+    assert!(
+        health < Duration::from_secs(1),
+        "50 GET /healthz took {health:?}"
+    );
+    assert!(runs < Duration::from_secs(1), "20 POST /run took {runs:?}");
+}
+
 #[test]
 fn saturated_queue_sheds_load_with_typed_503() {
     use std::net::TcpStream;
@@ -295,7 +327,7 @@ fn saturated_queue_sheds_load_with_typed_503() {
     let addr = handle.addr();
     // Park the only worker: connect and send nothing; the worker sits
     // in read_request until we hang up.
-    let blocker = TcpStream::connect(addr).unwrap();
+    let mut blocker = TcpStream::connect(addr).unwrap();
     let mut busy = None;
     for _ in 0..100 {
         let r = client::get(addr, "/healthz").unwrap();
@@ -303,9 +335,10 @@ fn saturated_queue_sheds_load_with_typed_503() {
             busy = Some(r);
             break;
         }
-        // The blocker has not reached the worker yet; let the accept
-        // loop hand it over.
+        // The worker answered, so it was not yet waiting when the
+        // blocker arrived: the blocker itself was shed. Park it again.
         thread::sleep(Duration::from_millis(10));
+        blocker = TcpStream::connect(addr).unwrap();
     }
     let busy = busy.expect("a saturated rendezvous queue must shed load");
     let doc = json::parse(&busy.text()).unwrap();
