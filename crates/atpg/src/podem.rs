@@ -14,6 +14,19 @@
 //! bit-identical to a full resimulation — values are a pure function of
 //! the assignment and the injections — but `gate_evals` counts only the
 //! gates actually re-evaluated.
+//!
+//! The search bookkeeping is just as local. Every value write goes
+//! through one helper that keeps three things in step with the values:
+//! the number of nets carrying a fault effect, the number of observables
+//! carrying one, and the D-frontier, held sorted in search order
+//! (distance to the nearest observable, then topological position).
+//! X-path feasibility is answered on demand, per frontier gate the
+//! objective tries, by a depth-first search over X gates that is
+//! memoized for one objective call. A search step therefore costs its
+//! re-evaluated cone, the frontier updates of the nets it wrote and the
+//! X region the objective walks — never a sweep of the whole, possibly
+//! time-frame-expanded, model. The bookkeeping is not counted: only the
+//! re-evaluations book `gate_evals`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,8 +47,11 @@ pub struct PodemConfig {
     pub backtrack_limit: usize,
     /// Abort after this many search steps (decisions + backtracks).
     /// Each step costs one event-driven resimulation of the changed
-    /// input's fanout cone, so on large (e.g. time-frame-expanded)
-    /// models this is the knob that actually bounds runtime.
+    /// input's fanout cone, the D-frontier updates of the nets it wrote,
+    /// and one objective whose X-path search walks only the X gates
+    /// ahead of the frontier. No part of a step scales with the whole
+    /// model, so on large (e.g. time-frame-expanded) models this is the
+    /// knob that actually bounds runtime.
     pub step_limit: usize,
 }
 
@@ -103,12 +119,21 @@ impl PodemOutcome {
 /// so reuse never leaks state between faults.
 #[derive(Clone, Debug)]
 pub struct PodemScratch {
+    /// Five-valued value per node. Written only through
+    /// `Podem::set_value`, which keeps the three fields below in step.
     values: Vec<D5>,
     assigned: Vec<Option<bool>>,
-    /// X-reachability, recomputed after every value change: `true` when
-    /// the node has a path of X-ish nets to an observable. Makes every
-    /// X-path query O(1).
-    x_reach: Vec<bool>,
+    /// Nets whose value is a fault effect (D or D̄).
+    effect_nets: usize,
+    /// Observable nets whose value is a fault effect.
+    effect_observables: usize,
+    /// The D-frontier as `(obs_dist, order position)` keys, sorted: the
+    /// order in which the objective tries its gates.
+    frontier: Vec<(u32, usize)>,
+    /// Node index → member of `frontier`.
+    in_frontier: Vec<bool>,
+    /// Memo and stack of the on-demand X-path search.
+    x_path: XPathMemo,
     /// Stem injections of the current fault set, indexed by node.
     stem_inj: Vec<Option<bool>>,
     /// Whether a node has any branch-fault injection on its pins.
@@ -118,6 +143,49 @@ pub struct PodemScratch {
     /// Event queue of order positions pending re-evaluation.
     queue: BinaryHeap<Reverse<usize>>,
     in_queue: Vec<bool>,
+}
+
+/// Memo of the X-path search within one objective call.
+///
+/// `stamp[i] == epoch` marks node `i` as decided, with the verdict in
+/// `reach[i]`; [`XPathMemo::forget`] bumps the epoch, which drops every
+/// verdict at once without touching the arrays.
+#[derive(Clone, Debug)]
+struct XPathMemo {
+    epoch: u32,
+    stamp: Vec<u32>,
+    reach: Vec<bool>,
+    /// Depth-first stack: (node, next fanout entry to try).
+    stack: Vec<(NodeId, usize)>,
+}
+
+impl XPathMemo {
+    fn new(n: usize) -> XPathMemo {
+        XPathMemo {
+            epoch: 0,
+            stamp: vec![0; n],
+            reach: vec![false; n],
+            stack: Vec::new(),
+        }
+    }
+
+    /// Drops every verdict: values may have changed since they were taken.
+    fn forget(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    fn known(&self, i: usize) -> Option<bool> {
+        (self.stamp[i] == self.epoch).then(|| self.reach[i])
+    }
+
+    fn record(&mut self, i: usize, reach: bool) {
+        self.stamp[i] = self.epoch;
+        self.reach[i] = reach;
+    }
 }
 
 /// A PODEM test generator over a circuit *view*.
@@ -391,7 +459,11 @@ impl<'c> Podem<'c> {
         PodemScratch {
             values: self.base_values.clone(),
             assigned: vec![None; n],
-            x_reach: vec![false; n],
+            effect_nets: 0,
+            effect_observables: 0,
+            frontier: Vec::new(),
+            in_frontier: vec![false; n],
+            x_path: XPathMemo::new(n),
             stem_inj: vec![None; n],
             has_branch: vec![false; n],
             branch_inj: Vec::new(),
@@ -439,6 +511,71 @@ impl<'c> Podem<'c> {
         out
     }
 
+    /// The one write path into `values`: stores `v` at `id` and keeps
+    /// the fault-effect counts and the D-frontier in step. Only the
+    /// written node and the gates reading it can change membership, and
+    /// a reader only when the pin it sees changed: its effect, or its
+    /// good value where a branch fault overrides the faulty rail.
+    fn set_value(&self, s: &mut PodemScratch, id: NodeId, v: D5) {
+        let old = std::mem::replace(&mut s.values[id.index()], v);
+        let effect_changed = old.is_fault_effect() != v.is_fault_effect();
+        if effect_changed {
+            let observable = self.is_observable[id.index()];
+            if v.is_fault_effect() {
+                s.effect_nets += 1;
+                s.effect_observables += usize::from(observable);
+            } else {
+                s.effect_nets -= 1;
+                s.effect_observables -= usize::from(observable);
+            }
+        }
+        if old.has_x() != v.has_x() {
+            self.refresh_frontier(s, id);
+        }
+        if effect_changed || old.good() != v.good() {
+            for &sink in self.topo.fanout_sinks(id) {
+                if effect_changed || s.has_branch[sink.index()] {
+                    self.refresh_frontier(s, sink);
+                }
+            }
+        }
+    }
+
+    /// Whether some pin of gate `id` carries a fault effect, branch-fault
+    /// injection included.
+    fn pin_effect(&self, s: &PodemScratch, id: NodeId) -> bool {
+        let fanin = self.circuit.node(id).fanin();
+        if s.has_branch[id.index()] {
+            fanin
+                .iter()
+                .enumerate()
+                .any(|(pin, &f)| self.pin_value(s, id, pin, f).is_fault_effect())
+        } else {
+            fanin.iter().any(|&f| s.values[f.index()].is_fault_effect())
+        }
+    }
+
+    /// Re-derives whether `id` is on the D-frontier — a gate with an
+    /// X-ish output and a fault effect on some pin — and inserts or
+    /// removes it at its search-order place.
+    fn refresh_frontier(&self, s: &mut PodemScratch, id: NodeId) {
+        if !self.circuit.node(id).kind().is_gate() {
+            return;
+        }
+        let member = s.values[id.index()].has_x() && self.pin_effect(s, id);
+        if member == s.in_frontier[id.index()] {
+            return;
+        }
+        s.in_frontier[id.index()] = member;
+        let key = (self.obs_dist[id.index()], self.order_pos[id.index()]);
+        match s.frontier.binary_search(&key) {
+            Ok(at) => {
+                s.frontier.remove(at);
+            }
+            Err(at) => s.frontier.insert(at, key),
+        }
+    }
+
     /// Queues every ordered gate reading `id` for re-evaluation.
     fn schedule_fanouts(&self, s: &mut PodemScratch, id: NodeId) {
         for &sink in self.topo.fanout_sinks(id) {
@@ -460,7 +597,7 @@ impl<'c> Podem<'c> {
             work.gate_evals += 1;
             let out = self.eval_node(s, id);
             if out != s.values[id.index()] {
-                s.values[id.index()] = out;
+                self.set_value(s, id, out);
                 self.schedule_fanouts(s, id);
             }
         }
@@ -469,7 +606,12 @@ impl<'c> Podem<'c> {
     /// Resets the scratch to the base values and injects the fault set,
     /// propagating each injection through its fanout cone.
     fn begin(&self, s: &mut PodemScratch, faults: &[Fault], work: &mut WorkCounters) {
+        // The base values carry no fault effect, hence no frontier.
         s.values.copy_from_slice(&self.base_values);
+        s.effect_nets = 0;
+        s.effect_observables = 0;
+        s.frontier.clear();
+        s.in_frontier.fill(false);
         s.assigned.fill(None);
         s.stem_inj.fill(None);
         s.has_branch.fill(false);
@@ -506,7 +648,7 @@ impl<'c> Podem<'c> {
                         let v = s.values[n.index()];
                         let nv = D5::new(v.good(), V3::from_bool(f.stuck));
                         if nv != v {
-                            s.values[n.index()] = nv;
+                            self.set_value(s, n, nv);
                             self.schedule_fanouts(s, n);
                         }
                     }
@@ -522,7 +664,12 @@ impl<'c> Podem<'c> {
             }
         }
         self.drain(s, work);
-        self.recompute_x_reach(s);
+        // A branch injection can put an effect on a pin with no net
+        // write at all (its source may already be known).
+        for i in 0..s.branch_inj.len() {
+            let gate = NodeId::from_index(s.branch_inj[i].0);
+            self.refresh_frontier(s, gate);
+        }
     }
 
     /// Applies (or retracts) one controllable-input assignment and
@@ -543,10 +690,9 @@ impl<'c> Podem<'c> {
             v = D5::new(v.good(), V3::from_bool(stuck));
         }
         if v != s.values[pi.index()] {
-            s.values[pi.index()] = v;
+            self.set_value(s, pi, v);
             self.schedule_fanouts(s, pi);
             self.drain(s, work);
-            self.recompute_x_reach(s);
         }
     }
 
@@ -570,9 +716,7 @@ impl<'c> Podem<'c> {
     }
 
     fn fault_effect_at_observable(&self, s: &PodemScratch) -> bool {
-        self.observable
-            .iter()
-            .any(|&o| s.values[o.index()].is_fault_effect())
+        s.effect_observables > 0
     }
 
     /// The five-valued value seen by pin `pin` of gate `id`, including
@@ -588,84 +732,65 @@ impl<'c> Podem<'c> {
     /// Whether any fault effect exists: on a net, or injected at a gate
     /// pin by an excited branch fault.
     fn has_effect(&self, s: &PodemScratch, faults: &[Fault]) -> bool {
-        if self
-            .circuit
-            .node_ids()
-            .any(|id| s.values[id.index()].is_fault_effect())
-        {
+        s.effect_nets > 0
+            || faults.iter().any(|f| {
+                matches!(f.site, FaultSite::Branch { .. })
+                    && self.site_good(s, f).is_known()
+                    && self.site_good(s, f) != V3::from_bool(f.stuck)
+            })
+    }
+
+    /// Whether `root` reaches an observable through X gates: it is
+    /// observable itself, or some gate reading it has an X-ish value and
+    /// an X-path. Iterative depth-first search (unrolled models are too
+    /// deep to recurse), memoized in `memo` until its next `forget`.
+    fn x_path(&self, values: &[D5], memo: &mut XPathMemo, root: NodeId) -> bool {
+        if let Some(reach) = memo.known(root.index()) {
+            return reach;
+        }
+        if self.is_observable[root.index()] {
+            memo.record(root.index(), true);
             return true;
         }
-        faults.iter().any(|f| {
-            matches!(f.site, FaultSite::Branch { .. })
-                && self.site_good(s, f).is_known()
-                && self.site_good(s, f) != V3::from_bool(f.stuck)
-        })
-    }
-
-    /// D-frontier: gates with an X-ish output and a fault effect on some
-    /// input pin (including branch-fault injection).
-    fn d_frontier(&self, s: &PodemScratch) -> Vec<NodeId> {
-        let mut frontier = Vec::new();
-        for &id in &self.order {
-            let node = self.circuit.node(id);
-            if !node.kind().is_gate() {
-                continue;
+        memo.stack.clear();
+        memo.stack.push((root, 0));
+        while let Some(top) = memo.stack.len().checked_sub(1) {
+            let (node, mut next) = memo.stack[top];
+            let sinks = self.topo.fanout_sinks(node);
+            let mut child = None;
+            let mut found = false;
+            while next < sinks.len() && child.is_none() && !found {
+                let sink = sinks[next];
+                next += 1;
+                if !self.circuit.node(sink).kind().is_gate() || !values[sink.index()].has_x() {
+                    continue;
+                }
+                match memo.known(sink.index()) {
+                    Some(reach) => found = reach,
+                    None if self.is_observable[sink.index()] => found = true,
+                    None => child = Some(sink),
+                }
             }
-            if !s.values[id.index()].has_x() {
-                continue;
+            if found {
+                // The stack is a chain of X gates from `root`: all of it
+                // reaches the observable.
+                while let Some((n, _)) = memo.stack.pop() {
+                    memo.record(n.index(), true);
+                }
+                return true;
             }
-            let any_d = if s.has_branch[id.index()] {
-                node.fanin()
-                    .iter()
-                    .enumerate()
-                    .any(|(pin, &f)| self.pin_value(s, id, pin, f).is_fault_effect())
-            } else {
-                node.fanin()
-                    .iter()
-                    .any(|&f| s.values[f.index()].is_fault_effect())
-            };
-            if any_d {
-                frontier.push(id);
-            }
-        }
-        frontier
-    }
-
-    /// Recomputes the scratch's X-reachability by one reverse
-    /// topological sweep: a node reaches an observable through X nets
-    /// iff it is observable itself, or some X-ish gate reading it does.
-    fn recompute_x_reach(&self, s: &mut PodemScratch) {
-        for i in 0..s.x_reach.len() {
-            s.x_reach[i] = self.is_observable[i];
-        }
-        for oi in (0..self.order.len()).rev() {
-            let id = self.order[oi];
-            if s.x_reach[id.index()] {
-                continue;
-            }
-            let reach = self.topo.fanout_sinks(id).iter().any(|&sink| {
-                self.circuit.node(sink).kind().is_gate()
-                    && s.values[sink.index()].has_x()
-                    && s.x_reach[sink.index()]
-            });
-            if reach {
-                s.x_reach[id.index()] = true;
+            match child {
+                Some(c) => {
+                    memo.stack[top].1 = next;
+                    memo.stack.push((c, 0));
+                }
+                None => {
+                    memo.stack.pop();
+                    memo.record(node.index(), false);
+                }
             }
         }
-        // Non-gate nodes (inputs, flip-flop outputs) also feed gates.
-        for id in self.circuit.node_ids() {
-            if s.x_reach[id.index()] || self.circuit.node(id).kind().is_gate() {
-                continue;
-            }
-            let reach = self.topo.fanout_sinks(id).iter().any(|&sink| {
-                self.circuit.node(sink).kind().is_gate()
-                    && s.values[sink.index()].has_x()
-                    && s.x_reach[sink.index()]
-            });
-            if reach {
-                s.x_reach[id.index()] = true;
-            }
-        }
+        false
     }
 
     /// Static controllability cost of setting `node` to `val`.
@@ -679,7 +804,7 @@ impl<'c> Podem<'c> {
 
     /// Returns the next objective `(net, good_value)` or `None` when the
     /// current state is a dead end.
-    fn objective(&self, s: &PodemScratch, faults: &[Fault]) -> Option<(NodeId, bool)> {
+    fn objective(&self, s: &mut PodemScratch, faults: &[Fault]) -> Option<(NodeId, bool)> {
         if !self.has_effect(s, faults) {
             // Excitation: find a site whose good value is still X and is
             // statically justifiable (finite SCOAP cost).
@@ -694,10 +819,10 @@ impl<'c> Podem<'c> {
         // Propagation: pick the D-frontier gate nearest an observable
         // that still has an X-path, then set one X side-input to the
         // non-controlling value.
-        let mut frontier = self.d_frontier(s);
-        frontier.sort_by_key(|&g| self.obs_dist[g.index()]);
-        for g in frontier {
-            if !s.x_reach[g.index()] {
+        s.x_path.forget();
+        for &(_, pos) in &s.frontier {
+            let g = self.order[pos];
+            if !self.x_path(&s.values, &mut s.x_path, g) {
                 continue;
             }
             let node = self.circuit.node(g);
@@ -919,7 +1044,13 @@ impl<'c> Podem<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unroll::unroll_with_map;
+    use fscan_fault::all_faults;
+    use fscan_netlist::{generate, GeneratorConfig};
     use fscan_sim::SeqSim;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn c17_like() -> (Circuit, Vec<NodeId>) {
         // The ISCAS'85 c17 netlist (all NAND).
@@ -998,6 +1129,396 @@ mod tests {
         values
     }
 
+    // The sweep search: the same search with whole-model bookkeeping.
+    // Every step sweeps all nets for fault effects, scans the full
+    // order for the D-frontier and recomputes X-reachability in one
+    // reverse pass. It shares the value engine (pinned by
+    // `reference_values`) and the backtrace, and is the oracle the
+    // incremental search must match exactly.
+
+    /// Every net swept for a fault effect, then every branch pin.
+    fn sweep_has_effect(podem: &Podem<'_>, s: &PodemScratch, faults: &[Fault]) -> bool {
+        if podem
+            .circuit
+            .node_ids()
+            .any(|id| s.values[id.index()].is_fault_effect())
+        {
+            return true;
+        }
+        faults.iter().any(|f| {
+            matches!(f.site, FaultSite::Branch { .. })
+                && podem.site_good(s, f).is_known()
+                && podem.site_good(s, f) != V3::from_bool(f.stuck)
+        })
+    }
+
+    fn sweep_effect_at_observable(podem: &Podem<'_>, s: &PodemScratch) -> bool {
+        podem
+            .observable
+            .iter()
+            .any(|&o| s.values[o.index()].is_fault_effect())
+    }
+
+    /// The D-frontier by a scan of the full order, stably sorted by
+    /// distance to the nearest observable: the objective's search order.
+    fn d_frontier(podem: &Podem<'_>, s: &PodemScratch) -> Vec<NodeId> {
+        let mut frontier = Vec::new();
+        for &id in &podem.order {
+            let node = podem.circuit.node(id);
+            if !node.kind().is_gate() || !s.values[id.index()].has_x() {
+                continue;
+            }
+            let any_d = node
+                .fanin()
+                .iter()
+                .enumerate()
+                .any(|(pin, &f)| podem.pin_value(s, id, pin, f).is_fault_effect());
+            if any_d {
+                frontier.push(id);
+            }
+        }
+        frontier.sort_by_key(|&g| podem.obs_dist[g.index()]);
+        frontier
+    }
+
+    /// X-reachability by one reverse topological sweep: a node reaches
+    /// an observable through X nets iff it is observable itself, or some
+    /// X-ish gate reading it does.
+    fn recompute_x_reach(podem: &Podem<'_>, s: &PodemScratch) -> Vec<bool> {
+        let mut x_reach = podem.is_observable.clone();
+        let reaches = |x_reach: &[bool], id: NodeId| {
+            podem.topo.fanout_sinks(id).iter().any(|&sink| {
+                podem.circuit.node(sink).kind().is_gate()
+                    && s.values[sink.index()].has_x()
+                    && x_reach[sink.index()]
+            })
+        };
+        for oi in (0..podem.order.len()).rev() {
+            let id = podem.order[oi];
+            if !x_reach[id.index()] && reaches(&x_reach, id) {
+                x_reach[id.index()] = true;
+            }
+        }
+        // Non-gate nodes (inputs, flip-flop outputs) also feed gates.
+        for id in podem.circuit.node_ids() {
+            if !x_reach[id.index()]
+                && !podem.circuit.node(id).kind().is_gate()
+                && reaches(&x_reach, id)
+            {
+                x_reach[id.index()] = true;
+            }
+        }
+        x_reach
+    }
+
+    fn sweep_objective(
+        podem: &Podem<'_>,
+        s: &PodemScratch,
+        faults: &[Fault],
+    ) -> Option<(NodeId, bool)> {
+        if !sweep_has_effect(podem, s, faults) {
+            for f in faults {
+                let site = podem.site_node(f);
+                if podem.site_good(s, f) == V3::X && podem.cc(site, !f.stuck) < INF {
+                    return Some((site, !f.stuck));
+                }
+            }
+            return None;
+        }
+        let x_reach = recompute_x_reach(podem, s);
+        for g in d_frontier(podem, s) {
+            if !x_reach[g.index()] {
+                continue;
+            }
+            let node = podem.circuit.node(g);
+            let side_val = node.kind().transparent_side_value().unwrap_or(true);
+            for &f in node.fanin() {
+                if s.values[f.index()].good() == V3::X && podem.cc(f, side_val) < INF {
+                    return Some((f, side_val));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`Podem::run`] with the sweep objective.
+    fn sweep_run(podem: &Podem<'_>, faults: &[Fault], config: &PodemConfig) -> PodemOutcome {
+        let mut s = podem.scratch();
+        let mut work = WorkCounters::ZERO;
+        let (mut decisions, mut backtracks, mut steps) = (0usize, 0usize, 0usize);
+        let outcome = |verdict, work, decisions, backtracks| PodemOutcome {
+            verdict,
+            work,
+            decisions,
+            backtracks,
+        };
+        podem.begin(&mut s, faults, &mut work);
+        let mut stack: Vec<(NodeId, bool, bool)> = Vec::new();
+        loop {
+            if sweep_effect_at_observable(podem, &s) {
+                let test = stack.iter().map(|&(n, v, _)| (n, v)).collect();
+                return outcome(AtpgOutcome::Test(test), work, decisions, backtracks);
+            }
+            let decision = sweep_objective(podem, &s, faults)
+                .and_then(|(net, val)| podem.backtrace(&s, net, val));
+            if let Some((pi, val)) = decision {
+                stack.push((pi, val, false));
+                decisions += 1;
+                steps += 1;
+                work.podem_decisions += 1;
+                if steps > config.step_limit {
+                    work.podem_aborts += 1;
+                    return outcome(AtpgOutcome::Aborted, work, decisions, backtracks);
+                }
+                podem.set_input(&mut s, pi, Some(val), &mut work);
+                continue;
+            }
+            loop {
+                let Some((pi, val, flipped)) = stack.pop() else {
+                    return outcome(AtpgOutcome::Undetectable, work, decisions, backtracks);
+                };
+                podem.set_input(&mut s, pi, None, &mut work);
+                if flipped {
+                    continue;
+                }
+                backtracks += 1;
+                steps += 1;
+                work.podem_backtracks += 1;
+                if backtracks > config.backtrack_limit || steps > config.step_limit {
+                    work.podem_aborts += 1;
+                    return outcome(AtpgOutcome::Aborted, work, decisions, backtracks);
+                }
+                stack.push((pi, !val, true));
+                podem.set_input(&mut s, pi, Some(!val), &mut work);
+                break;
+            }
+        }
+    }
+
+    /// Recounts the incremental bookkeeping from `values` and checks it:
+    /// both effect counts, the frontier with its search order and
+    /// membership flags, and the on-demand X-path of every node against
+    /// the sweep (all queried in one memo epoch, so memo hits are
+    /// exercised too).
+    fn assert_bookkeeping(podem: &Podem<'_>, s: &mut PodemScratch, what: &str) {
+        let effects: Vec<usize> = (0..s.values.len())
+            .filter(|&i| s.values[i].is_fault_effect())
+            .collect();
+        assert_eq!(s.effect_nets, effects.len(), "effect nets {what}");
+        let observed = effects.iter().filter(|&&i| podem.is_observable[i]).count();
+        assert_eq!(s.effect_observables, observed, "effect observables {what}");
+        let frontier: Vec<NodeId> = s
+            .frontier
+            .iter()
+            .map(|&(_, pos)| podem.order[pos])
+            .collect();
+        assert_eq!(frontier, d_frontier(podem, s), "frontier {what}");
+        let flagged = s.in_frontier.iter().filter(|&&f| f).count();
+        assert_eq!(flagged, frontier.len(), "frontier flags {what}");
+        assert!(frontier.iter().all(|g| s.in_frontier[g.index()]), "{what}");
+        let x_reach = recompute_x_reach(podem, s);
+        s.x_path.forget();
+        for id in podem.circuit.node_ids() {
+            assert_eq!(
+                podem.x_path(&s.values, &mut s.x_path, id),
+                x_reach[id.index()],
+                "x-path of {id} {what}"
+            );
+        }
+    }
+
+    /// A generated search problem: a circuit, a view of it, and fault
+    /// sets to target — single faults on a scan-style view of the
+    /// sequential circuit when `frames == 1`, else each fault's copies
+    /// in every frame of the `frames`-frame unrolled model, with the
+    /// view shaped like [`crate::SeqAtpg`]'s.
+    struct Case {
+        circuit: Circuit,
+        controllable: Vec<NodeId>,
+        fixed: Vec<(NodeId, bool)>,
+        observable: Vec<NodeId>,
+        fault_sets: Vec<Vec<Fault>>,
+    }
+
+    impl Case {
+        fn generate(seed: u64, gates: usize, frames: usize) -> Case {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = generate(
+                &GeneratorConfig::new("oracle", seed)
+                    .inputs(rng.gen_range(2..10usize))
+                    .gates(gates)
+                    .dffs(rng.gen_range(0..10usize)),
+            );
+            // Flip-flop D-pin branches are capture stems once unrolled;
+            // the scan-style view has no gate to put them on.
+            let on_dff_pin = |f: &Fault| match f.site {
+                FaultSite::Branch { gate, .. } => !base.node(gate).kind().is_gate(),
+                FaultSite::Stem(_) => false,
+            };
+            let faults: Vec<Fault> = all_faults(&base)
+                .into_iter()
+                .filter(|f| frames > 1 || !on_dff_pin(f))
+                .collect();
+            let (branches, stems): (Vec<Fault>, Vec<Fault>) = faults
+                .iter()
+                .partition(|f| matches!(f.site, FaultSite::Branch { .. }));
+            let picks: Vec<Fault> = (0..6)
+                .map(|k| {
+                    let from = if k % 2 == 0 || branches.is_empty() {
+                        &stems
+                    } else {
+                        &branches
+                    };
+                    from[rng.gen_range(0..from.len())]
+                })
+                .collect();
+            if frames == 1 {
+                let mut case = Case {
+                    circuit: base.clone(),
+                    controllable: Vec::new(),
+                    fixed: Vec::new(),
+                    observable: Vec::new(),
+                    fault_sets: picks.iter().map(|&f| vec![f]).collect(),
+                };
+                for &i in base.inputs().iter().chain(base.dffs()) {
+                    match rng.gen_range(0..4u32) {
+                        0 => case.fixed.push((i, rng.gen_bool(0.5))),
+                        1 => {}
+                        _ => case.controllable.push(i),
+                    }
+                }
+                let captures = base
+                    .dffs()
+                    .iter()
+                    .filter_map(|&ff| base.node(ff).fanin().first());
+                for &o in base.outputs().iter().chain(captures) {
+                    if rng.gen_bool(0.6) {
+                        case.observable.push(o);
+                    }
+                }
+                return case;
+            }
+            let (u, map) = unroll_with_map(&base, frames);
+            let mut case = Case {
+                circuit: u.circuit().clone(),
+                controllable: Vec::new(),
+                fixed: Vec::new(),
+                observable: Vec::new(),
+                fault_sets: picks
+                    .iter()
+                    .map(|&f| {
+                        (0..frames)
+                            .filter_map(|t| u.map_fault(&base, f, t, &map))
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let pinned: Vec<Option<bool>> = base
+                .inputs()
+                .iter()
+                .map(|_| rng.gen_bool(0.25).then(|| rng.gen_bool(0.5)))
+                .collect();
+            for t in 0..frames {
+                for (k, &pi) in u.pis(t).iter().enumerate() {
+                    match pinned[k] {
+                        Some(v) => case.fixed.push((pi, v)),
+                        None => case.controllable.push(pi),
+                    }
+                }
+            }
+            for &s0 in u.state0s() {
+                if rng.gen_bool(0.5) {
+                    case.controllable.push(s0);
+                }
+            }
+            let observed: Vec<bool> = base.dffs().iter().map(|_| rng.gen_bool(0.5)).collect();
+            for t in 0..frames {
+                case.observable.extend_from_slice(u.pos(t));
+                for (k, &cap) in u.captures(t).iter().enumerate() {
+                    if observed[k] {
+                        case.observable.push(cap);
+                    }
+                }
+            }
+            case
+        }
+
+        fn podem(&self) -> Podem<'_> {
+            Podem::new(
+                &self.circuit,
+                self.controllable.clone(),
+                self.fixed.clone(),
+                self.observable.clone(),
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The incremental search is the sweep search: on generated
+        /// circuits and views, for stem, branch and multi-frame fault
+        /// sets under small budgets, `run_with_scratch` returns exactly
+        /// the sweep's verdict, vector, work, decisions and backtracks,
+        /// through a reused scratch as through a fresh one.
+        #[test]
+        fn search_matches_sweep_reference(
+            seed in any::<u64>(),
+            gates in 20usize..300,
+            frames in 1usize..7,
+            backtrack_limit in 0usize..40,
+            step_limit in 0usize..600,
+        ) {
+            let case = Case::generate(seed, gates, frames);
+            let podem = case.podem();
+            // A third of the cases run without a step limit.
+            let config = PodemConfig {
+                backtrack_limit,
+                step_limit: if step_limit >= 400 { usize::MAX } else { step_limit },
+            };
+            let mut reused = podem.scratch();
+            for faults in &case.fault_sets {
+                let expected = sweep_run(&podem, faults, &config);
+                prop_assert_eq!(&podem.run(faults, &config), &expected, "{:?}", faults);
+                prop_assert_eq!(
+                    &podem.run_with_scratch(&mut reused, faults, &config),
+                    &expected,
+                    "reused scratch, {:?}",
+                    faults
+                );
+            }
+        }
+
+        /// After injection and after every assignment or retraction on a
+        /// random walk, the maintained counts, frontier and X-paths equal
+        /// a recount from the values.
+        #[test]
+        fn bookkeeping_matches_recount(
+            seed in any::<u64>(),
+            gates in 20usize..300,
+            frames in 1usize..7,
+        ) {
+            let case = Case::generate(seed, gates, frames);
+            let podem = case.podem();
+            let mut s = podem.scratch();
+            let mut work = WorkCounters::ZERO;
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xb00c);
+            for faults in &case.fault_sets {
+                podem.begin(&mut s, faults, &mut work);
+                assert_bookkeeping(&podem, &mut s, "after begin");
+                if case.controllable.is_empty() {
+                    continue;
+                }
+                for _ in 0..24 {
+                    let pi = case.controllable[rng.gen_range(0..case.controllable.len())];
+                    let val = rng.gen_bool(0.8).then(|| rng.gen_bool(0.5));
+                    podem.set_input(&mut s, pi, val, &mut work);
+                    assert_bookkeeping(&podem, &mut s, "after set_input");
+                }
+            }
+        }
+    }
+
     #[test]
     fn finds_tests_for_all_collapsed_c17_faults() {
         let (c, _) = c17_like();
@@ -1018,23 +1539,27 @@ mod tests {
     #[test]
     fn incremental_resim_matches_full_reference() {
         // After injection and after every assignment change, the
-        // event-driven values must equal a from-scratch resimulation.
+        // event-driven values must equal a from-scratch resimulation,
+        // and the maintained bookkeeping a recount from those values.
         let (c, _) = c17_like();
         let faults = fscan_fault::collapse(&c, &fscan_fault::all_faults(&c));
         let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
         let mut s = podem.scratch();
         let mut work = WorkCounters::ZERO;
-        for f in faults.iter().take(8) {
+        for f in &faults {
             podem.begin(&mut s, std::slice::from_ref(f), &mut work);
             assert_eq!(s.values, reference_values(&podem, &s), "after begin {f}");
+            assert_bookkeeping(&podem, &mut s, &format!("after begin {f}"));
             let inputs = c.inputs().to_vec();
             for (i, &pi) in inputs.iter().enumerate() {
                 podem.set_input(&mut s, pi, Some(i % 2 == 0), &mut work);
                 assert_eq!(s.values, reference_values(&podem, &s), "after set {f}");
+                assert_bookkeeping(&podem, &mut s, &format!("after set {f}"));
             }
             for &pi in inputs.iter().rev() {
                 podem.set_input(&mut s, pi, None, &mut work);
                 assert_eq!(s.values, reference_values(&podem, &s), "after unset {f}");
+                assert_bookkeeping(&podem, &mut s, &format!("after unset {f}"));
             }
         }
     }
@@ -1180,7 +1705,10 @@ mod tests {
         c.set_dff_input(ff, g).unwrap();
         c.mark_output(g);
         let podem = Podem::new(&c, vec![pi, ff], vec![], vec![g]);
-        match podem.run(&[Fault::stem(g, false)], &PodemConfig::default()).verdict {
+        match podem
+            .run(&[Fault::stem(g, false)], &PodemConfig::default())
+            .verdict
+        {
             AtpgOutcome::Test(t) => {
                 // Test must assign both pi=1 and ff=1.
                 let m: std::collections::HashMap<_, _> = t.into_iter().collect();

@@ -17,9 +17,12 @@ pub struct SeqAtpgConfig {
     /// Total PODEM backtrack budget per fault, spent across the whole
     /// deepening schedule.
     pub backtrack_limit: usize,
-    /// Total search-step budget per fault (each step is one event-driven
-    /// resimulation of the changed cone in the unrolled model) — the
-    /// knob that actually bounds wall-clock time on deep unrollings.
+    /// Total search-step budget per fault — the knob that actually
+    /// bounds wall-clock time on deep unrollings. A step costs what it
+    /// changes in the unrolled model: the event-driven resimulation of
+    /// the changed cone, the D-frontier updates of the nets it wrote and
+    /// the X-path search ahead of the frontier (see
+    /// [`PodemConfig::step_limit`]); no part of it sweeps all frames.
     pub step_limit: usize,
 }
 
