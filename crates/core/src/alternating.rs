@@ -5,9 +5,9 @@ use std::time::{Duration, Instant};
 
 use fscan_fault::Fault;
 use fscan_scan::ScanDesign;
-use fscan_sim::kernel::{Rail, R256};
-use fscan_sim::{LaneWidth, ParallelFaultSim, ShardStats, StageMetrics, V3, WorkCounters};
+use fscan_sim::{LaneWidth, StageMetrics, V3};
 
+use crate::pipeline::alt_sim_with_trace;
 use crate::sequences::scan_vector_layout;
 
 /// Builds the scan-mode input sequence that shifts the alternating
@@ -110,49 +110,10 @@ impl<'d> AlternatingPhase<'d> {
     /// Fault-simulates the sequence; `results[i]` is the first cycle at
     /// which `faults[i]` is definitely detected.
     pub fn run(&self, faults: &[Fault]) -> (Vec<Option<usize>>, Duration) {
-        let (detections, _, cpu, _) = self.run_sharded(faults, 1);
-        (detections, cpu)
-    }
-
-    /// [`run`](Self::run) sharded across `threads` workers (`0` =
-    /// hardware thread count). Detection verdicts — and the returned
-    /// [`WorkCounters`] — are identical to the serial run for every
-    /// thread count.
-    pub fn run_sharded(
-        &self,
-        faults: &[Fault],
-        threads: usize,
-    ) -> (Vec<Option<usize>>, ShardStats, Duration, WorkCounters) {
-        self.run_sharded_wide::<u64>(faults, threads)
-    }
-
-    /// [`run_sharded`](Self::run_sharded) dispatched on a runtime
-    /// [`LaneWidth`]. Verdicts are identical at every width; the wider
-    /// rail retires more faults per union-cone walk.
-    pub fn run_sharded_at(
-        &self,
-        faults: &[Fault],
-        threads: usize,
-        width: LaneWidth,
-    ) -> (Vec<Option<usize>>, ShardStats, Duration, WorkCounters) {
-        match width {
-            LaneWidth::W64 => self.run_sharded_wide::<u64>(faults, threads),
-            LaneWidth::W256 => self.run_sharded_wide::<R256>(faults, threads),
-        }
-    }
-
-    /// [`run_sharded`](Self::run_sharded) at rail width `W`.
-    pub fn run_sharded_wide<W: Rail>(
-        &self,
-        faults: &[Fault],
-        threads: usize,
-    ) -> (Vec<Option<usize>>, ShardStats, Duration, WorkCounters) {
         let start = Instant::now();
-        let sim = ParallelFaultSim::<W>::with_topology_wide(self.design.topology());
-        let init = vec![V3::X; self.design.circuit().dffs().len()];
-        let (detections, shards, counters) =
-            sim.fault_sim_sharded(&self.vectors, &init, faults, threads);
-        (detections, shards, start.elapsed(), counters)
+        let (detections, ..) =
+            alt_sim_with_trace(self.design, &self.vectors, faults, None, 1, LaneWidth::W64);
+        (detections, start.elapsed())
     }
 }
 

@@ -340,19 +340,8 @@ pub fn classify_faults(design: &ScanDesign, faults: &[Fault]) -> Vec<ClassifiedF
 }
 
 /// [`classify_faults`] sharded across `threads` workers (`0` = hardware
-/// thread count), running the packed 64-lane implication engine — the
-/// historical default; [`classify_faults_sharded_at`] picks the width
-/// at runtime.
-pub fn classify_faults_sharded(
-    design: &ScanDesign,
-    faults: &[Fault],
-    threads: usize,
-) -> (Vec<ClassifiedFault>, ShardStats, WorkCounters, ConeHist) {
-    classify_faults_sharded_wide::<u64>(design, faults, threads)
-}
-
-/// [`classify_faults_sharded_wide`] dispatched on a runtime
-/// [`LaneWidth`] (the switch [`PipelineConfig`](crate::PipelineConfig)
+/// thread count), running the packed implication engine at the rail
+/// width `width` (the switch [`PipelineConfig`](crate::PipelineConfig)
 /// carries).
 pub fn classify_faults_sharded_at(
     design: &ScanDesign,
@@ -366,9 +355,8 @@ pub fn classify_faults_sharded_at(
     }
 }
 
-/// [`classify_faults`] sharded across `threads` workers (`0` = hardware
-/// thread count), running the packed `W::LANES`-fault implication
-/// engine.
+/// [`classify_faults_sharded_at`] at rail width `W`: the packed
+/// `W::LANES`-fault implication engine.
 ///
 /// Faults are permuted into words whose implication cones overlap under
 /// the scan-mode steady state ([`fscan_sim::pack_order`] — the
@@ -380,7 +368,7 @@ pub fn classify_faults_sharded_at(
 /// [`classify_faults`], and the summed [`WorkCounters`] and
 /// [`ConeHist`] are bit-identical for every thread count (bucket sums
 /// commute, so shard merge order cannot matter).
-pub fn classify_faults_sharded_wide<W: Rail>(
+fn classify_faults_sharded_wide<W: Rail>(
     design: &ScanDesign,
     faults: &[Fault],
     threads: usize,
@@ -577,7 +565,8 @@ mod tests {
         let mut reference_work = None;
         let mut reference_hist = None;
         for threads in [1, 2, 4] {
-            let (sharded, stats, work, hist) = classify_faults_sharded(&design, &faults, threads);
+            let (sharded, stats, work, hist) =
+                classify_faults_sharded_at(&design, &faults, threads, LaneWidth::W64);
             assert_eq!(sharded, serial, "threads = {threads}");
             assert_eq!(stats.items(), faults.len());
             assert!(work.implication_events > 0);

@@ -164,13 +164,14 @@ fn detects_per_test<W: Rail>(
 /// assumes.
 ///
 /// Per-test fault simulations shard across `threads` workers (`0` =
-/// hardware thread count); the kept set, the report and its counters
-/// are identical for every thread count.
+/// hardware thread count) on the packed rail of width `width`; the kept
+/// set, the report and its counters are identical for every thread
+/// count, and the kept set and the report at every width.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use fscan::{compact_program, PipelineConfig, PipelineSession};
+/// use fscan::{compact_program, LaneWidth, PipelineConfig, PipelineSession};
 /// use fscan_fault::{all_faults, collapse};
 /// use fscan_netlist::{generate, GeneratorConfig};
 /// use fscan_scan::{insert_functional_scan, TpiConfig};
@@ -179,7 +180,8 @@ fn detects_per_test<W: Rail>(
 /// let design = insert_functional_scan(&circuit, &TpiConfig::default())?;
 /// let report = PipelineSession::new(&design, PipelineConfig::default()).run();
 /// let faults = collapse(design.circuit(), &all_faults(design.circuit()));
-/// let outcome = compact_program(&design, report.program, &faults, 0).unwrap();
+/// let outcome =
+///     compact_program(&design, report.program, &faults, 0, LaneWidth::default()).unwrap();
 /// assert_eq!(outcome.report.lost, 0);
 /// assert!(outcome.report.tests_after <= outcome.report.tests_before);
 /// # Ok::<(), fscan_scan::ScanError>(())
@@ -189,27 +191,16 @@ pub fn compact_program(
     program: TestProgram,
     faults: &[Fault],
     threads: usize,
-) -> Result<CompactionOutcome, CompactionError> {
-    compact_program_wide::<u64>(design, program, faults, threads)
-}
-
-/// [`compact_program`] dispatched on a runtime [`LaneWidth`]. The kept
-/// set and the report are identical at every width.
-pub fn compact_program_at(
-    design: &ScanDesign,
-    program: TestProgram,
-    faults: &[Fault],
-    threads: usize,
     width: LaneWidth,
 ) -> Result<CompactionOutcome, CompactionError> {
     match width {
-        LaneWidth::W64 => compact_program_wide::<u64>(design, program, faults, threads),
-        LaneWidth::W256 => compact_program_wide::<R256>(design, program, faults, threads),
+        LaneWidth::W64 => compact_wide::<u64>(design, program, faults, threads),
+        LaneWidth::W256 => compact_wide::<R256>(design, program, faults, threads),
     }
 }
 
 /// [`compact_program`] at rail width `W`.
-pub fn compact_program_wide<W: Rail>(
+fn compact_wide<W: Rail>(
     design: &ScanDesign,
     program: TestProgram,
     faults: &[Fault],
@@ -335,7 +326,7 @@ mod tests {
     #[test]
     fn reverse_compaction_preserves_coverage() {
         let (design, program, faults) = setup();
-        let outcome = compact_program(&design, program, &faults, 1).unwrap();
+        let outcome = compact_program(&design, program, &faults, 1, LaneWidth::W64).unwrap();
         assert_eq!(outcome.report.lost, 0, "reverse compaction is lossless");
         assert_eq!(outcome.report.detected_after, outcome.report.detected_before);
         assert!(outcome.report.tests_after <= outcome.report.tests_before);
@@ -350,8 +341,8 @@ mod tests {
     #[test]
     fn compaction_is_thread_invariant() {
         let (design, program, faults) = setup();
-        let serial = compact_program(&design, program.clone(), &faults, 1).unwrap();
-        let parallel = compact_program(&design, program, &faults, 4).unwrap();
+        let serial = compact_program(&design, program.clone(), &faults, 1, LaneWidth::W64).unwrap();
+        let parallel = compact_program(&design, program, &faults, 4, LaneWidth::W64).unwrap();
         assert_eq!(serial.report.tests_after, parallel.report.tests_after);
         assert_eq!(serial.report.detected_after, parallel.report.detected_after);
         assert_eq!(

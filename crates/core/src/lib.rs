@@ -71,17 +71,15 @@ mod sequences;
 
 pub use alternating::{alternating_vectors, AlternatingPhase, AlternatingReport};
 pub use classify::{
-    classify_faults, classify_faults_sharded, classify_faults_sharded_at,
-    classify_faults_sharded_wide, Category, ChainLocation, ClassifiedFault, Classifier,
-    ClassifySummary,
+    classify_faults, classify_faults_sharded_at, Category, ChainLocation, ClassifiedFault,
+    Classifier, ClassifySummary,
 };
 pub use fscan_sim::LaneWidth;
 pub use comb_phase::{
     CombPhase, CombPhaseConfig, CombPhaseConfigBuilder, CombPhaseOutcome, CombPhaseReport,
 };
 pub use compact::{
-    compact_program, compact_program_at, compact_program_wide, truncate_to_coverage,
-    CompactionError, CompactionOutcome, CompactionReport,
+    compact_program, truncate_to_coverage, CompactionError, CompactionOutcome, CompactionReport,
 };
 pub use diagnosis::{diagnose_chain, DiagnosisCandidate};
 pub use eco::EcoCarry;

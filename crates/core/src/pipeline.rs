@@ -24,6 +24,14 @@
 //! reports are bit-identical regardless of thread count. Each stage
 //! reports its cost as a [`StageMetrics`] triple, collected per report
 //! by [`PipelineReport::stages`].
+//!
+//! An ECO rerun ([`PipelineSession::rerun`]) is this same pipeline over
+//! the patched design, with a crate-private *prior* (the previous run's
+//! [`EcoCarry`] plus the patch's dirty cones) riding along the
+//! checkpoints. A cold run is the case without one. Each stage body
+//! holds its own reuse rule: classification and the alternating
+//! sequence carry verdicts fault by fault, and the comb, compaction and
+//! sequential stages carry their outcome whole or not at all.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -32,19 +40,21 @@ use std::time::Instant;
 
 use fscan_atpg::{PodemConfig, SeqAtpgConfig};
 use fscan_fault::{all_faults_with, collapse_with, Fault};
+use fscan_netlist::DirtyInfo;
 use fscan_scan::ScanDesign;
 use fscan_sim::kernel::R256;
 use fscan_sim::{
-    CombEvaluator, GoodTrace, LaneWidth, MemMetrics, SimScratch, StageMetrics, WorkCounters, V3,
+    CombEvaluator, GoodTrace, LaneWidth, MemMetrics, ParallelFaultSim, ShardStats, SimScratch,
+    StageMetrics, WorkCounters, V3,
 };
 
-use crate::alternating::{AlternatingPhase, AlternatingReport};
-use crate::eco::{alt_sim_with_trace, CarryParts, EcoCarry};
+use crate::alternating::{alternating_vectors, AlternatingReport};
 use crate::classify::{
     classify_faults_sharded_at, Category, ChainLocation, ClassifiedFault, ClassifySummary,
 };
 use crate::comb_phase::{CombPhase, CombPhaseConfig, CombPhaseOutcome, CombPhaseReport};
-use crate::compact::{compact_program_at, CompactionReport};
+use crate::compact::{compact_program, CompactionReport};
+use crate::eco::{CarryParts, EcoCarry};
 use crate::program::{ScanTest, TestProgram};
 use crate::seq_phase::{DistParams, SeqPhase, SeqPhaseReport};
 
@@ -69,6 +79,162 @@ pub(crate) fn fill_mem(
     metrics.mem.peak_bytes = mark.peak();
     metrics.mem.reallocs = mark.reallocs();
     metrics.mem.arena_bytes = arena_bytes;
+}
+
+/// What an ECO rerun brings into the staged pipeline: the run it
+/// follows and the patch between the two designs. A session without a
+/// prior is a cold run. With one, every stage splits its targets into
+/// carried and recomputed, books the split as
+/// [`WorkCounters::verdicts_reused`] / [`WorkCounters::cones_invalidated`],
+/// and books no topology build (the patched topology was not compiled).
+#[derive(Clone, Debug)]
+pub(crate) struct Prior {
+    /// The prior run's artifacts and the patched topology's dirty cones,
+    /// while anything can still carry over. `None` when the prior report
+    /// has no carry, when the edit invalidates everything, or once a
+    /// whole stage has recomputed: comb, compact and seq reuse all or
+    /// nothing, and each only if its predecessor did.
+    reuse: Option<(Arc<EcoCarry>, DirtyInfo)>,
+}
+
+impl Prior {
+    pub(crate) fn new(carry: Option<Arc<EcoCarry>>, dirty: Option<DirtyInfo>) -> Prior {
+        Prior {
+            reuse: carry.zip(dirty.filter(|d| !d.is_full())),
+        }
+    }
+
+    fn carry(&self) -> Option<&EcoCarry> {
+        self.reuse.as_ref().map(|(carry, _)| &**carry)
+    }
+
+    /// Whether `f`'s prior verdict still holds. A fault's verdict
+    /// depends only on its forward cone and that cone's transitive
+    /// fanin, so a fault whose affected node lies outside the patch's
+    /// invalidation support sees no changed value and no changed path.
+    fn clean(&self, f: &Fault) -> bool {
+        self.reuse
+            .as_ref()
+            .is_some_and(|(_, dirty)| !dirty.in_support(f.affected_node()))
+    }
+
+    /// Whole-stage reuse: the prior artifacts when `fits` accepts them
+    /// and every target is clean. Otherwise `None`, and no later stage
+    /// reuses either.
+    fn whole(
+        &mut self,
+        targets: &[Fault],
+        fits: impl FnOnce(&EcoCarry) -> bool,
+    ) -> Option<Arc<EcoCarry>> {
+        let hit = self.carry().is_some_and(fits) && targets.iter().all(|f| self.clean(f));
+        if !hit {
+            self.reuse = None;
+        }
+        self.reuse.as_ref().map(|(carry, _)| Arc::clone(carry))
+    }
+}
+
+/// Books a stage's split between carried and recomputed targets. Only a
+/// rerun books one: a cold run carries nothing and recomputes nothing.
+fn book_split(
+    counters: &mut WorkCounters,
+    prior: &Option<Prior>,
+    reused: usize,
+    recomputed: usize,
+) {
+    if prior.is_some() {
+        counters.verdicts_reused += reused as u64;
+        counters.cones_invalidated += recomputed as u64;
+    }
+}
+
+/// Per-fault reuse, shared by the classify and alternating stages:
+/// verdicts come from `carried` where it has one, `compute` runs once on
+/// the rest (possibly none), and both merge back in fault order.
+/// Returns the verdicts, how many were carried and `compute`'s other
+/// outputs.
+fn carry_per_fault<T, X>(
+    faults: &[Fault],
+    carried: Option<impl Fn(&Fault) -> Option<T>>,
+    compute: impl FnOnce(&[Fault]) -> (Vec<T>, X),
+) -> (Vec<T>, usize, X) {
+    let Some(carried) = carried else {
+        let (verdicts, extra) = compute(faults);
+        return (verdicts, 0, extra);
+    };
+    let mut slots: Vec<Option<T>> = faults.iter().map(carried).collect();
+    let stale: Vec<usize> = (0..faults.len()).filter(|&i| slots[i].is_none()).collect();
+    let sub: Vec<Fault> = stale.iter().map(|&i| faults[i]).collect();
+    let (fresh, extra) = compute(&sub);
+    for (i, verdict) in stale.into_iter().zip(fresh) {
+        slots[i] = Some(verdict);
+    }
+    let verdicts = slots
+        .into_iter()
+        .map(|s| s.expect("every fault slot is filled"))
+        .collect();
+    (verdicts, faults.len() - sub.len(), extra)
+}
+
+/// Runs a stage that reuses all or nothing (comb, compact, seq): the
+/// prior's outcome via `carried` when [`Prior::whole`] accepts it for
+/// `targets`, otherwise `compute`. Closes the stage's memory window and
+/// books its split: every target carried, or every target recomputed.
+fn whole_stage<T>(
+    prior: &mut Option<Prior>,
+    targets: &[Fault],
+    arena: u64,
+    fits: impl FnOnce(&EcoCarry) -> bool,
+    carried: impl FnOnce(&EcoCarry) -> T,
+    compute: impl FnOnce() -> T,
+    metrics: fn(&mut T) -> &mut StageMetrics,
+) -> T {
+    let mark = fscan_alloctrack::stage_mark();
+    let start = Instant::now();
+    let carry = prior.as_mut().and_then(|p| p.whole(targets, fits));
+    let mut outcome = match &carry {
+        Some(carry) => carried(carry),
+        None => compute(),
+    };
+    let m = metrics(&mut outcome);
+    if carry.is_some() {
+        // No simulation work, just the reuse booking.
+        *m = StageMetrics::new(start.elapsed(), ShardStats::default(), WorkCounters::ZERO);
+        book_split(&mut m.counters, prior, targets.len(), 0);
+    } else {
+        book_split(&mut m.counters, prior, 0, targets.len());
+    }
+    fill_mem(m, mark, arena);
+    outcome
+}
+
+/// The alternating stage's fault simulation and its one width dispatch.
+/// Builds the good trace of `vectors`, replayed from `prior` on a rerun
+/// so that cycles outside the dirty cones are copied rather than
+/// re-evaluated, and simulates `faults` against it. The counters cover
+/// the faulty machines plus the trace's own work, booked once.
+pub(crate) fn alt_sim_with_trace(
+    design: &ScanDesign,
+    vectors: &[Vec<V3>],
+    faults: &[Fault],
+    prior: Option<&GoodTrace>,
+    threads: usize,
+    width: LaneWidth,
+) -> (Vec<Option<usize>>, ShardStats, WorkCounters, GoodTrace) {
+    let init = vec![V3::X; design.circuit().dffs().len()];
+    let eval = CombEvaluator::with_topology(design.topology());
+    let trace = match prior {
+        Some(prior) => GoodTrace::replay_from(&eval, prior, vectors, &init),
+        None => GoodTrace::compute(&eval, vectors, &init),
+    };
+    let (detections, shards, mut counters) = match width {
+        LaneWidth::W64 => ParallelFaultSim::<u64>::with_topology_wide(design.topology())
+            .fault_sim_sharded_with_trace(faults, &trace, threads),
+        LaneWidth::W256 => ParallelFaultSim::<R256>::with_topology_wide(design.topology())
+            .fault_sim_sharded_with_trace(faults, &trace, threads),
+    };
+    counters += trace.counters();
+    (detections, shards, counters, trace)
 }
 
 /// Configuration of the full pipeline.
@@ -444,6 +610,8 @@ pub struct PipelineSession {
     pub(crate) design: Arc<ScanDesign>,
     pub(crate) config: PipelineConfig,
     pub(crate) faults: Vec<Fault>,
+    /// Set only by [`rerun_with_design`](Self::rerun_with_design).
+    pub(crate) prior: Option<Prior>,
 }
 
 impl PipelineSession {
@@ -480,6 +648,7 @@ impl PipelineSession {
             design,
             config,
             faults,
+            prior: None,
         }
     }
 
@@ -519,16 +688,40 @@ impl PipelineSession {
     pub fn classify(self) -> Classified {
         let start = Instant::now();
         let mark = fscan_alloctrack::stage_mark();
-        let (classified, shards, mut counters, cone_hist) = classify_faults_sharded_at(
-            &self.design,
-            &self.faults,
-            self.config.threads,
-            self.config.lane_width,
-        );
+        let (design, config) = (&self.design, &self.config);
+        let carried = self.prior.as_ref().and_then(|prior| {
+            let by_fault: HashMap<Fault, &ClassifiedFault> = prior
+                .carry()?
+                .classified
+                .iter()
+                .map(|cf| (cf.fault, cf))
+                .collect();
+            Some(move |f: &Fault| {
+                by_fault
+                    .get(f)
+                    .filter(|_| prior.clean(f))
+                    .map(|&cf| cf.clone())
+            })
+        });
+        let (classified, reused, (shards, mut counters, cone_hist)) =
+            carry_per_fault(&self.faults, carried, |faults| {
+                let (classified, shards, counters, hist) =
+                    classify_faults_sharded_at(design, faults, config.threads, config.lane_width);
+                (classified, (shards, counters, hist))
+            });
         // The session's one topology compilation is accounted to the
         // first stage; every later stage shares the same plan, so the
-        // report-wide total stays at exactly 1.
-        counters.topology_builds = 1;
+        // report-wide total stays at exactly 1. A rerun's patched
+        // topology was not compiled at all.
+        if self.prior.is_none() {
+            counters.topology_builds = 1;
+        }
+        book_split(
+            &mut counters,
+            &self.prior,
+            reused,
+            self.faults.len() - reused,
+        );
         let mut metrics = StageMetrics::new(start.elapsed(), shards, counters);
         let nodes = self.design.topology().num_nodes();
         fill_mem(&mut metrics, mark, arena_footprint(nodes, self.config.lane_width));
@@ -539,6 +732,7 @@ impl PipelineSession {
             total_faults: self.faults.len(),
             classified,
             metrics,
+            prior: self.prior,
         }
     }
 
@@ -567,6 +761,7 @@ pub struct Classified {
     /// Per-fault classification results.
     pub classified: Vec<ClassifiedFault>,
     metrics: StageMetrics,
+    prior: Option<Prior>,
 }
 
 impl Classified {
@@ -606,24 +801,34 @@ impl Classified {
             .filter(|c| c.category == Category::AlternatingDetectable)
             .map(|c| c.fault)
             .collect();
-        let phase = AlternatingPhase::new(&self.design);
-        // The good trace is computed explicitly (rather than inside the
-        // phase's sharded runner) so it can be carried into the report's
-        // [`EcoCarry`] for later [`PipelineSession::rerun`] replays; the
-        // counters are identical — the trace's own work is booked once,
-        // on top of the per-fault shard work.
+        let vectors = alternating_vectors(&self.design);
         let start = Instant::now();
-        let init = vec![V3::X; self.design.circuit().dffs().len()];
-        let eval = CombEvaluator::with_topology(self.design.topology());
-        let trace = GoodTrace::compute(&eval, phase.vectors(), &init);
-        let (detections, shards, mut counters) = alt_sim_with_trace(
-            &self.design,
-            self.config.lane_width,
-            &affected,
-            &trace,
-            self.config.threads,
-        );
-        counters += trace.counters();
+        // A rerun replays the prior good trace whatever the sequence;
+        // detections carry over only for the very same sequence.
+        let carry = self.prior.as_ref().and_then(Prior::carry);
+        let carried = self.prior.as_ref().and_then(|prior| {
+            let carry = prior.carry().filter(|c| c.alt_vectors == vectors)?;
+            Some(move |f: &Fault| {
+                carry
+                    .alt_detections
+                    .get(f)
+                    .copied()
+                    .filter(|_| prior.clean(f))
+            })
+        });
+        let (detections, reused, (shards, mut counters, trace)) =
+            carry_per_fault(&affected, carried, |faults| {
+                let (detections, shards, counters, trace) = alt_sim_with_trace(
+                    &self.design,
+                    &vectors,
+                    faults,
+                    carry.map(|c| &c.alt_trace),
+                    self.config.threads,
+                    self.config.lane_width,
+                );
+                (detections, (shards, counters, trace))
+            });
+        book_split(&mut counters, &self.prior, reused, affected.len() - reused);
         let cpu = start.elapsed();
         let detected: HashSet<Fault> = affected
             .iter()
@@ -639,7 +844,7 @@ impl Classified {
             targeted: affected.len(),
             detected: detected.len(),
             missed_easy: missed_easy.len(),
-            cycles: phase.vectors().len(),
+            cycles: vectors.len(),
             metrics: StageMetrics::new(cpu, shards, counters),
         };
         let nodes = self.design.topology().num_nodes();
@@ -648,18 +853,15 @@ impl Classified {
             mark,
             arena_footprint(nodes, self.config.lane_width),
         );
+        // The trace rides along in the carry, so a later rerun can
+        // replay it.
         let carry_parts = CarryParts {
             classified: self.classified.clone(),
-            alt_vectors: phase.vectors().to_vec(),
-            alt_detections: affected
-                .iter()
-                .copied()
-                .zip(detections.iter().copied())
-                .collect(),
+            alt_vectors: vectors.clone(),
+            alt_detections: affected.into_iter().zip(detections).collect(),
             alt_trace: Some(trace),
             ..CarryParts::default()
         };
-        let vectors = phase.into_vectors();
         AfterAlternating {
             design: self.design,
             config: self.config,
@@ -671,6 +873,7 @@ impl Classified {
             detected,
             missed_easy,
             carry_parts,
+            prior: self.prior,
         }
     }
 }
@@ -685,11 +888,12 @@ pub struct AfterAlternating {
     classified: Vec<ClassifiedFault>,
     summary: ClassifySummary,
     report: AlternatingReport,
-    vectors: Vec<Vec<fscan_sim::V3>>,
+    vectors: Vec<Vec<V3>>,
     detected: HashSet<Fault>,
     /// Category-1 faults the sequence missed (forwarded to step 3).
     pub missed_easy: Vec<Fault>,
     carry_parts: CarryParts,
+    prior: Option<Prior>,
 }
 
 impl AfterAlternating {
@@ -706,26 +910,35 @@ impl AfterAlternating {
     /// Step 2 (paper §4): combinational PODEM on the scan-mode view for
     /// the hard faults step 1 did not fortuitously catch, each test
     /// confirmed by (sharded) sequential fault simulation.
-    pub fn comb(self) -> AfterComb {
+    ///
+    /// On a rerun the outcome carries over whole, and only when the
+    /// target list is identical and every target is clean: PODEM explores
+    /// each fault's cone and its transitive fanin, and every accepted
+    /// window re-drops the entire hard list.
+    pub fn comb(mut self) -> AfterComb {
         let hard: Vec<Fault> = self
             .classified
             .iter()
             .filter(|c| c.category == Category::Hard && !self.detected.contains(&c.fault))
             .map(|c| c.fault)
             .collect();
-        let comb_config = CombPhaseConfig {
-            podem: self.config.podem,
-            threads: self.config.threads,
-            lane_width: self.config.lane_width,
-            ..CombPhaseConfig::default()
-        };
-        let mark = fscan_alloctrack::stage_mark();
-        let mut outcome = CombPhase::new(&self.design, comb_config).run(&hard);
-        let nodes = self.design.topology().num_nodes();
-        fill_mem(
-            &mut outcome.report.metrics,
-            mark,
-            arena_footprint(nodes, self.config.lane_width),
+        let (design, config) = (&self.design, &self.config);
+        let outcome = whole_stage(
+            &mut self.prior,
+            &hard,
+            arena_footprint(design.topology().num_nodes(), config.lane_width),
+            |c| c.config == *config && c.hard == hard,
+            |c| c.comb_outcome.clone(),
+            || {
+                let comb_config = CombPhaseConfig {
+                    podem: config.podem,
+                    threads: config.threads,
+                    lane_width: config.lane_width,
+                    ..CombPhaseConfig::default()
+                };
+                CombPhase::new(design, comb_config).run(&hard)
+            },
+            |o| &mut o.report.metrics,
         );
         let mut carry_parts = self.carry_parts;
         carry_parts.hard = hard;
@@ -742,6 +955,7 @@ impl AfterAlternating {
             remaining: outcome.remaining.clone(),
             outcome,
             carry_parts,
+            prior: self.prior,
         }
     }
 }
@@ -757,13 +971,14 @@ pub struct AfterComb {
     classified: Vec<ClassifiedFault>,
     summary: ClassifySummary,
     alternating: AlternatingReport,
-    vectors: Vec<Vec<fscan_sim::V3>>,
+    vectors: Vec<Vec<V3>>,
     outcome: CombPhaseOutcome,
     /// Hard faults step 2 left unresolved (forwarded to step 3).
     pub remaining: Vec<Fault>,
     /// Category-1 faults step 1 missed (forwarded to step 3).
     pub missed_easy: Vec<Fault>,
     carry_parts: CarryParts,
+    prior: Option<Prior>,
 }
 
 impl AfterComb {
@@ -778,42 +993,54 @@ impl AfterComb {
     /// faults. Lossless by construction; [`compact_program`] verifies
     /// that, and a violation (impossible for self-contained scan
     /// windows) would panic rather than silently drop coverage.
-    pub fn compact(self) -> AfterCompact {
+    ///
+    /// On a rerun the outcome carries over whole when step 2's did and
+    /// the alternating sequence and chain-affecting faults are unchanged
+    /// and clean.
+    pub fn compact(mut self) -> AfterCompact {
         let affected: Vec<Fault> = self
             .classified
             .iter()
             .filter(|c| c.category != Category::Unaffected)
             .map(|c| c.fault)
             .collect();
+        let vectors_match = self
+            .prior
+            .as_ref()
+            .and_then(Prior::carry)
+            .is_some_and(|c| c.alt_vectors == self.vectors);
+        let (design, config, vectors) = (&self.design, &self.config, self.vectors);
         let CombPhaseOutcome {
             report: comb_report,
             program: comb_tests,
             ..
         } = self.outcome;
-        let mut program = TestProgram::new();
-        program.push(ScanTest::new("alternating", self.vectors));
-        for t in comb_tests {
-            program.push(t);
-        }
-        let mark = fscan_alloctrack::stage_mark();
-        let mut compacted = compact_program_at(
-            &self.design,
-            program,
+        let compacted = whole_stage(
+            &mut self.prior,
             &affected,
-            self.config.threads,
-            self.config.lane_width,
-        )
-        .expect("reverse-order compaction preserves every detection");
-        let nodes = self.design.topology().num_nodes();
-        fill_mem(
-            &mut compacted.report.metrics,
-            mark,
-            arena_footprint(nodes, self.config.lane_width),
+            arena_footprint(design.topology().num_nodes(), config.lane_width),
+            |c| vectors_match && c.affected == affected,
+            |c| c.compaction.clone(),
+            || {
+                let mut program = TestProgram::new();
+                program.push(ScanTest::new("alternating", vectors));
+                for t in comb_tests {
+                    program.push(t);
+                }
+                compact_program(
+                    design,
+                    program,
+                    &affected,
+                    config.threads,
+                    config.lane_width,
+                )
+                .expect("reverse-order compaction preserves every detection")
+            },
+            |o| &mut o.report.metrics,
         );
         let mut carry_parts = self.carry_parts;
         carry_parts.affected = affected;
-        carry_parts.compaction = Some(compacted.report.clone());
-        carry_parts.compacted_program = Some(compacted.program.clone());
+        carry_parts.compaction = Some(compacted.clone());
         AfterCompact {
             design: self.design,
             config: self.config,
@@ -827,6 +1054,7 @@ impl AfterComb {
             remaining: self.remaining,
             missed_easy: self.missed_easy,
             carry_parts,
+            prior: self.prior,
         }
     }
 
@@ -855,6 +1083,7 @@ pub struct AfterCompact {
     /// Category-1 faults step 1 missed (forwarded to step 3).
     pub missed_easy: Vec<Fault>,
     carry_parts: CarryParts,
+    prior: Option<Prior>,
 }
 
 impl AfterCompact {
@@ -872,40 +1101,45 @@ impl AfterCompact {
     /// Step 3 (paper §5): targeted sequential ATPG with enhanced
     /// controllability/observability over `remaining ∪ missed_easy`,
     /// then the final report.
-    pub fn seq(self) -> PipelineReport {
-        let locations: HashMap<Fault, Vec<ChainLocation>> = self
-            .classified
-            .iter()
-            .map(|c| (c.fault, c.locations.clone()))
-            .collect();
+    ///
+    /// On a rerun the outcome carries over whole when compaction's did
+    /// and the target set is unchanged.
+    pub fn seq(mut self) -> PipelineReport {
         let mut targets: Vec<Fault> = self.remaining.clone();
         targets.extend(self.missed_easy.iter().copied());
-        let target_locs: Vec<Vec<ChainLocation>> = targets
-            .iter()
-            .map(|f| locations.get(f).cloned().unwrap_or_default())
-            .collect();
-        let dist = self
-            .config
-            .dist
-            .unwrap_or_else(|| DistParams::paper(self.design.max_chain_len()));
-        // Effects must be able to traverse the whole chain: scale the
-        // frame budgets to the longest chain.
-        let min_frames = self.design.max_chain_len() + 4;
-        let mut seq_cfg = self.config.seq;
-        seq_cfg.max_frames = seq_cfg.max_frames.max(min_frames);
-        let mut final_cfg = self.config.final_seq;
-        final_cfg.max_frames = final_cfg.max_frames.max(min_frames);
-        let phase = SeqPhase::new(&self.design, dist, seq_cfg, final_cfg)
-            .threads(self.config.threads);
-        let mark = fscan_alloctrack::stage_mark();
-        let mut seq_outcome = phase.run(&targets, &target_locs);
+        let (design, config, classified) = (&self.design, &self.config, &self.classified);
         // The sequential phase's fault simulators run on the default
         // 64-lane rail regardless of the packed-stage width.
-        let nodes = self.design.topology().num_nodes();
-        fill_mem(
-            &mut seq_outcome.report.metrics,
-            mark,
-            arena_footprint(nodes, LaneWidth::W64),
+        let seq_outcome = whole_stage(
+            &mut self.prior,
+            &targets,
+            arena_footprint(design.topology().num_nodes(), LaneWidth::W64),
+            |c| c.seq_targets == targets,
+            |c| c.seq_outcome.clone(),
+            || {
+                let locations: HashMap<Fault, &[ChainLocation]> = classified
+                    .iter()
+                    .map(|c| (c.fault, &c.locations[..]))
+                    .collect();
+                let target_locs: Vec<Vec<ChainLocation>> = targets
+                    .iter()
+                    .map(|f| locations.get(f).map(|l| l.to_vec()).unwrap_or_default())
+                    .collect();
+                let dist = config
+                    .dist
+                    .unwrap_or_else(|| DistParams::paper(design.max_chain_len()));
+                // Effects must be able to traverse the whole chain: scale
+                // the frame budgets to the longest chain.
+                let min_frames = design.max_chain_len() + 4;
+                let mut seq_cfg = config.seq;
+                seq_cfg.max_frames = seq_cfg.max_frames.max(min_frames);
+                let mut final_cfg = config.final_seq;
+                final_cfg.max_frames = final_cfg.max_frames.max(min_frames);
+                SeqPhase::new(design, dist, seq_cfg, final_cfg)
+                    .threads(config.threads)
+                    .run(&targets, &target_locs)
+            },
+            |o| &mut o.report.metrics,
         );
         let mut carry_parts = self.carry_parts;
         carry_parts.seq_targets = targets;
@@ -1096,6 +1330,13 @@ mod tests {
         assert_eq!(report.stages()[0].1.counters.topology_builds, 1);
         for (_, m) in &report.stages()[1..] {
             assert_eq!(m.counters.topology_builds, 0);
+        }
+        // A cold run has no prior: it reuses nothing, so it books no
+        // reuse split and seeds no trace cycle from an earlier trace.
+        for (name, m) in report.stages() {
+            assert_eq!(m.counters.verdicts_reused, 0, "stage {name}");
+            assert_eq!(m.counters.cones_invalidated, 0, "stage {name}");
+            assert_eq!(m.counters.trace_cycles_reused, 0, "stage {name}");
         }
     }
 

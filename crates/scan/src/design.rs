@@ -219,7 +219,11 @@ impl ScanDesign {
     /// or if it touches any node the scan fabric depends on (chain nets,
     /// flip-flops, side inputs, path gates, `scan_mode` or a constrained
     /// input) — such edits change shift behaviour and must go through a
-    /// full re-insertion instead.
+    /// full re-insertion instead. Freezing those nodes does not freeze
+    /// the logic that forces a side input, so the patched design is
+    /// also [`verify`](Self::verify)-ed, and its error (typically
+    /// [`ScanError::SideInputNotForced`]) is returned when a chain no
+    /// longer shifts.
     pub fn patched(&self, delta: &NetlistDelta) -> Result<ScanDesign, ScanError> {
         let circuit = delta
             .apply(&self.circuit)
@@ -249,7 +253,7 @@ impl ScanDesign {
         let topo = Arc::new(self.topology().patch(delta));
         let cell = OnceLock::new();
         let _ = cell.set(topo);
-        Ok(ScanDesign {
+        let design = ScanDesign {
             circuit,
             scan_mode: self.scan_mode,
             constraints: self.constraints.clone(),
@@ -257,7 +261,9 @@ impl ScanDesign {
             test_points: self.test_points,
             added_gates: self.added_gates,
             topo: cell,
-        })
+        };
+        design.verify()?;
+        Ok(design)
     }
 
     /// The `scan_mode` primary input (1 during all scan operations).
@@ -457,6 +463,31 @@ mod tests {
         };
         let err = design.patched(&bad).unwrap_err();
         assert!(err.to_string().contains("scan fabric"));
+
+        // Re-driving the logic that forces a side input touches no frozen
+        // node, but the side input then floats in scan mode: the patched
+        // chain would no longer shift. `not_scan` forces every mux's
+        // functional AND to 0; as a buffer of `scan_mode` it passes the
+        // functional D value through instead.
+        let not_scan = (0..n)
+            .map(NodeId::from_index)
+            .find(|&id| design.circuit().node(id).name() == Some("not_scan"))
+            .expect("mux scan adds the scan_mode inverter");
+        let unforce = NetlistDelta {
+            base_nodes: n,
+            added: vec![],
+            redriven: vec![Redrive {
+                node: not_scan,
+                kind: GateKind::Buf,
+                fanin: vec![DeltaRef::Base(design.scan_mode())],
+            }],
+            removed: vec![],
+            outputs: vec![],
+        };
+        assert!(matches!(
+            design.patched(&unforce),
+            Err(ScanError::SideInputNotForced { .. })
+        ));
     }
 
     #[test]

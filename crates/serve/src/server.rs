@@ -89,7 +89,7 @@ use std::time::Duration;
 
 use fscan::json::{self, config_from_value, metrics_to_value, report_to_value, Value};
 use fscan::{Error, LaneWidth, PipelineConfig, PipelineSession};
-use fscan_netlist::{content_hash64, parse_bench, BenchReader, Fnv1a64, NetlistDelta};
+use fscan_netlist::{content_hash64, parse_bench, BenchReader, Fnv1a64, NetlistDelta, NodeId};
 use fscan_scan::{insert_functional_scan, ScanDesign, TpiConfig};
 
 use crate::cache::{DesignCache, RunCache, RunEntry};
@@ -761,8 +761,13 @@ fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
 /// [`PipelineSession::rerun_with_design`], which carries forward every
 /// verdict whose detection cone is disjoint from the edit. Edits the
 /// delta layer cannot express against the cached base (renamed nets, a
-/// changed scan fabric, a different interface) fall back to a cold run
-/// of the edited design — same response shape, nothing reused.
+/// changed scan fabric, a different interface, a chain that would no
+/// longer shift) fall back to a cold run of the edited design — same
+/// response shape, nothing reused. So do edits after which scan
+/// insertion on the edited netlist builds a different fabric than the
+/// one the patched design inherits from the base (see [`same_fabric`]):
+/// the incremental answer would test the base's chains, not the ones a
+/// cold run of the same netlist tests.
 fn handle_eco(
     stream: &mut TcpStream,
     request: &Request,
@@ -837,7 +842,8 @@ fn handle_eco(
             )
             .rerun_with_design(&base.report, &delta)
             .ok()
-        });
+        })
+        .filter(|(_, patched)| same_fabric(patched, &new_design));
     let (report, design, reused, recomputed) = match incremental {
         Some((report, patched)) => {
             let totals = report.total_counters();
@@ -873,6 +879,41 @@ fn handle_eco(
         body.as_bytes(),
         close,
     )
+}
+
+/// Whether two scan designs share one scan fabric, compared by net
+/// name: the same `scan_mode` input, the same scan-mode constraints and
+/// the same chains, cell for cell. Node numbering may differ between
+/// them: a patched design appends its ECO nodes after the scan
+/// insertion's, while a fresh insertion numbers them first.
+fn same_fabric(a: &ScanDesign, b: &ScanDesign) -> bool {
+    fn pairwise<T>(x: &[T], y: &[T], same: impl Fn(&T, &T) -> bool) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same(p, q))
+    }
+    let net = |x: NodeId, y: NodeId| {
+        let name = a.circuit().node(x).name();
+        name.is_some() && name == b.circuit().node(y).name()
+    };
+    net(a.scan_mode(), b.scan_mode())
+        && pairwise(a.constraints(), b.constraints(), |&(p, v), &(q, w)| {
+            v == w && net(p, q)
+        })
+        && pairwise(a.chains(), b.chains(), |x, y| {
+            net(x.scan_in, y.scan_in)
+                && pairwise(&x.cells, &y.cells, |c, d| {
+                    net(c.ff, d.ff)
+                        && net(c.source, d.source)
+                        && c.inverted == d.inverted
+                        && c.kind == d.kind
+                        && pairwise(&c.path, &d.path, |&(g, p), &(h, q)| p == q && net(g, h))
+                        && pairwise(&c.sides, &d.sides, |s, t| {
+                            s.pin == t.pin
+                                && s.required == t.required
+                                && net(s.gate, t.gate)
+                                && net(s.net, t.net)
+                        })
+                })
+        })
 }
 
 fn stats_json(shared: &Shared) -> String {

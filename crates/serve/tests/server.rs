@@ -6,7 +6,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fscan::json;
-use fscan_netlist::{generate, write_bench, GeneratorConfig};
+use fscan_netlist::{
+    generate, parse_bench, write_bench, Circuit, DeltaRef, GateKind, GeneratorConfig, NetlistDelta,
+    NodeId, Redrive,
+};
+use fscan_scan::{insert_functional_scan, ScanDesign, ScanError, TpiConfig};
+use fscan_serve::http::Response;
 use fscan_serve::server::{spawn, ServerConfig};
 use fscan_serve::{client, RunRequest};
 
@@ -371,6 +376,156 @@ fn saturated_queue_sheds_load_with_typed_503() {
     handle.shutdown();
 }
 
+/// Posts an `/eco` envelope that edits the run named by `base_key`.
+fn post_eco(addr: std::net::SocketAddr, base_key: &str, edited: &str) -> Response {
+    let envelope = json::Value::object([
+        ("base", json::Value::Str(base_key.to_string())),
+        ("bench", json::Value::Str(edited.to_string())),
+        ("name", json::Value::Str("itest".to_string())),
+    ])
+    .render_compact();
+    client::post(addr, "/eco", "application/json", envelope.as_bytes()).unwrap()
+}
+
+/// The `reused=` count of an `/eco` answer's `x-fscan-eco` header.
+fn reused_verdicts(eco: &Response) -> u64 {
+    let reuse = eco
+        .header("x-fscan-eco")
+        .expect("eco must report its reuse split");
+    reuse
+        .strip_prefix("reused=")
+        .and_then(|rest| rest.split_once(' '))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("malformed x-fscan-eco: {reuse}"))
+}
+
+/// Every numbering-independent verdict of an `/eco` answer must equal a
+/// cold `/run` of the same netlist. Fault IDs are not comparable across
+/// the two designs when they number their nodes differently; the
+/// ID-exact oracle lives in the core crate, where both paths share one
+/// design.
+fn assert_same_verdicts(eco: &Response, cold: &Response) {
+    let inc_report = json::report_from_json(&eco.text()).unwrap();
+    let cold_report = json::report_from_json(&cold.text()).unwrap();
+    assert_eq!(inc_report.total_faults, cold_report.total_faults);
+    assert_eq!(
+        inc_report.classification.easy,
+        cold_report.classification.easy
+    );
+    assert_eq!(
+        inc_report.classification.hard,
+        cold_report.classification.hard
+    );
+    assert_eq!(
+        inc_report.alternating.detected,
+        cold_report.alternating.detected
+    );
+    assert_eq!(inc_report.comb.detected, cold_report.comb.detected);
+    assert_eq!(inc_report.seq.undetected, cold_report.seq.undetected);
+    assert_eq!(
+        inc_report.undetected_faults.len(),
+        cold_report.undetected_faults.len()
+    );
+    assert_eq!(
+        inc_report.program.tests().len(),
+        cold_report.program.tests().len()
+    );
+}
+
+/// The first single-pin rewire of `bench` (a gate input moved to a
+/// primary input scan insertion leaves free) that `wanted` accepts,
+/// given the base design, the rewire as a delta against it, and the
+/// edited netlist. Returns the edited netlist in `.bench` form.
+fn find_rewire(
+    bench: &str,
+    wanted: impl Fn(&ScanDesign, &NetlistDelta, &Circuit) -> bool,
+) -> Option<String> {
+    let circuit = parse_bench(bench, "itest").unwrap();
+    let design = insert_functional_scan(&circuit, &one_chain()).unwrap();
+    let forced: Vec<NodeId> = design.constraints().iter().map(|&(pi, _)| pi).collect();
+    let free: Vec<NodeId> = circuit
+        .inputs()
+        .iter()
+        .copied()
+        .filter(|pi| !forced.contains(pi))
+        .collect();
+    let rewire = |base_nodes: usize, node: NodeId, kind: GateKind, fanin: &[NodeId]| NetlistDelta {
+        base_nodes,
+        added: vec![],
+        redriven: vec![Redrive {
+            node,
+            kind,
+            fanin: fanin.iter().map(|&f| DeltaRef::Base(f)).collect(),
+        }],
+        removed: vec![],
+        outputs: vec![],
+    };
+    for id in (0..circuit.num_nodes()).map(NodeId::from_index) {
+        let node = circuit.node(id);
+        // Scan insertion may rewire a gate's pins; only gates it left
+        // alone have the same fanin in the base design and the netlist.
+        if matches!(node.kind(), GateKind::Input | GateKind::Dff)
+            || design.circuit().node(id).fanin() != node.fanin()
+        {
+            continue;
+        }
+        for pin in 0..node.fanin().len() {
+            for &pi in free.iter().filter(|&&pi| pi != node.fanin()[pin]) {
+                let mut fanin = node.fanin().to_vec();
+                fanin[pin] = pi;
+                let delta = rewire(design.circuit().num_nodes(), id, node.kind(), &fanin);
+                let Ok(edited) =
+                    rewire(circuit.num_nodes(), id, node.kind(), &fanin).apply(&circuit)
+                else {
+                    continue;
+                };
+                if wanted(&design, &delta, &edited) {
+                    return Some(write_bench(&edited));
+                }
+            }
+        }
+    }
+    None
+}
+
+fn one_chain() -> TpiConfig {
+    TpiConfig {
+        num_chains: 1,
+        ..TpiConfig::default()
+    }
+}
+
+/// Runs the base netlist, posts `edited` as an `/eco` against it, and
+/// requires the answer to be a cold run: nothing reused, and every
+/// verdict as a `/run` of the edited netlist gives it.
+fn assert_eco_answers_cold(bench: &str, edited: &str) {
+    let handle = spawn(&ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let base = client::post_run(addr, &RunRequest::new(bench, "itest", 1)).unwrap();
+    assert_eq!(base.status, 200, "{}", base.text());
+    let base_key = base.header("x-fscan-key").unwrap().to_string();
+
+    let eco = post_eco(addr, &base_key, edited);
+    assert_eq!(eco.status, 200, "{}", eco.text());
+    assert_eq!(reused_verdicts(&eco), 0, "{:?}", eco.header("x-fscan-eco"));
+    let cold = client::post_run(addr, &RunRequest::new(edited, "itest", 1)).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.text());
+    assert_eq!(eco.header("x-fscan-key"), cold.header("x-fscan-key"));
+    assert_same_verdicts(&eco, &cold);
+    handle.shutdown();
+}
+
+/// The first generated netlist from seed 21 on that has a rewire
+/// `wanted` accepts, with that rewire applied.
+fn first_rewire(wanted: impl Fn(&ScanDesign, &NetlistDelta, &Circuit) -> bool) -> (String, String) {
+    (21..60)
+        .find_map(|seed| {
+            let bench = bench_text(seed);
+            find_rewire(&bench, &wanted).map(|edited| (bench, edited))
+        })
+        .expect("some generated netlist has such a rewire")
+}
+
 #[test]
 fn eco_rerun_reuses_verdicts_and_matches_cold() {
     let handle = spawn(&ServerConfig::default()).unwrap();
@@ -389,23 +544,13 @@ fn eco_rerun_reuses_verdicts_and_matches_cold() {
     // the netlist. No prior fault's cone is touched, so every prior
     // verdict must carry forward.
     let edited = format!("{bench}\neco_spare_c = CONST0()\neco_spare_g = NOT(eco_spare_c)\n");
-    let envelope = json::Value::object([
-        ("base", json::Value::Str(base_key.clone())),
-        ("bench", json::Value::Str(edited.clone())),
-        ("name", json::Value::Str("itest".to_string())),
-    ])
-    .render_compact();
-    let eco = client::post(addr, "/eco", "application/json", envelope.as_bytes()).unwrap();
+    let eco = post_eco(addr, &base_key, &edited);
     assert_eq!(eco.status, 200, "{}", eco.text());
     let reuse = eco
         .header("x-fscan-eco")
         .expect("eco must report its reuse split")
         .to_string();
-    let reused: u64 = reuse
-        .strip_prefix("reused=")
-        .and_then(|rest| rest.split_once(' '))
-        .and_then(|(n, _)| n.parse().ok())
-        .unwrap_or_else(|| panic!("malformed x-fscan-eco: {reuse}"));
+    let reused = reused_verdicts(&eco);
     assert!(reused > 0, "nothing reused: {reuse}");
     let new_key = eco
         .header("x-fscan-key")
@@ -420,26 +565,8 @@ fn eco_rerun_reuses_verdicts_and_matches_cold() {
     assert_eq!(cold.status, 200, "{}", cold.text());
     assert_eq!(cold.header("x-fscan-key"), Some(new_key.as_str()));
     // The two designs are isomorphic but number their nodes differently
-    // (the island lands before scan insertion cold, after it patched),
-    // so fault IDs are not comparable across them — the ID-exact oracle
-    // lives in the core crate where both paths share one design. Here
-    // every numbering-independent verdict must agree.
-    let inc_report = json::report_from_json(&eco.text()).unwrap();
-    let cold_report = json::report_from_json(&cold.text()).unwrap();
-    assert_eq!(inc_report.total_faults, cold_report.total_faults);
-    assert_eq!(inc_report.classification.easy, cold_report.classification.easy);
-    assert_eq!(inc_report.classification.hard, cold_report.classification.hard);
-    assert_eq!(inc_report.alternating.detected, cold_report.alternating.detected);
-    assert_eq!(inc_report.comb.detected, cold_report.comb.detected);
-    assert_eq!(inc_report.seq.undetected, cold_report.seq.undetected);
-    assert_eq!(
-        inc_report.undetected_faults.len(),
-        cold_report.undetected_faults.len()
-    );
-    assert_eq!(
-        inc_report.program.tests().len(),
-        cold_report.program.tests().len()
-    );
+    // (the island lands before scan insertion cold, after it patched).
+    assert_same_verdicts(&eco, &cold);
 
     // Unknown base keys are a structured 404.
     let missing = client::post(
@@ -460,6 +587,50 @@ fn eco_rerun_reuses_verdicts_and_matches_cold() {
     // Wrong method routes like the other endpoints.
     assert_eq!(client::get(addr, "/eco").unwrap().status, 405);
     handle.shutdown();
+}
+
+#[test]
+fn eco_rewire_that_unforces_a_side_input_answers_cold() {
+    // The rewire touches no frozen fabric node, but the base design's
+    // forcing no longer holds a side input, so its chain would not
+    // shift: the rerun is refused.
+    let (bench, edited) = first_rewire(|design, delta, _| {
+        matches!(
+            design.patched(delta),
+            Err(ScanError::SideInputNotForced { .. })
+        )
+    });
+    assert_eco_answers_cold(&bench, &edited);
+}
+
+#[test]
+fn eco_rewire_that_moves_the_fabric_answers_cold() {
+    // Scan insertion on the edited netlist forces other inputs, yet the
+    // server's diff against the base is a delta the base's fabric
+    // accepts and still verifies under, and whose dirty support leaves
+    // some nodes clean, so a rerun would reuse their verdicts. A cold
+    // run of the same netlist tests different chains, so /eco must
+    // answer cold.
+    let names = |d: &ScanDesign| -> Vec<(Option<String>, bool)> {
+        d.constraints()
+            .iter()
+            .map(|&(pi, v)| (d.circuit().node(pi).name().map(str::to_string), v))
+            .collect()
+    };
+    let (bench, edited) = first_rewire(|design, _, edited| {
+        insert_functional_scan(edited, &one_chain()).is_ok_and(|fresh| {
+            names(&fresh) != names(design)
+                && NetlistDelta::diff(design.circuit(), fresh.circuit())
+                    .ok()
+                    .and_then(|delta| design.patched(&delta).ok())
+                    .is_some_and(|patched| {
+                        let topo = patched.topology();
+                        topo.dirty()
+                            .is_some_and(|d| d.support().len() < topo.num_nodes())
+                    })
+        })
+    });
+    assert_eco_answers_cold(&bench, &edited);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! engine at 64 lanes — and at least 1.5× fewer again at 256 (4× is
 //! the no-overlap ideal; merged words share less of their union cone).
 
-use fscan::{classify_faults_sharded, classify_faults_sharded_at, Classifier, LaneWidth};
+use fscan::{classify_faults_sharded_at, Classifier, LaneWidth};
 use fscan_bench::{build_design, PAPER_SUITE};
 use fscan_fault::{all_faults, collapse};
 
@@ -28,7 +28,8 @@ fn packed_classification_is_deterministic_and_cheaper() {
     let mut reference_work = None;
     let mut reference_hist = None;
     for threads in [1, 2, 4] {
-        let (sharded, stats, work, hist) = classify_faults_sharded(&design, &faults, threads);
+        let (sharded, stats, work, hist) =
+            classify_faults_sharded_at(&design, &faults, threads, LaneWidth::W64);
         // Category vectors (and locations) byte-identical to serial.
         assert_eq!(sharded, serial, "threads = {threads}");
         assert_eq!(stats.items(), faults.len());
