@@ -28,13 +28,11 @@
 //! time-frame-expanded, model. The bookkeeping is not counted: only the
 //! re-evaluations book `gate_evals`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
 use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
-use fscan_sim::{CombEvaluator, V3, WorkCounters};
+use fscan_sim::{CombEvaluator, TopoQueue, WorkCounters, V3};
 
 use crate::dvalue::D5;
 
@@ -140,9 +138,8 @@ pub struct PodemScratch {
     has_branch: Vec<bool>,
     /// The (gate index, pin, stuck) branch injections (short list).
     branch_inj: Vec<(usize, usize, bool)>,
-    /// Event queue of order positions pending re-evaluation.
-    queue: BinaryHeap<Reverse<usize>>,
-    in_queue: Vec<bool>,
+    /// Order positions pending re-evaluation.
+    queue: TopoQueue,
 }
 
 /// Memo of the X-path search within one objective call.
@@ -467,8 +464,7 @@ impl<'c> Podem<'c> {
             stem_inj: vec![None; n],
             has_branch: vec![false; n],
             branch_inj: Vec::new(),
-            queue: BinaryHeap::new(),
-            in_queue: vec![false; self.order.len()],
+            queue: TopoQueue::new(self.order.len()),
         }
     }
 
@@ -580,9 +576,11 @@ impl<'c> Podem<'c> {
     fn schedule_fanouts(&self, s: &mut PodemScratch, id: NodeId) {
         for &sink in self.topo.fanout_sinks(id) {
             let pos = self.order_pos[sink.index()];
-            if pos != usize::MAX && !s.in_queue[pos] {
-                s.in_queue[pos] = true;
-                s.queue.push(Reverse(pos));
+            if pos != usize::MAX {
+                // From a popped gate: its readers sit above it.
+                let from = self.order_pos[id.index()];
+                debug_assert!(from == usize::MAX || pos > from);
+                s.queue.insert(pos);
             }
         }
     }
@@ -591,8 +589,7 @@ impl<'c> Podem<'c> {
     /// changes. Each popped gate counts one `gate_eval` — the
     /// event-driven replacement for the old full-resimulation charge.
     fn drain(&self, s: &mut PodemScratch, work: &mut WorkCounters) {
-        while let Some(Reverse(pos)) = s.queue.pop() {
-            s.in_queue[pos] = false;
+        while let Some(pos) = s.queue.pop() {
             let id = self.order[pos];
             work.gate_evals += 1;
             let out = self.eval_node(s, id);
@@ -617,7 +614,6 @@ impl<'c> Podem<'c> {
         s.has_branch.fill(false);
         s.branch_inj.clear();
         s.queue.clear();
-        s.in_queue.fill(false);
         // Install every injection first (a gate may carry several), then
         // seed the event queue and propagate once.
         for f in faults {
@@ -638,10 +634,7 @@ impl<'c> Podem<'c> {
                     if pos != usize::MAX {
                         // Ordered node: the injection changes its output
                         // function; re-evaluate it in place.
-                        if !s.in_queue[pos] {
-                            s.in_queue[pos] = true;
-                            s.queue.push(Reverse(pos));
-                        }
+                        s.queue.insert(pos);
                     } else {
                         // Input / flip-flop output: override the faulty
                         // rail directly.
@@ -656,9 +649,8 @@ impl<'c> Podem<'c> {
                 FaultSite::Branch { gate, .. } => {
                     let pos = self.order_pos[gate.index()];
                     debug_assert_ne!(pos, usize::MAX, "branch faults sit on gates");
-                    if pos != usize::MAX && !s.in_queue[pos] {
-                        s.in_queue[pos] = true;
-                        s.queue.push(Reverse(pos));
+                    if pos != usize::MAX {
+                        s.queue.insert(pos);
                     }
                 }
             }
@@ -874,34 +866,26 @@ impl<'c> Podem<'c> {
                             self.cc0[f.index()]
                         }
                     };
-                    let candidates: Vec<NodeId> = node
-                        .fanin()
-                        .iter()
-                        .copied()
-                        .filter(|&f| s.values[f.index()].good() == V3::X)
-                        .collect();
-                    if candidates.is_empty() {
-                        return None;
-                    }
+                    let candidates = || {
+                        node.fanin()
+                            .iter()
+                            .copied()
+                            .filter(|&f| s.values[f.index()].good() == V3::X)
+                    };
                     let pick = if want_input == ctrl {
                         // One controlling input suffices: easiest, and it
                         // must be justifiable at all.
-                        candidates
-                            .iter()
-                            .copied()
+                        candidates()
                             .filter(|&f| cc(f, want_input) < INF)
                             .min_by_key(|&f| cc(f, want_input))?
                     } else {
                         // All inputs must be non-controlling: if any is
                         // statically unjustifiable the objective is dead;
                         // otherwise take the hardest first.
-                        if candidates.iter().any(|&f| cc(f, want_input) >= INF) {
+                        if candidates().any(|f| cc(f, want_input) >= INF) {
                             return None;
                         }
-                        candidates
-                            .iter()
-                            .copied()
-                            .max_by_key(|&f| cc(f, want_input))?
+                        candidates().max_by_key(|&f| cc(f, want_input))?
                     };
                     net = pick;
                     val = want_input;
@@ -912,12 +896,9 @@ impl<'c> Podem<'c> {
                     // treating other X inputs as 0.
                     let desired = val ^ (kind == GateKind::Xnor);
                     let mut parity = desired;
-                    let mut xs: Vec<NodeId> = Vec::new();
                     for &f in node.fanin() {
-                        match s.values[f.index()].good() {
-                            V3::One => parity = !parity,
-                            V3::Zero => {}
-                            V3::X => xs.push(f),
+                        if s.values[f.index()].good() == V3::One {
+                            parity = !parity;
                         }
                     }
                     let cc = |f: NodeId, v: bool| {
@@ -930,7 +911,10 @@ impl<'c> Podem<'c> {
                     // Remaining X inputs other than the chosen one are
                     // treated as 0 by this heuristic, so each candidate
                     // would need the same `parity` value.
-                    net = xs.iter().copied().find(|&f| cc(f, parity) < INF)?;
+                    net =
+                        node.fanin().iter().copied().find(|&f| {
+                            s.values[f.index()].good() == V3::X && cc(f, parity) < INF
+                        })?;
                     val = parity;
                 }
                 GateKind::Input | GateKind::Dff => unreachable!("handled above"),

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::pipeline::ConfigError;
 use crate::program::ScanTest;
-use crate::sequences::{scan_load_vectors, scan_vector_layout};
+use crate::sequences::{load_vectors_with, scan_vector_layout, ScanSequence};
 
 /// The result of the combinational phase (a Table 3 left half row).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -379,7 +379,7 @@ impl<'d> CombPhase<'d> {
                             counters.early_exits += 1;
                             continue;
                         }
-                        let window = self.test_window(assignments, window_len);
+                        let window = self.test_window(&layout, assignments, window_len);
                         windows += 1;
                         counters.windows_formed += 1;
                         program.push(ScanTest::new(format!("comb {}", hard[i]), window.clone()));
@@ -423,7 +423,7 @@ impl<'d> CombPhase<'d> {
             let mut fault_idx = pending;
             let mut sequence: Vec<Vec<V3>> = Vec::new();
             for _ in 0..self.config.random_windows {
-                sequence.extend(self.random_window(&mut rng, window_len));
+                sequence.extend(self.random_window(&layout, &mut rng, window_len));
             }
             counters.windows_formed += self.config.random_windows as u64;
             let (det, rstats, rwork) = sim.fault_sim_sharded(&sequence, &init, &faults, self.config.threads);
@@ -483,8 +483,12 @@ impl<'d> CombPhase<'d> {
 
     /// One random scan window: random chain load, random free-PI values
     /// held throughout, then a full shift-out.
-    fn random_window(&self, rng: &mut StdRng, window_len: usize) -> Vec<Vec<V3>> {
-        let layout = scan_vector_layout(self.design);
+    fn random_window(
+        &self,
+        layout: &ScanSequence,
+        rng: &mut StdRng,
+        window_len: usize,
+    ) -> Vec<Vec<V3>> {
         let states: Vec<Vec<bool>> = self
             .design
             .chains()
@@ -496,7 +500,7 @@ impl<'d> CombPhase<'d> {
             .iter()
             .map(|&p| (p, rng.gen_bool(0.5)))
             .collect();
-        let mut vectors = scan_load_vectors(self.design, &states);
+        let mut vectors = load_vectors_with(self.design, layout, &states);
         for v in &mut vectors {
             for &(p, val) in &pi_values {
                 v[p] = V3::from_bool(val);
@@ -516,9 +520,13 @@ impl<'d> CombPhase<'d> {
     /// state through the chains, then keep shifting while holding the
     /// test's primary-input values so the combinational response and the
     /// captured chain contents reach the outputs.
-    fn test_window(&self, assignments: &[(NodeId, bool)], window_len: usize) -> Vec<Vec<V3>> {
+    fn test_window(
+        &self,
+        layout: &ScanSequence,
+        assignments: &[(NodeId, bool)],
+        window_len: usize,
+    ) -> Vec<Vec<V3>> {
         let circuit = self.design.circuit();
-        let layout = scan_vector_layout(self.design);
         let assign: HashMap<NodeId, bool> = assignments.iter().copied().collect();
         // Desired flip-flop state per chain (don't-cares → 0).
         let states: Vec<Vec<bool>> = self
@@ -533,7 +541,7 @@ impl<'d> CombPhase<'d> {
                     .collect()
             })
             .collect();
-        let mut vectors = scan_load_vectors(self.design, &states);
+        let mut vectors = load_vectors_with(self.design, layout, &states);
         // Hold the test's free-PI values through the whole window.
         let pi_values: Vec<(usize, bool)> = layout
             .free

@@ -84,8 +84,17 @@ pub fn scan_vector_layout(design: &ScanDesign) -> ScanSequence {
 /// Panics if `states.len()` differs from the chain count or any state
 /// length from its chain length.
 pub fn scan_load_vectors(design: &ScanDesign, states: &[Vec<bool>]) -> Vec<Vec<V3>> {
+    load_vectors_with(design, &scan_vector_layout(design), states)
+}
+
+/// [`scan_load_vectors`] against a `layout` the caller already computed
+/// for `design`.
+pub(crate) fn load_vectors_with(
+    design: &ScanDesign,
+    layout: &ScanSequence,
+    states: &[Vec<bool>],
+) -> Vec<Vec<V3>> {
     assert_eq!(states.len(), design.chains().len(), "one state per chain");
-    let layout = scan_vector_layout(design);
     let total = design.max_chain_len();
     let mut vectors = vec![layout.base_vector(); total];
     for (c, chain) in design.chains().iter().enumerate() {

@@ -1,16 +1,18 @@
 //! Event-driven incremental simulation: the shared good-machine trace
-//! and the topological event queue.
+//! and the topological work-list every event-driven engine schedules
+//! through.
 //!
 //! A scan-mode circuit is mostly quiescent — between consecutive cycles
 //! only the shifting chain and its fanout cone change value — yet the
 //! levelized evaluators re-visit every gate every cycle. The two pieces
 //! here exploit that locality:
 //!
-//! * [`EventQueue`] — a topologically-ordered scheduler (the same
-//!   pattern as the implication engine's): gates are processed in
-//!   levelization order, so by the time a gate pops, every fanin it
-//!   depends on holds its final value for the cycle and each gate is
-//!   evaluated at most once per cycle.
+//! * [`TopoQueue`] — the one topological scheduler, shared by the good
+//!   trace, the packed faulty words, the scalar implication engine and
+//!   PODEM: gates are queued by their position in the levelized
+//!   evaluation order and pop in ascending position, so by the time a
+//!   gate pops, every fanin it depends on holds its final value for the
+//!   cycle and each gate is evaluated at most once per cycle.
 //! * [`GoodTrace`] — the fault-free machine, simulated **once** per
 //!   vector sequence with persistent per-net values: cycle 0 is one
 //!   full levelized pass, every later cycle re-evaluates only the gates
@@ -25,9 +27,6 @@
 //! would — the differential proptest oracle in `tests/props.rs` checks
 //! this net-for-net against [`CombEvaluator`] on random circuits.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use fscan_netlist::NodeId;
 
 use crate::comb::CombEvaluator;
@@ -35,59 +34,108 @@ use crate::counters::WorkCounters;
 use crate::kernel;
 use crate::value::V3;
 
-/// A deduplicating, topologically-ordered event scheduler.
+/// A fixed-size set of evaluation-order positions that pops its lowest
+/// member: the work-list of every event-driven engine.
 ///
-/// Nodes are pushed with their position in the levelized evaluation
-/// order and pop in ascending position; pushing a node twice within one
-/// cycle schedules it once (epoch-stamped, so starting a new cycle is
-/// O(1)).
+/// A two-level bitset: one bit per position and one summary bit per
+/// 64-position word, plus a low-water mark below which every summary
+/// word is zero. Inserting a queued position does nothing; popping
+/// clears the position, so it can be queued again.
+///
+/// Engines drain the queue by popping a gate and inserting the gates
+/// that read it. Those sit above it in the evaluation order, so a drain
+/// never inserts at or below the position it just popped, and each gate
+/// pops at most once per drain without a separate "already evaluated"
+/// mark. The callers check that invariant with a `debug_assert!` at
+/// each such insert.
+///
+/// # Examples
+///
+/// ```
+/// use fscan_sim::TopoQueue;
+///
+/// let mut q = TopoQueue::new(100);
+/// for p in [70, 3, 70, 64] {
+///     q.insert(p);
+/// }
+/// assert_eq!(q.pop(), Some(3));
+/// assert_eq!(q.pop(), Some(64));
+/// assert_eq!(q.pop(), Some(70));
+/// assert_eq!(q.pop(), None);
+/// ```
 #[derive(Clone, Debug)]
-pub(crate) struct EventQueue {
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    stamp: Vec<u32>,
-    epoch: u32,
+pub struct TopoQueue {
+    /// Bit `p % 64` of `bits[p / 64]` is set while position `p` is queued.
+    bits: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set while `bits[w]` is nonzero.
+    summary: Vec<u64>,
+    /// Every summary word below this index is zero.
+    low: usize,
 }
 
-impl EventQueue {
-    /// A queue for a circuit with `num_nodes` nodes.
-    pub(crate) fn new(num_nodes: usize) -> EventQueue {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            stamp: vec![0; num_nodes],
-            epoch: 0,
+impl TopoQueue {
+    /// An empty queue over positions `0..len`.
+    pub fn new(len: usize) -> TopoQueue {
+        let words = len.div_ceil(64);
+        let summary = words.div_ceil(64);
+        TopoQueue {
+            bits: vec![0; words],
+            summary: vec![0; summary],
+            low: summary,
         }
     }
 
-    /// Starts a new cycle: previously-popped nodes become schedulable
-    /// again. The queue must be drained first.
-    pub(crate) fn next_cycle(&mut self) {
-        debug_assert!(self.heap.is_empty(), "event queue not drained");
-        self.epoch += 1;
+    /// The heap bytes of a queue over `len` positions: one `u64` per
+    /// 64 positions plus one per 4096.
+    pub(crate) fn footprint_bytes(len: usize) -> u64 {
+        let words = len.div_ceil(64);
+        (std::mem::size_of::<u64>() * (words + words.div_ceil(64))) as u64
     }
 
-    /// Hard reset for arena reuse: drops any still-enqueued events (an
-    /// early-exiting consumer may leave some behind) and starts a fresh
-    /// epoch, keeping the allocated capacity.
-    pub(crate) fn reset(&mut self) {
-        self.heap.clear();
-        self.epoch += 1;
+    /// Queues position `pos`; a no-op if it is already queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is outside the queue's `0..len`.
+    #[inline]
+    pub fn insert(&mut self, pos: usize) {
+        let w = pos / 64;
+        self.bits[w] |= 1 << (pos % 64);
+        let s = w / 64;
+        self.summary[s] |= 1 << (w % 64);
+        self.low = self.low.min(s);
     }
 
-    /// Schedules `node` (at order position `pos`) unless it is already
-    /// scheduled or was already processed this cycle.
-    pub(crate) fn push(&mut self, pos: u32, node: NodeId) {
-        let i = node.index();
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.heap.push(Reverse((pos, i as u32)));
+    /// Removes and returns the lowest queued position.
+    #[inline]
+    pub fn pop(&mut self) -> Option<usize> {
+        while let Some(&sw) = self.summary.get(self.low) {
+            if sw == 0 {
+                self.low += 1;
+                continue;
+            }
+            let w = self.low * 64 + sw.trailing_zeros() as usize;
+            let word = self.bits[w];
+            let rest = word & (word - 1);
+            self.bits[w] = rest;
+            if rest == 0 {
+                self.summary[self.low] = sw & (sw - 1);
+            }
+            return Some(w * 64 + word.trailing_zeros() as usize);
         }
+        None
     }
 
-    /// Pops the scheduled node with the lowest order position.
-    pub(crate) fn pop(&mut self) -> Option<NodeId> {
-        self.heap
-            .pop()
-            .map(|Reverse((_, i))| NodeId::from_index(i as usize))
+    /// Drops every queued position, writing only the words that hold one.
+    pub fn clear(&mut self) {
+        for s in self.low..self.summary.len() {
+            let mut sw = std::mem::take(&mut self.summary[s]);
+            while sw != 0 {
+                self.bits[s * 64 + sw.trailing_zeros() as usize] = 0;
+                sw &= sw - 1;
+            }
+        }
+        self.low = self.summary.len();
     }
 }
 
@@ -194,11 +242,15 @@ impl GoodTrace {
 
         // Cycles 1..: drive only the changed inputs and state bits and
         // let the event queue propagate.
-        let mut queue = EventQueue::new(n);
-        let schedule = |queue: &mut EventQueue, id: NodeId| {
+        let order = eval.order();
+        let mut queue = TopoQueue::new(order.len());
+        let schedule = |queue: &mut TopoQueue, id: NodeId| {
             for &sink in topo.fanout_sinks(id) {
                 if topo.kind(sink).is_gate() {
-                    queue.push(pos[sink.index()], sink);
+                    let p = pos[sink.index()];
+                    // From a popped gate: its readers sit above it.
+                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
+                    queue.insert(p as usize);
                 }
             }
         };
@@ -209,7 +261,6 @@ impl GoodTrace {
                 "vector length != input count"
             );
             counters.lane_cycles += 1;
-            queue.next_cycle();
             for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
                 if values[pi.index()] != v {
                     values[pi.index()] = v;
@@ -226,7 +277,8 @@ impl GoodTrace {
                     schedule(&mut queue, ff);
                 }
             }
-            while let Some(id) = queue.pop() {
+            while let Some(p) = queue.pop() {
+                let id = order[p];
                 counters.gate_evals += 1;
                 let out = kernel::eval_v3(
                     topo.kind(id),
@@ -377,11 +429,15 @@ impl GoodTrace {
         // Cycles 1..: the same event-driven propagation as `compute`,
         // except a popped gate whose function is unchanged and whose
         // fanins match the prior machine is copied, not evaluated.
-        let mut queue = EventQueue::new(n);
-        let schedule = |queue: &mut EventQueue, id: NodeId| {
+        let order = eval.order();
+        let mut queue = TopoQueue::new(order.len());
+        let schedule = |queue: &mut TopoQueue, id: NodeId| {
             for &sink in topo.fanout_sinks(id) {
                 if topo.kind(sink).is_gate() {
-                    queue.push(pos[sink.index()], sink);
+                    let p = pos[sink.index()];
+                    // From a popped gate: its readers sit above it.
+                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
+                    queue.insert(p as usize);
                 }
             }
         };
@@ -399,7 +455,6 @@ impl GoodTrace {
                 }
             }
             counters.lane_cycles += 1;
-            queue.next_cycle();
             for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
                 if values[pi.index()] != v {
                     values[pi.index()] = v;
@@ -416,7 +471,8 @@ impl GoodTrace {
                     schedule(&mut queue, ff);
                 }
             }
-            while let Some(id) = queue.pop() {
+            while let Some(p) = queue.pop() {
+                let id = order[p];
                 let i = id.index();
                 let clean = live && i < prior_n && !changed_fn[i];
                 let out = if clean

@@ -1,7 +1,5 @@
 //! Forward implication cone of a fault (paper, Section 3 / Figure 3).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
@@ -9,6 +7,7 @@ use fscan_netlist::{Circuit, CompiledTopology, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
+use crate::event::TopoQueue;
 use crate::kernel::{self, Rail};
 use crate::packed::Pv;
 use crate::scratch::{SimScratch, NO_ENTRY};
@@ -34,14 +33,15 @@ pub struct NetChange {
 ///
 /// Classifying every fault of a circuit calls the implication thousands
 /// of times; this engine keeps its scratch buffers (epoch-stamped
-/// overlays) across calls and walks the shared [`CompiledTopology`] for
-/// fanout lists and topological positions.
+/// overlays and its [`TopoQueue`](crate::TopoQueue) work-list) across
+/// calls and walks the shared [`CompiledTopology`] for fanout lists and
+/// topological positions.
 #[derive(Clone, Debug)]
 pub struct ImplicationEngine {
     topo: Arc<CompiledTopology>,
     faulty: Vec<V3>,
     stamp: Vec<u32>,
-    queued: Vec<u32>,
+    queue: TopoQueue,
     epoch: u32,
     counters: WorkCounters,
 }
@@ -57,10 +57,10 @@ impl ImplicationEngine {
     pub fn with_topology(topo: Arc<CompiledTopology>) -> ImplicationEngine {
         let n = topo.num_nodes();
         ImplicationEngine {
-            topo,
             faulty: vec![V3::X; n],
             stamp: vec![0; n],
-            queued: vec![0; n],
+            queue: TopoQueue::new(topo.eval_order().len()),
+            topo,
             epoch: 0,
             counters: WorkCounters::ZERO,
         }
@@ -121,7 +121,6 @@ impl ImplicationEngine {
         if self.epoch == 0 {
             // Extremely rare wrap: reset stamps to keep correctness.
             self.stamp.fill(u32::MAX);
-            self.queued.fill(u32::MAX);
             self.epoch = 1;
         }
         // Split the engine into disjoint borrows so the CSR fanout slices
@@ -132,24 +131,21 @@ impl ImplicationEngine {
             topo,
             faulty,
             stamp,
-            queued,
+            queue,
             epoch,
             counters,
         } = self;
+        let order = topo.eval_order();
         let pos = topo.order_positions();
         let epoch = *epoch;
-        let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
         let mut changes: Vec<NetChange> = Vec::new();
 
-        let mut push_gate = |heap: &mut BinaryHeap<Reverse<(u32, NodeId)>>, id: NodeId| {
+        let push_gate = |queue: &mut TopoQueue, id: NodeId| {
             let p = pos[id.index()];
             if p == u32::MAX {
                 return; // not a combinational node (DFF): propagation stops
             }
-            if queued[id.index()] != epoch {
-                queued[id.index()] = epoch;
-                heap.push(Reverse((p, id)));
-            }
+            queue.insert(p as usize);
         };
 
         // Seed the cone.
@@ -160,7 +156,7 @@ impl ImplicationEngine {
                 if kind.is_gate() || matches!(kind, fscan_netlist::GateKind::Const0 | fscan_netlist::GateKind::Const1) {
                     // Re-evaluate at the gate itself (the stem override is
                     // applied when the node is processed below).
-                    push_gate(&mut heap, n);
+                    push_gate(queue, n);
                 } else if good[n.index()] != stuck {
                     faulty[n.index()] = stuck;
                     stamp[n.index()] = epoch;
@@ -169,17 +165,18 @@ impl ImplicationEngine {
                         good: good[n.index()],
                         faulty: stuck,
                     });
-                    for sink in topo.fanout_sinks(n) {
-                        push_gate(&mut heap, *sink);
+                    for &sink in topo.fanout_sinks(n) {
+                        push_gate(queue, sink);
                     }
                 }
             }
             FaultSite::Branch { gate, .. } => {
-                push_gate(&mut heap, gate);
+                push_gate(queue, gate);
             }
         }
 
-        while let Some(Reverse((_, id))) = heap.pop() {
+        while let Some(p) = queue.pop() {
+            let id = order[p];
             counters.implication_events += 1;
             counters.gate_evals += 1;
             let mut out = kernel::eval_v3(
@@ -208,8 +205,10 @@ impl ImplicationEngine {
                     good: good[id.index()],
                     faulty: out,
                 });
-                for sink in topo.fanout_sinks(id) {
-                    push_gate(&mut heap, *sink);
+                for &sink in topo.fanout_sinks(id) {
+                    // A reader sits above the gate just popped.
+                    debug_assert!(pos[sink.index()] == u32::MAX || pos[sink.index()] as usize > p);
+                    push_gate(queue, sink);
                 }
             } else {
                 // Value restored to good: make sure an earlier overlay for

@@ -18,6 +18,9 @@
 //!   oracle every faster engine is checked against);
 //! * [`GoodTrace`] — the fault-free machine simulated once per vector
 //!   sequence, event-driven, and shared read-only by every fault batch;
+//! * [`TopoQueue`] — the topological work-list (a two-level bitset over
+//!   evaluation-order positions) that every event-driven engine, PODEM
+//!   included, schedules gates through;
 //! * [`ParallelFaultSim`] — `W::LANES`-fault-per-pass sequential fault
 //!   simulation (width-generic; [`LaneWidth`] is the runtime switch,
 //!   256 lanes the default), event-driven and restricted to each fault
@@ -73,7 +76,7 @@ mod width;
 
 pub use comb::CombEvaluator;
 pub use counters::{StageMetrics, WorkCounters};
-pub use event::GoodTrace;
+pub use event::{GoodTrace, TopoQueue};
 pub use implication::{
     ImplicationEngine, ImplicationEngine64, NetChange, PackedChange, PackedImplicationEngine,
 };

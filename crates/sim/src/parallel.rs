@@ -9,7 +9,7 @@ use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
-use crate::event::{EventQueue, GoodTrace};
+use crate::event::{GoodTrace, TopoQueue};
 use crate::kernel::Rail;
 use crate::packed::Pv;
 use crate::scratch::{SimScratch, NO_ENTRY};
@@ -366,8 +366,9 @@ impl<W: Rail> ParallelFaultSim<W> {
         }
         let in_cone = |id: NodeId| cone_stamp[id.index()] == epoch;
 
+        let order = self.eval.order();
         let pos = self.eval.order_positions();
-        cone_order.extend(topo.eval_order().iter().copied().filter(|&id| in_cone(id)));
+        cone_order.extend(order.iter().copied().filter(|&id| in_cone(id)));
         cone_pis.extend(topo.inputs().iter().copied().filter(|&pi| in_cone(pi)));
         cone_ffs.extend(topo.dffs().iter().copied().filter(|&ff| in_cone(ff)));
         cone_outs.extend(
@@ -382,10 +383,13 @@ impl<W: Rail> ParallelFaultSim<W> {
         // Current good values (replayed from the trace's deltas); faulty
         // lanes' values are meaningful only inside the cone.
         good_now.copy_from_slice(trace.values0());
-        let schedule = |queue: &mut EventQueue, id: NodeId| {
+        let schedule = |queue: &mut TopoQueue, id: NodeId| {
             for &sink in topo.fanout_sinks(id) {
                 if in_cone(sink) && topo.kind(sink).is_gate() {
-                    queue.push(pos[sink.index()], sink);
+                    let p = pos[sink.index()];
+                    // From a popped gate: its readers sit above it.
+                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
+                    queue.insert(p as usize);
                 }
             }
         };
@@ -421,13 +425,12 @@ impl<W: Rail> ParallelFaultSim<W> {
                             // A D-pin branch is injected by the clocking
                             // step; only real gates need a cycle-0 eval.
                             if topo.kind(gate).is_gate() {
-                                queue.push(pos[gate.index()], gate);
+                                queue.insert(pos[gate.index()] as usize);
                             }
                         }
                     }
                 }
             } else {
-                queue.next_cycle();
                 // Replay the good machine's deltas. An out-of-cone change
                 // is visible to cone gates reading it; an in-cone input
                 // re-splats its lanes; in-cone gate and flip-flop deltas
@@ -459,7 +462,8 @@ impl<W: Rail> ParallelFaultSim<W> {
             }
             // Drain events in topological order: each gate pops at most
             // once per cycle, after all its fanins settled.
-            while let Some(id) = queue.pop() {
+            while let Some(p) = queue.pop() {
+                let id = order[p];
                 counters.gate_evals += 1;
                 counters.kernel_gate_evals += 1;
                 buf.clear();

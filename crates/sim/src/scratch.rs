@@ -2,7 +2,7 @@
 
 use fscan_netlist::{CompiledTopology, NodeId};
 
-use crate::event::EventQueue;
+use crate::event::TopoQueue;
 use crate::kernel::Rail;
 use crate::packed::Pv;
 use crate::value::V3;
@@ -14,13 +14,13 @@ pub(crate) const NO_ENTRY: u32 = u32::MAX;
 /// [`ParallelFaultSim`](crate::ParallelFaultSim).
 ///
 /// Holds every buffer a `W::LANES`-fault word needs — the replayed good
-/// values,
-/// the packed faulty values, epoch-stamped cone marks, the event queue,
-/// the cone work lists and the fault-injection tables. `shard_map`
-/// workers construct one arena per thread (in the per-worker init
-/// closure) and the simulator *resets* it between fault words — epoch
-/// bumps and length-zero clears that keep capacity — so the steady-state
-/// hot loop performs zero heap allocation. Each word served through an
+/// values, the packed faulty values, epoch-stamped cone marks, the
+/// [`TopoQueue`](crate::TopoQueue) work-list, the cone work lists and
+/// the fault-injection tables. `shard_map` workers construct one arena
+/// per thread (in the per-worker init closure) and the simulator
+/// *resets* it between fault words — epoch bumps and length-zero clears
+/// that keep capacity — so the steady-state hot loop performs zero heap
+/// allocation. Each word served through an
 /// arena increments the `scratch_reuses` work counter.
 ///
 /// The injection tables replace the per-word `HashMap`s of the previous
@@ -62,7 +62,8 @@ pub struct SimScratch<W: Rail = u64> {
     pub(crate) cone_pis: Vec<NodeId>,
     pub(crate) cone_ffs: Vec<NodeId>,
     pub(crate) cone_outs: Vec<(u32, NodeId)>,
-    pub(crate) queue: EventQueue,
+    /// Pending gates by evaluation-order position.
+    pub(crate) queue: TopoQueue,
     pub(crate) fnext: Vec<Pv<W>>,
     pub(crate) buf: Vec<Pv<W>>,
     /// Per-node `(epoch, first stem entry)` heads.
@@ -91,7 +92,7 @@ impl<W: Rail> SimScratch<W> {
             cone_pis: Vec::new(),
             cone_ffs: Vec::new(),
             cone_outs: Vec::new(),
-            queue: EventQueue::new(n),
+            queue: TopoQueue::new(n),
             fnext: Vec::new(),
             buf: Vec::with_capacity(8),
             stem_head: vec![(0, NO_ENTRY); n],
@@ -102,11 +103,11 @@ impl<W: Rail> SimScratch<W> {
     }
 
     /// The structural arena footprint in bytes for a circuit with
-    /// `num_nodes` nodes at rail width `W`: the node-indexed arrays
-    /// every worker allocates once ([`new`](Self::new)). A pure
-    /// function of node count and rail width — identical for every
-    /// shard and thread count — so it is the deterministic
-    /// `arena_bytes` quantity of
+    /// `num_nodes` nodes at rail width `W`: the node-indexed arrays and
+    /// the work-list bitset every worker allocates once
+    /// ([`new`](Self::new)). A pure function of node count and rail
+    /// width — identical for every shard and thread count — so it is the
+    /// deterministic `arena_bytes` quantity of
     /// [`MemMetrics`](crate::MemMetrics). The word-sized work lists
     /// (stack, cone orders, injection entries) grow with the data and
     /// are covered by the allocator-observed `peak_bytes` instead.
@@ -115,9 +116,8 @@ impl<W: Rail> SimScratch<W> {
         let per_node = size_of::<V3>()        // good_now
             + size_of::<Pv<W>>()              // fval
             + size_of::<u32>()                // cone_stamp
-            + 2 * size_of::<(u32, u32)>()     // stem_head + branch_head
-            + size_of::<u32>(); // event-queue stamp array
-        (num_nodes * per_node) as u64
+            + 2 * size_of::<(u32, u32)>(); // stem_head + branch_head
+        (num_nodes * per_node) as u64 + TopoQueue::footprint_bytes(num_nodes)
     }
 
     /// [`footprint_bytes`](Self::footprint_bytes) of this arena.
@@ -127,7 +127,7 @@ impl<W: Rail> SimScratch<W> {
 
     /// Starts a new fault word: bumps the epoch (invalidating cone marks
     /// and injection heads in O(1)), clears the entry and work lists
-    /// (keeping capacity) and resets the event queue.
+    /// (keeping capacity) and empties the work-list.
     pub(crate) fn begin_word(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -148,6 +148,6 @@ impl<W: Rail> SimScratch<W> {
         self.cone_ffs.clear();
         self.cone_outs.clear();
         self.stack.clear();
-        self.queue.reset();
+        self.queue.clear();
     }
 }

@@ -11,7 +11,7 @@ use fscan_scan::{insert_functional_scan, insert_mux_scan, TpiConfig};
 use fscan_sim::kernel::R256;
 use fscan_sim::{
     CombEvaluator, ImplicationEngine, ImplicationEngine64, NetChange, PackedImplicationEngine,
-    ParallelFaultSim, SeqSim, V3,
+    ParallelFaultSim, SeqSim, TopoQueue, V3,
 };
 
 fn arb_circuit() -> impl Strategy<Value = fscan_netlist::Circuit> {
@@ -557,6 +557,97 @@ fn multi_chain_loads_are_independent() {
         for (k, cell) in chain.cells.iter().enumerate() {
             let pos = c.dffs().iter().position(|&f| f == cell.ff).unwrap();
             assert_eq!(trace.final_state[pos], V3::from(states[ci][k]));
+        }
+    }
+}
+
+/// The scheduler [`TopoQueue`] replaced: a min-heap plus a membership set.
+struct HeapQueue {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
+    member: Vec<bool>,
+}
+
+impl HeapQueue {
+    fn insert(&mut self, pos: usize) {
+        if !std::mem::replace(&mut self.member[pos], true) {
+            self.heap.push(std::cmp::Reverse(pos));
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let std::cmp::Reverse(pos) = self.heap.pop()?;
+        self.member[pos] = false;
+        Some(pos)
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.member.fill(false);
+    }
+}
+
+/// Queue sizes on both sides of the 64-position word and the
+/// 4096-position summary-word boundaries.
+const QUEUE_SIZES: [usize; 7] = [1, 63, 64, 65, 4095, 4096, 4097];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential oracle for the event-driven engines' work-list:
+    /// random interleavings of insert, pop and clear pop the same
+    /// positions from [`TopoQueue`] as from a heap, including
+    /// re-inserting the position just popped and inserting below it.
+    #[test]
+    fn topo_queue_matches_heap_reference(
+        ops in proptest::collection::vec((0u8..10, any::<u32>()), 1..400),
+    ) {
+        for len in QUEUE_SIZES {
+            let mut q = TopoQueue::new(len);
+            let mut r = HeapQueue {
+                heap: std::collections::BinaryHeap::new(),
+                member: vec![false; len],
+            };
+            let mut last = None;
+            for &(op, raw) in &ops {
+                let raw = raw as usize;
+                match (op, last) {
+                    (0..=3, _) => {
+                        q.insert(raw % len);
+                        r.insert(raw % len);
+                    }
+                    // The two ends and the word edges.
+                    (4, _) => {
+                        let pos = [0, len - 1, 63, 64, 4095, 4096][raw % 6].min(len - 1);
+                        q.insert(pos);
+                        r.insert(pos);
+                    }
+                    (5, Some(p)) => {
+                        q.insert(p);
+                        r.insert(p);
+                    }
+                    (6, Some(p)) => {
+                        q.insert(raw % (p + 1));
+                        r.insert(raw % (p + 1));
+                    }
+                    (7 | 8, _) => {
+                        let popped = q.pop();
+                        prop_assert_eq!(popped, r.pop(), "len {}", len);
+                        last = popped.or(last);
+                    }
+                    (9, _) if raw.is_multiple_of(4) => {
+                        q.clear();
+                        r.clear();
+                    }
+                    _ => {}
+                }
+            }
+            loop {
+                let popped = q.pop();
+                prop_assert_eq!(popped, r.pop(), "len {} drain", len);
+                if popped.is_none() {
+                    break;
+                }
+            }
         }
     }
 }
