@@ -3,7 +3,8 @@
 use std::fmt;
 
 use fscan_netlist::GateKind;
-use fscan_sim::{Pv64, V3};
+use fscan_sim::kernel::{self, DualRail};
+use fscan_sim::V3;
 
 /// A five-valued (Roth D-calculus) logic value, stored as the pair of
 /// the good-machine and faulty-machine three-valued values.
@@ -12,6 +13,10 @@ use fscan_sim::{Pv64, V3};
 /// `D = (1,0)`, `D̄ = (0,1)`, `X` = anything involving an unknown.
 /// Keeping the two machines explicit makes gate evaluation trivially
 /// correct: evaluate each machine independently.
+///
+/// The pair is one two-lane dual-rail value on the kernel's byte rail:
+/// lane 0 is the good machine, lane 1 the faulty one, and the other six
+/// lanes stay X. One [`kernel::eval_gate`] walk evaluates both machines.
 ///
 /// # Examples
 ///
@@ -26,40 +31,58 @@ use fscan_sim::{Pv64, V3};
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
 pub struct D5 {
-    good: V3,
-    faulty: V3,
+    rails: DualRail<u8>,
 }
+
+/// The lanes a [`D5`] uses: good (bit 0) and faulty (bit 1).
+const GOOD: u8 = 0b01;
+const FAULTY: u8 = 0b10;
+const PAIR: u8 = GOOD | FAULTY;
 
 impl D5 {
     /// Both machines at 0.
-    pub const ZERO: D5 = D5 {
-        good: V3::Zero,
-        faulty: V3::Zero,
-    };
+    pub const ZERO: D5 = D5::from_bytes(PAIR, 0);
     /// Both machines at 1.
-    pub const ONE: D5 = D5 {
-        good: V3::One,
-        faulty: V3::One,
-    };
+    pub const ONE: D5 = D5::from_bytes(0, PAIR);
     /// Good 1, faulty 0 (Roth's D).
-    pub const D: D5 = D5 {
-        good: V3::One,
-        faulty: V3::Zero,
-    };
+    pub const D: D5 = D5::from_bytes(FAULTY, GOOD);
     /// Good 0, faulty 1 (Roth's D̄).
-    pub const DBAR: D5 = D5 {
-        good: V3::Zero,
-        faulty: V3::One,
-    };
+    pub const DBAR: D5 = D5::from_bytes(GOOD, FAULTY);
     /// Both machines unknown.
-    pub const X: D5 = D5 {
-        good: V3::X,
-        faulty: V3::X,
-    };
+    pub const X: D5 = D5::from_bytes(0, 0);
+
+    const fn from_bytes(zeros: u8, ones: u8) -> D5 {
+        D5 {
+            rails: DualRail::from_bytes(zeros, ones),
+        }
+    }
+
+    /// The bits of `lane` set by `v`: (zeros, ones).
+    fn lane_bits(v: V3, lane: u8) -> (u8, u8) {
+        match v {
+            V3::Zero => (lane, 0),
+            V3::One => (0, lane),
+            V3::X => (0, 0),
+        }
+    }
+
+    fn lane(self, lane: u8) -> V3 {
+        if self.rails.zeros() & lane != 0 {
+            V3::Zero
+        } else if self.rails.ones() & lane != 0 {
+            V3::One
+        } else {
+            V3::X
+        }
+    }
 
     /// Builds a value from its machine pair.
     pub fn new(good: V3, faulty: V3) -> D5 {
-        D5 { good, faulty }
+        let (gz, go) = D5::lane_bits(good, GOOD);
+        let (fz, fo) = D5::lane_bits(faulty, FAULTY);
+        D5 {
+            rails: DualRail::new(gz | fz, go | fo),
+        }
     }
 
     /// A known equal value on both machines.
@@ -71,24 +94,36 @@ impl D5 {
         }
     }
 
+    /// This value with the faulty machine stuck at `stuck`: a fault
+    /// injection, keeping the good machine.
+    pub(crate) fn with_faulty(self, stuck: bool) -> D5 {
+        let (fz, fo) = D5::lane_bits(V3::from_bool(stuck), FAULTY);
+        D5 {
+            rails: DualRail::new(
+                self.rails.zeros() & GOOD | fz,
+                self.rails.ones() & GOOD | fo,
+            ),
+        }
+    }
+
     /// The good-machine value.
     pub fn good(self) -> V3 {
-        self.good
+        self.lane(GOOD)
     }
 
     /// The faulty-machine value.
     pub fn faulty(self) -> V3 {
-        self.faulty
+        self.lane(FAULTY)
     }
 
     /// True for D or D̄: both machines known and different.
     pub fn is_fault_effect(self) -> bool {
-        self.good.is_known() && self.faulty.is_known() && self.good != self.faulty
+        self == D5::D || self == D5::DBAR
     }
 
     /// True when either machine is unknown.
     pub fn has_x(self) -> bool {
-        !self.good.is_known() || !self.faulty.is_known()
+        self.rails.known() != PAIR
     }
 
     /// Evaluates a gate over five-valued inputs in one dual-rail kernel
@@ -99,15 +134,10 @@ impl D5 {
     /// debug-assert and yield [`D5::X`] in release builds — see
     /// [`fscan_sim::kernel::eval_gate`].
     pub fn eval(kind: GateKind, inputs: impl IntoIterator<Item = D5>) -> D5 {
-        let out = Pv64::eval(
-            kind,
-            inputs
-                .into_iter()
-                .map(|d| Pv64::ALL_X.with(0, d.good).with(1, d.faulty)),
-        );
+        let out = kernel::eval_gate(kind, inputs.into_iter().map(|d| d.rails));
+        // Constants and empty folds fill every lane; keep the pair's two.
         D5 {
-            good: out.get(0),
-            faulty: out.get(1),
+            rails: DualRail::new(out.zeros() & PAIR, out.ones() & PAIR),
         }
     }
 }
@@ -126,7 +156,7 @@ impl fmt::Debug for D5 {
 
 impl fmt::Display for D5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match (self.good, self.faulty) {
+        let s = match (self.good(), self.faulty()) {
             (V3::Zero, V3::Zero) => "0",
             (V3::One, V3::One) => "1",
             (V3::One, V3::Zero) => "D",
@@ -176,6 +206,73 @@ mod tests {
         assert!(!D5::ONE.is_fault_effect());
         assert!(!D5::X.is_fault_effect());
         assert!(!D5::new(V3::One, V3::X).is_fault_effect());
+    }
+
+    /// The nine (good, faulty) pairs.
+    fn nine() -> Vec<(V3, V3)> {
+        let v3 = [V3::Zero, V3::One, V3::X];
+        v3.iter()
+            .flat_map(|&g| v3.iter().map(move |&f| (g, f)))
+            .collect()
+    }
+
+    #[test]
+    fn accessors_follow_pair_semantics() {
+        assert_eq!(std::mem::size_of::<D5>(), 2);
+        for (g, f) in nine() {
+            let d = D5::new(g, f);
+            assert_eq!((d.good(), d.faulty()), (g, f));
+            assert_eq!(d.is_fault_effect(), g.is_known() && f.is_known() && g != f);
+            assert_eq!(d.has_x(), !g.is_known() || !f.is_known());
+            let shown = match (g, f) {
+                (V3::Zero, V3::Zero) => "0".to_string(),
+                (V3::One, V3::One) => "1".to_string(),
+                (V3::One, V3::Zero) => "D".to_string(),
+                (V3::Zero, V3::One) => "D'".to_string(),
+                (V3::X, V3::X) => "X".to_string(),
+                _ => format!("({g}/{f})"),
+            };
+            assert_eq!(d.to_string(), shown);
+            for stuck in [false, true] {
+                assert_eq!(d.with_faulty(stuck), D5::new(g, V3::from_bool(stuck)));
+            }
+        }
+        assert_eq!(D5::ZERO, D5::new(V3::Zero, V3::Zero));
+        assert_eq!(D5::ONE, D5::new(V3::One, V3::One));
+        assert_eq!(D5::D, D5::new(V3::One, V3::Zero));
+        assert_eq!(D5::DBAR, D5::new(V3::Zero, V3::One));
+        assert_eq!(D5::X, D5::new(V3::X, V3::X));
+        assert_eq!(D5::default(), D5::X);
+    }
+
+    #[test]
+    fn eval_is_the_kernel_on_each_machine() {
+        // Every combinational kind (constants included) over every input
+        // tuple of the nine pairs, arity 1-3 or the kind's fixed arity.
+        let nine: Vec<D5> = nine().into_iter().map(|(g, f)| D5::new(g, f)).collect();
+        let kinds = [GateKind::Const0, GateKind::Const1]
+            .into_iter()
+            .chain(GateKind::COMBINATIONAL);
+        for kind in kinds {
+            let arities = match kind.fixed_arity() {
+                Some(a) => a..=a,
+                None => 1..=3,
+            };
+            for arity in arities {
+                for code in 0..9usize.pow(arity as u32) {
+                    let ins: Vec<D5> = (0..arity)
+                        .map(|k| nine[code / 9usize.pow(k as u32) % 9])
+                        .collect();
+                    let good = kernel::eval_v3(kind, ins.iter().map(|d| d.good()));
+                    let faulty = kernel::eval_v3(kind, ins.iter().map(|d| d.faulty()));
+                    assert_eq!(
+                        D5::eval(kind, ins.iter().copied()),
+                        D5::new(good, faulty),
+                        "{kind} {ins:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

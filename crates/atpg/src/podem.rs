@@ -8,12 +8,21 @@
 //!
 //! Resimulation is event-driven: a full five-valued pass happens once at
 //! construction (the *base* values, charged to [`Podem::setup_work`]);
-//! each fault injection and each decision/backtrack then re-evaluates
-//! only the gates in the fanout cone of the changed net, in topological
-//! order, stopping where values stabilise. The resulting values are
-//! bit-identical to a full resimulation — values are a pure function of
-//! the assignment and the injections — but `gate_evals` counts only the
-//! gates actually re-evaluated.
+//! each fault injection and each new assignment (a decision, or the
+//! flipped value of a backtrack) then re-evaluates only the gates in the
+//! fanout cone of the changed input, in topological order, stopping
+//! where values stabilise. The resulting values are bit-identical to a
+//! full resimulation — values are a pure function of the assignment and
+//! the injections — but `gate_evals` counts only the gates actually
+//! re-evaluated.
+//!
+//! Retraction evaluates nothing. Every value write after the injections
+//! records the value it replaced on an undo trail, and each decision
+//! remembers the trail length when it was made. Retracting a decision
+//! pops the trail back to that mark and writes each old value back: the
+//! values the engine held before the decision, which are exactly what
+//! re-simulating the unassigned input would compute. Retractions book no
+//! `gate_evals`.
 //!
 //! The search bookkeeping is just as local. Every value write goes
 //! through one helper that keeps three things in step with the values:
@@ -25,7 +34,9 @@
 //! memoized for one objective call. A search step therefore costs its
 //! re-evaluated cone, the frontier updates of the nets it wrote and the
 //! X region the objective walks — never a sweep of the whole, possibly
-//! time-frame-expanded, model. The bookkeeping is not counted: only the
+//! time-frame-expanded, model. Restored writes go through the same
+//! bookkeeping, so after a retraction the frontier and counts are those
+//! of the restored values. The bookkeeping is not counted: only the
 //! re-evaluations book `gate_evals`.
 
 use std::sync::Arc;
@@ -44,12 +55,14 @@ pub struct PodemConfig {
     /// Abort the search after this many backtracks.
     pub backtrack_limit: usize,
     /// Abort after this many search steps (decisions + backtracks).
-    /// Each step costs one event-driven resimulation of the changed
-    /// input's fanout cone, the D-frontier updates of the nets it wrote,
-    /// and one objective whose X-path search walks only the X gates
-    /// ahead of the frontier. No part of a step scales with the whole
-    /// model, so on large (e.g. time-frame-expanded) models this is the
-    /// knob that actually bounds runtime.
+    /// Each step costs one event-driven resimulation of the newly
+    /// assigned input's fanout cone, the D-frontier updates of the nets
+    /// it wrote, and one objective whose X-path search walks only the X
+    /// gates ahead of the frontier. A backtrack first restores the
+    /// retracted decisions' writes from the undo trail, which books no
+    /// `gate_evals`. No part of a step scales with the whole model, so
+    /// on large (e.g. time-frame-expanded) models this is the knob that
+    /// actually bounds runtime.
     pub step_limit: usize,
 }
 
@@ -118,7 +131,7 @@ impl PodemOutcome {
 #[derive(Clone, Debug)]
 pub struct PodemScratch {
     /// Five-valued value per node. Written only through
-    /// `Podem::set_value`, which keeps the three fields below in step.
+    /// `Podem::store`, which keeps the three fields below in step.
     values: Vec<D5>,
     assigned: Vec<Option<bool>>,
     /// Nets whose value is a fault effect (D or D̄).
@@ -140,6 +153,20 @@ pub struct PodemScratch {
     branch_inj: Vec<(usize, usize, bool)>,
     /// Order positions pending re-evaluation.
     queue: TopoQueue,
+    /// Undo trail: `(node, value before the write)` for every write since
+    /// `begin` settled the injections, oldest first.
+    trail: Vec<(NodeId, D5)>,
+}
+
+/// One entry of the PODEM decision stack.
+#[derive(Copy, Clone, Debug)]
+struct Decision {
+    input: NodeId,
+    value: bool,
+    /// Whether this is already the second value tried.
+    flipped: bool,
+    /// Trail length before the assignment: retracting restores to here.
+    mark: usize,
 }
 
 /// Memo of the X-path search within one objective call.
@@ -318,17 +345,17 @@ impl<'c> Podem<'c> {
         let sat = |a: u32, b: u32| a.saturating_add(b).min(INF);
         for oi in 0..self.order.len() {
             let id = self.order[oi];
-            let node = self.circuit.node(id);
-            let kind = node.kind();
+            let kind = self.topo.kind(id);
+            let fanin = self.topo.fanin(id);
             let (c0, c1): (u32, u32) = match kind {
                 GateKind::Const0 => (0, INF),
                 GateKind::Const1 => (INF, 0),
                 GateKind::Buf => {
-                    let f = node.fanin()[0];
+                    let f = fanin[0];
                     (sat(self.cc0[f.index()], 1), sat(self.cc1[f.index()], 1))
                 }
                 GateKind::Not => {
-                    let f = node.fanin()[0];
+                    let f = fanin[0];
                     (sat(self.cc1[f.index()], 1), sat(self.cc0[f.index()], 1))
                 }
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
@@ -344,8 +371,8 @@ impl<'c> Podem<'c> {
                             }
                         };
                         (
-                            node.fanin().iter().map(|&f| pick(ctrl, f)).collect(),
-                            node.fanin().iter().map(|&f| pick(!ctrl, f)).collect(),
+                            fanin.iter().map(|&f| pick(ctrl, f)).collect(),
+                            fanin.iter().map(|&f| pick(!ctrl, f)).collect(),
                         )
                     };
                     let easy = sat(ctrl_cc.iter().copied().min().unwrap_or(INF), 1);
@@ -365,7 +392,7 @@ impl<'c> Podem<'c> {
                     // Fold pairwise: cost of parity-0 / parity-1.
                     let mut p0 = 0u32;
                     let mut p1 = INF;
-                    for &f in node.fanin() {
+                    for &f in fanin {
                         let (f0, f1) = (self.cc0[f.index()], self.cc1[f.index()]);
                         let n0 = sat(p0, f0).min(sat(p1, f1));
                         let n1 = sat(p0, f1).min(sat(p1, f0));
@@ -399,7 +426,7 @@ impl<'c> Podem<'c> {
             let id = self.order[oi];
             let mut best = self.obs_dist[id.index()];
             for &sink in self.topo.fanout_sinks(id) {
-                if self.circuit.node(sink).kind().is_gate() {
+                if self.topo.kind(sink).is_gate() {
                     best = best.min(self.obs_dist[sink.index()].saturating_add(1));
                 }
             }
@@ -407,12 +434,12 @@ impl<'c> Podem<'c> {
         }
         // Inputs/FF outputs also get distances (not strictly needed).
         for id in self.circuit.node_ids() {
-            if self.circuit.node(id).kind().is_gate() {
+            if self.topo.kind(id).is_gate() {
                 continue;
             }
             let mut best = self.obs_dist[id.index()];
             for &sink in self.topo.fanout_sinks(id) {
-                if self.circuit.node(sink).kind().is_gate() {
+                if self.topo.kind(sink).is_gate() {
                     best = best.min(self.obs_dist[sink.index()].saturating_add(1));
                 }
             }
@@ -429,10 +456,10 @@ impl<'c> Podem<'c> {
         }
         for oi in 0..self.order.len() {
             let id = self.order[oi];
-            let node = self.circuit.node(id);
             let out = D5::eval(
-                node.kind(),
-                node.fanin()
+                self.topo.kind(id),
+                self.topo
+                    .fanin(id)
                     .iter()
                     .map(|&src| self.base_values[src.index()]),
             );
@@ -465,6 +492,7 @@ impl<'c> Podem<'c> {
             has_branch: vec![false; n],
             branch_inj: Vec::new(),
             queue: TopoQueue::new(self.order.len()),
+            trail: Vec::new(),
         }
     }
 
@@ -483,36 +511,39 @@ impl<'c> Podem<'c> {
     /// scratch's fault injections applied — the exact per-node function
     /// a full resimulation would use.
     fn eval_node(&self, s: &PodemScratch, id: NodeId) -> D5 {
-        let node = self.circuit.node(id);
-        let mut out = if s.has_branch[id.index()] {
+        let kind = self.topo.kind(id);
+        let fanin = self.topo.fanin(id);
+        let out = if s.has_branch[id.index()] {
             D5::eval(
-                node.kind(),
-                node.fanin().iter().enumerate().map(|(pin, &src)| {
-                    let mut v = s.values[src.index()];
-                    if let Some(stuck) = self.branch_at(s, id.index(), pin) {
-                        v = D5::new(v.good(), V3::from_bool(stuck));
-                    }
-                    v
-                }),
+                kind,
+                fanin
+                    .iter()
+                    .enumerate()
+                    .map(|(pin, &src)| self.pin_value(s, id, pin, src)),
             )
         } else {
-            D5::eval(
-                node.kind(),
-                node.fanin().iter().map(|&src| s.values[src.index()]),
-            )
+            D5::eval(kind, fanin.iter().map(|&src| s.values[src.index()]))
         };
-        if let Some(stuck) = s.stem_inj[id.index()] {
-            out = D5::new(out.good(), V3::from_bool(stuck));
+        match s.stem_inj[id.index()] {
+            Some(stuck) => out.with_faulty(stuck),
+            None => out,
         }
-        out
     }
 
-    /// The one write path into `values`: stores `v` at `id` and keeps
-    /// the fault-effect counts and the D-frontier in step. Only the
-    /// written node and the gates reading it can change membership, and
-    /// a reader only when the pin it sees changed: its effect, or its
-    /// good value where a branch fault overrides the faulty rail.
+    /// Writes `v` at `id`, recording the value it replaces on the undo
+    /// trail.
     fn set_value(&self, s: &mut PodemScratch, id: NodeId, v: D5) {
+        s.trail.push((id, s.values[id.index()]));
+        self.store(s, id, v);
+    }
+
+    /// The one write path into `values`, forward and restoring: stores
+    /// `v` at `id` and keeps the fault-effect counts and the D-frontier
+    /// in step. Only the written node and the gates reading it can change
+    /// membership, and a reader only when the pin it sees changed: its
+    /// effect, or its good value where a branch fault overrides the
+    /// faulty rail.
+    fn store(&self, s: &mut PodemScratch, id: NodeId, v: D5) {
         let old = std::mem::replace(&mut s.values[id.index()], v);
         let effect_changed = old.is_fault_effect() != v.is_fault_effect();
         if effect_changed {
@@ -537,10 +568,21 @@ impl<'c> Podem<'c> {
         }
     }
 
+    /// Retracts the assignment of `input`, made at trail length `mark`:
+    /// writes every value recorded since back through [`Podem::store`],
+    /// newest first. No gate is evaluated and nothing is queued.
+    fn retract(&self, s: &mut PodemScratch, input: NodeId, mark: usize) {
+        s.assigned[input.index()] = None;
+        while s.trail.len() > mark {
+            let (id, old) = s.trail.pop().expect("trail is longer than the mark");
+            self.store(s, id, old);
+        }
+    }
+
     /// Whether some pin of gate `id` carries a fault effect, branch-fault
     /// injection included.
     fn pin_effect(&self, s: &PodemScratch, id: NodeId) -> bool {
-        let fanin = self.circuit.node(id).fanin();
+        let fanin = self.topo.fanin(id);
         if s.has_branch[id.index()] {
             fanin
                 .iter()
@@ -555,7 +597,7 @@ impl<'c> Podem<'c> {
     /// X-ish output and a fault effect on some pin — and inserts or
     /// removes it at its search-order place.
     fn refresh_frontier(&self, s: &mut PodemScratch, id: NodeId) {
-        if !self.circuit.node(id).kind().is_gate() {
+        if !self.topo.kind(id).is_gate() {
             return;
         }
         let member = s.values[id.index()].has_x() && self.pin_effect(s, id);
@@ -639,7 +681,7 @@ impl<'c> Podem<'c> {
                         // Input / flip-flop output: override the faulty
                         // rail directly.
                         let v = s.values[n.index()];
-                        let nv = D5::new(v.good(), V3::from_bool(f.stuck));
+                        let nv = v.with_faulty(f.stuck);
                         if nv != v {
                             self.set_value(s, n, nv);
                             self.schedule_fanouts(s, n);
@@ -662,10 +704,15 @@ impl<'c> Podem<'c> {
             let gate = NodeId::from_index(s.branch_inj[i].0);
             self.refresh_frontier(s, gate);
         }
+        // The injected state is the search's floor: nothing below it is
+        // ever retracted.
+        s.trail.clear();
     }
 
-    /// Applies (or retracts) one controllable-input assignment and
-    /// propagates the change through its fanout cone.
+    /// Applies one controllable-input assignment and propagates the
+    /// change through its fanout cone. Searches only assign; `None`, a
+    /// retraction by re-simulation, is the tests' reference for
+    /// [`Podem::retract`].
     fn set_input(
         &self,
         s: &mut PodemScratch,
@@ -679,7 +726,7 @@ impl<'c> Podem<'c> {
             None => D5::X,
         };
         if let Some(stuck) = s.stem_inj[pi.index()] {
-            v = D5::new(v.good(), V3::from_bool(stuck));
+            v = v.with_faulty(stuck);
         }
         if v != s.values[pi.index()] {
             self.set_value(s, pi, v);
@@ -693,7 +740,7 @@ impl<'c> Podem<'c> {
         match fault.site {
             FaultSite::Stem(n) => s.values[n.index()].good(),
             FaultSite::Branch { gate, pin } => {
-                let src = self.circuit.node(gate).fanin()[pin];
+                let src = self.topo.fanin(gate)[pin];
                 s.values[src.index()].good()
             }
         }
@@ -703,7 +750,7 @@ impl<'c> Podem<'c> {
     fn site_node(&self, fault: &Fault) -> NodeId {
         match fault.site {
             FaultSite::Stem(n) => n,
-            FaultSite::Branch { gate, pin } => self.circuit.node(gate).fanin()[pin],
+            FaultSite::Branch { gate, pin } => self.topo.fanin(gate)[pin],
         }
     }
 
@@ -714,11 +761,11 @@ impl<'c> Podem<'c> {
     /// The five-valued value seen by pin `pin` of gate `id`, including
     /// branch-fault injection.
     fn pin_value(&self, s: &PodemScratch, id: NodeId, pin: usize, src: NodeId) -> D5 {
-        let mut v = s.values[src.index()];
-        if let Some(stuck) = self.branch_at(s, id.index(), pin) {
-            v = D5::new(v.good(), V3::from_bool(stuck));
+        let v = s.values[src.index()];
+        match self.branch_at(s, id.index(), pin) {
+            Some(stuck) => v.with_faulty(stuck),
+            None => v,
         }
-        v
     }
 
     /// Whether any fault effect exists: on a net, or injected at a gate
@@ -754,7 +801,7 @@ impl<'c> Podem<'c> {
             while next < sinks.len() && child.is_none() && !found {
                 let sink = sinks[next];
                 next += 1;
-                if !self.circuit.node(sink).kind().is_gate() || !values[sink.index()].has_x() {
+                if !self.topo.kind(sink).is_gate() || !values[sink.index()].has_x() {
                     continue;
                 }
                 match memo.known(sink.index()) {
@@ -817,9 +864,8 @@ impl<'c> Podem<'c> {
             if !self.x_path(&s.values, &mut s.x_path, g) {
                 continue;
             }
-            let node = self.circuit.node(g);
-            let side_val = node.kind().transparent_side_value().unwrap_or(true);
-            for &f in node.fanin() {
+            let side_val = self.topo.kind(g).transparent_side_value().unwrap_or(true);
+            for &f in self.topo.fanin(g) {
                 if s.values[f.index()].good() == V3::X && self.cc(f, side_val) < INF {
                     return Some((f, side_val));
                 }
@@ -838,8 +884,8 @@ impl<'c> Podem<'c> {
             if hops > 4 * self.circuit.num_nodes() {
                 return None; // safety net; cannot happen in a DAG
             }
-            let node = self.circuit.node(net);
-            let kind = node.kind();
+            let kind = self.topo.kind(net);
+            let fanin = self.topo.fanin(net);
             if !kind.is_gate() {
                 return if self.is_controllable[net.index()] && s.assigned[net.index()].is_none() {
                     Some((net, val))
@@ -849,10 +895,10 @@ impl<'c> Podem<'c> {
             }
             match kind {
                 GateKind::Buf => {
-                    net = node.fanin()[0];
+                    net = fanin[0];
                 }
                 GateKind::Not => {
-                    net = node.fanin()[0];
+                    net = fanin[0];
                     val = !val;
                 }
                 GateKind::Const0 | GateKind::Const1 => return None,
@@ -867,7 +913,7 @@ impl<'c> Podem<'c> {
                         }
                     };
                     let candidates = || {
-                        node.fanin()
+                        fanin
                             .iter()
                             .copied()
                             .filter(|&f| s.values[f.index()].good() == V3::X)
@@ -896,7 +942,7 @@ impl<'c> Podem<'c> {
                     // treating other X inputs as 0.
                     let desired = val ^ (kind == GateKind::Xnor);
                     let mut parity = desired;
-                    for &f in node.fanin() {
+                    for &f in fanin {
                         if s.values[f.index()].good() == V3::One {
                             parity = !parity;
                         }
@@ -911,10 +957,10 @@ impl<'c> Podem<'c> {
                     // Remaining X inputs other than the chosen one are
                     // treated as 0 by this heuristic, so each candidate
                     // would need the same `parity` value.
-                    net =
-                        node.fanin().iter().copied().find(|&f| {
-                            s.values[f.index()].good() == V3::X && cc(f, parity) < INF
-                        })?;
+                    net = fanin
+                        .iter()
+                        .copied()
+                        .find(|&f| s.values[f.index()].good() == V3::X && cc(f, parity) < INF)?;
                     val = parity;
                 }
                 GateKind::Input | GateKind::Dff => unreachable!("handled above"),
@@ -947,14 +993,13 @@ impl<'c> Podem<'c> {
         let mut backtracks = 0usize;
         let mut steps = 0usize;
         self.begin(s, faults, &mut work);
-        // Decision stack: (input, value, already_flipped).
-        let mut stack: Vec<(NodeId, bool, bool)> = Vec::new();
+        let mut stack: Vec<Decision> = Vec::new();
         // Classic PODEM loop: the existence of an objective (plus a
         // successful backtrace) *is* the progress check; its absence is
         // the conflict signal that triggers backtracking.
         loop {
             if self.fault_effect_at_observable(s) {
-                let test = stack.iter().map(|&(n, v, _)| (n, v)).collect();
+                let test = stack.iter().map(|d| (d.input, d.value)).collect();
                 return PodemOutcome {
                     verdict: AtpgOutcome::Test(test),
                     work,
@@ -967,7 +1012,12 @@ impl<'c> Podem<'c> {
                 .and_then(|(net, val)| self.backtrace(s, net, val));
             match decision {
                 Some((pi, val)) => {
-                    stack.push((pi, val, false));
+                    stack.push(Decision {
+                        input: pi,
+                        value: val,
+                        flipped: false,
+                        mark: s.trail.len(),
+                    });
                     decisions += 1;
                     steps += 1;
                     work.podem_decisions += 1;
@@ -985,39 +1035,37 @@ impl<'c> Podem<'c> {
                 None => {
                     // Conflict: flip the most recent unflipped decision.
                     loop {
-                        match stack.pop() {
-                            None => {
-                                return PodemOutcome {
-                                    verdict: AtpgOutcome::Undetectable,
-                                    work,
-                                    decisions,
-                                    backtracks,
-                                };
-                            }
-                            Some((pi, val, flipped)) => {
-                                self.set_input(s, pi, None, &mut work);
-                                if flipped {
-                                    continue;
-                                }
-                                backtracks += 1;
-                                steps += 1;
-                                work.podem_backtracks += 1;
-                                if backtracks > config.backtrack_limit
-                                    || steps > config.step_limit
-                                {
-                                    work.podem_aborts += 1;
-                                    return PodemOutcome {
-                                        verdict: AtpgOutcome::Aborted,
-                                        work,
-                                        decisions,
-                                        backtracks,
-                                    };
-                                }
-                                stack.push((pi, !val, true));
-                                self.set_input(s, pi, Some(!val), &mut work);
-                                break;
-                            }
+                        let Some(d) = stack.pop() else {
+                            return PodemOutcome {
+                                verdict: AtpgOutcome::Undetectable,
+                                work,
+                                decisions,
+                                backtracks,
+                            };
+                        };
+                        self.retract(s, d.input, d.mark);
+                        if d.flipped {
+                            continue;
                         }
+                        backtracks += 1;
+                        steps += 1;
+                        work.podem_backtracks += 1;
+                        if backtracks > config.backtrack_limit || steps > config.step_limit {
+                            work.podem_aborts += 1;
+                            return PodemOutcome {
+                                verdict: AtpgOutcome::Aborted,
+                                work,
+                                decisions,
+                                backtracks,
+                            };
+                        }
+                        stack.push(Decision {
+                            value: !d.value,
+                            flipped: true,
+                            ..d
+                        });
+                        self.set_input(s, d.input, Some(!d.value), &mut work);
+                        break;
                     }
                 }
             }
@@ -1225,10 +1273,16 @@ mod tests {
         None
     }
 
-    /// [`Podem::run`] with the sweep objective.
+    /// [`Podem::run`] with the sweep objective, retracting by
+    /// re-simulation. A retraction drain recomputes values the search
+    /// held one step earlier, which the search restores from its trail
+    /// without evaluating, so those drains are booked into a throwaway
+    /// counter: the outcome must equal the search's, `gate_evals`
+    /// included.
     fn sweep_run(podem: &Podem<'_>, faults: &[Fault], config: &PodemConfig) -> PodemOutcome {
         let mut s = podem.scratch();
         let mut work = WorkCounters::ZERO;
+        let mut retraction_work = WorkCounters::ZERO;
         let (mut decisions, mut backtracks, mut steps) = (0usize, 0usize, 0usize);
         let outcome = |verdict, work, decisions, backtracks| PodemOutcome {
             verdict,
@@ -1261,7 +1315,7 @@ mod tests {
                 let Some((pi, val, flipped)) = stack.pop() else {
                     return outcome(AtpgOutcome::Undetectable, work, decisions, backtracks);
                 };
-                podem.set_input(&mut s, pi, None, &mut work);
+                podem.set_input(&mut s, pi, None, &mut retraction_work);
                 if flipped {
                     continue;
                 }
@@ -1475,7 +1529,12 @@ mod tests {
 
         /// After injection and after every assignment or retraction on a
         /// random walk, the maintained counts, frontier and X-paths equal
-        /// a recount from the values.
+        /// a recount from the values. A second, PODEM-style walk takes a
+        /// trail mark before each assignment and undoes to random earlier
+        /// marks: after each undo the values equal a full resimulation,
+        /// the bookkeeping a recount, and the whole state that of a twin
+        /// scratch that retracted the same inputs by re-simulation
+        /// (`set_input(None)`).
         #[test]
         fn bookkeeping_matches_recount(
             seed in any::<u64>(),
@@ -1485,6 +1544,7 @@ mod tests {
             let case = Case::generate(seed, gates, frames);
             let podem = case.podem();
             let mut s = podem.scratch();
+            let mut twin = podem.scratch();
             let mut work = WorkCounters::ZERO;
             let mut rng = StdRng::seed_from_u64(seed ^ 0xb00c);
             for faults in &case.fault_sets {
@@ -1498,6 +1558,40 @@ mod tests {
                     let val = rng.gen_bool(0.8).then(|| rng.gen_bool(0.5));
                     podem.set_input(&mut s, pi, val, &mut work);
                     assert_bookkeeping(&podem, &mut s, "after set_input");
+                }
+                podem.begin(&mut s, faults, &mut work);
+                podem.begin(&mut twin, faults, &mut work);
+                // (input, trail mark before its assignment), oldest first.
+                let mut made: Vec<(NodeId, usize)> = Vec::new();
+                for _ in 0..32 {
+                    if made.is_empty() || rng.gen_bool(0.7) {
+                        let pi = case.controllable[rng.gen_range(0..case.controllable.len())];
+                        if s.assigned[pi.index()].is_some() {
+                            continue;
+                        }
+                        let val = rng.gen_bool(0.5);
+                        made.push((pi, s.trail.len()));
+                        podem.set_input(&mut s, pi, Some(val), &mut work);
+                        podem.set_input(&mut twin, pi, Some(val), &mut work);
+                        prop_assert_eq!(&s.values, &twin.values);
+                        assert_bookkeeping(&podem, &mut s, "after set_input");
+                        continue;
+                    }
+                    let keep = rng.gen_range(0..made.len());
+                    let floor = made[keep].1;
+                    for (pi, mark) in made.drain(keep..).rev() {
+                        podem.retract(&mut s, pi, mark);
+                        podem.set_input(&mut twin, pi, None, &mut work);
+                    }
+                    prop_assert_eq!(s.trail.len(), floor);
+                    prop_assert_eq!(&s.values, &reference_values(&podem, &s), "undo to {}", keep);
+                    prop_assert_eq!(&s.assigned, &twin.assigned);
+                    prop_assert_eq!(&s.values, &twin.values);
+                    prop_assert_eq!(s.effect_nets, twin.effect_nets);
+                    prop_assert_eq!(s.effect_observables, twin.effect_observables);
+                    prop_assert_eq!(&s.frontier, &twin.frontier);
+                    prop_assert_eq!(&s.in_frontier, &twin.in_frontier);
+                    assert_bookkeeping(&podem, &mut s, "after undo");
                 }
             }
         }

@@ -7,7 +7,7 @@ use fscan_netlist::{Circuit, CompiledTopology, NodeId};
 use fscan_sim::WorkCounters;
 
 use crate::podem::{AtpgOutcome, Podem, PodemConfig};
-use crate::unroll::unroll_with_map_using;
+use crate::unroll::{unroll_with_map_using, Unrolled};
 
 /// Tuning knobs for [`SeqAtpg`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -180,19 +180,15 @@ impl<'c> SeqAtpg<'c> {
         }
         schedule.push(config.max_frames);
         for frames in schedule {
-            let (outcome, used, w) = self.run_frames(fault, frames, budget, steps);
+            let (test, used, w) = self.run_frames(fault, frames, budget, steps);
             work += w;
-            match outcome {
-                AtpgOutcome::Test(assignments) => {
-                    return (SeqOutcome::Test(self.decode(frames, &assignments)), work);
-                }
-                AtpgOutcome::Undetectable | AtpgOutcome::Aborted => {
-                    budget = budget.saturating_sub(used.0);
-                    steps = steps.saturating_sub(used.1);
-                    if budget == 0 || steps == 0 {
-                        break;
-                    }
-                }
+            if let Some(test) = test {
+                return (SeqOutcome::Test(test), work);
+            }
+            budget = budget.saturating_sub(used.0);
+            steps = steps.saturating_sub(used.1);
+            if budget == 0 || steps == 0 {
+                break;
             }
         }
         (SeqOutcome::Aborted, work)
@@ -232,7 +228,7 @@ impl<'c> SeqAtpg<'c> {
         )
     }
 
-    fn free_pi_nodes(&self, u: &crate::unroll::Unrolled, frames: usize) -> Vec<NodeId> {
+    fn free_pi_nodes(&self, u: &Unrolled, frames: usize) -> Vec<NodeId> {
         let fixed: std::collections::HashSet<usize> =
             self.fixed_pis.iter().map(|&(k, _)| k).collect();
         let mut out = Vec::new();
@@ -246,7 +242,7 @@ impl<'c> SeqAtpg<'c> {
         out
     }
 
-    fn fixed_nodes(&self, u: &crate::unroll::Unrolled, frames: usize) -> Vec<(NodeId, bool)> {
+    fn fixed_nodes(&self, u: &Unrolled, frames: usize) -> Vec<(NodeId, bool)> {
         let mut out = Vec::new();
         for t in 0..frames {
             for &(k, v) in &self.fixed_pis {
@@ -256,13 +252,16 @@ impl<'c> SeqAtpg<'c> {
         out
     }
 
+    /// One PODEM search on the `frames`-frame model. Returns the test,
+    /// decoded against that model, when one is found; the backtracks and
+    /// steps consumed; and the work.
     fn run_frames(
         &self,
         fault: Fault,
         frames: usize,
         backtrack_limit: usize,
         step_limit: usize,
-    ) -> (AtpgOutcome, (usize, usize), WorkCounters) {
+    ) -> (Option<SeqTest>, (usize, usize), WorkCounters) {
         let (u, map) = unroll_with_map_using(self.circuit, &self.topo, frames);
         let faults: Vec<Fault> = (0..frames)
             .filter_map(|t| u.map_fault(self.circuit, fault, t, &map))
@@ -287,13 +286,15 @@ impl<'c> SeqAtpg<'c> {
         let out = podem.run(&faults, &budget);
         let used = (out.backtracks, out.steps());
         let work = podem.setup_work() + out.work;
-        (out.verdict, used, work)
+        let test = out
+            .vector()
+            .map(|assignments| self.decode(&u, frames, assignments));
+        (test, used, work)
     }
 
-    fn decode(&self, frames: usize, assignments: &[(NodeId, bool)]) -> SeqTest {
-        // Rebuild the unrolled tables to map node ids back to slots (the
-        // unroll is deterministic, so ids match the generation run).
-        let (u, _) = unroll_with_map_using(self.circuit, &self.topo, frames);
+    /// Maps a test's assignments on the unrolled model `u` back to
+    /// initial-state and per-frame input slots.
+    fn decode(&self, u: &Unrolled, frames: usize, assignments: &[(NodeId, bool)]) -> SeqTest {
         let n_pis = self.circuit.inputs().len();
         let n_ffs = self.circuit.dffs().len();
         let mut vectors = vec![vec![None; n_pis]; frames];

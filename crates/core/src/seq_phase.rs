@@ -8,12 +8,13 @@ use std::time::Instant;
 
 use fscan_atpg::{SeqAtpg, SeqAtpgConfig, SeqOutcome, SeqTest};
 use fscan_fault::Fault;
+use fscan_netlist::NodeId;
 use fscan_scan::ScanDesign;
 use fscan_sim::{shard_map_counted, ParallelFaultSim, ShardStats, StageMetrics, V3, WorkCounters};
 
 use crate::classify::ChainLocation;
 use crate::program::ScanTest;
-use crate::sequences::{scan_load_vectors, scan_vector_layout};
+use crate::sequences::{load_vectors_with, scan_vector_layout, ScanSequence};
 
 /// Per-chain fault extent: chain index → (first, last) affected cell.
 type Extent = HashMap<usize, (usize, usize)>;
@@ -140,6 +141,45 @@ pub struct SeqPhase<'d> {
     threads: usize,
 }
 
+/// What every attempt of one [`SeqPhase::run`] reads, built once per
+/// run: the scan-mode input layout and each chain cell's flip-flop.
+struct ScanAccess {
+    layout: ScanSequence,
+    /// `cell_ff[c][k]`: index into `Circuit::dffs` of chain `c`'s cell `k`.
+    cell_ff: Vec<Vec<usize>>,
+}
+
+impl ScanAccess {
+    fn new(design: &ScanDesign) -> ScanAccess {
+        let ff_pos: HashMap<NodeId, usize> = design
+            .circuit()
+            .dffs()
+            .iter()
+            .enumerate()
+            .map(|(k, &ff)| (ff, k))
+            .collect();
+        let cell_ff = design
+            .chains()
+            .iter()
+            .map(|chain| {
+                chain
+                    .cells
+                    .iter()
+                    .map(|cell| {
+                        *ff_pos
+                            .get(&cell.ff)
+                            .expect("chain cell is a circuit flip-flop")
+                    })
+                    .collect()
+            })
+            .collect();
+        ScanAccess {
+            layout: scan_vector_layout(design),
+            cell_ff,
+        }
+    }
+}
+
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Status {
     Pending,
@@ -190,6 +230,7 @@ impl<'d> SeqPhase<'d> {
         let mut circuits_initial = 0usize;
         let mut shards = ShardStats::default();
         let mut counters = WorkCounters::ZERO;
+        let access = ScanAccess::new(self.design);
 
         // Span and chain-extent helpers.
         let chain_of = |locs: &[ChainLocation]| -> Option<usize> {
@@ -237,7 +278,7 @@ impl<'d> SeqPhase<'d> {
             .iter()
             .map(|&i| (i, Arc::new(self.extent_map(&locations[i]))))
             .collect();
-        self.run_batch(&batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
+        self.run_batch(&access, &batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
 
         // Group 2: the seed fault's circuit is shared with compatible
         // same-chain faults (their locations inside the seed's window).
@@ -268,7 +309,7 @@ impl<'d> SeqPhase<'d> {
                     }
                 }
             }
-            self.run_batch(&batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
+            self.run_batch(&access, &batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
         }
 
         // Group 3: pack same-chain faults into windows of union span
@@ -312,7 +353,7 @@ impl<'d> SeqPhase<'d> {
                 batch.extend(group.into_iter().map(|i| (i, Arc::clone(&extent))));
             }
         }
-        self.run_batch(&batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
+        self.run_batch(&access, &batch, faults, &self.config, &mut status, &mut program, &mut shards, &mut counters);
 
         // Final pass: remaining faults individually, with more budget —
         // independent attempts, one sharded batch.
@@ -321,7 +362,7 @@ impl<'d> SeqPhase<'d> {
             .map(|i| (i, Arc::new(self.extent_map(&locations[i]))))
             .collect();
         let circuits_final = batch.len();
-        self.run_batch(&batch, faults, &self.final_config, &mut status, &mut program, &mut shards, &mut counters);
+        self.run_batch(&access, &batch, faults, &self.final_config, &mut status, &mut program, &mut shards, &mut counters);
 
         let mut detected = Vec::new();
         let mut undetectable = Vec::new();
@@ -376,6 +417,7 @@ impl<'d> SeqPhase<'d> {
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
+        access: &ScanAccess,
         batch: &[(usize, Arc<Extent>)],
         faults: &[Fault],
         config: &SeqAtpgConfig,
@@ -392,7 +434,7 @@ impl<'d> SeqPhase<'d> {
             let results = chunk
                 .iter()
                 .map(|(i, extent)| {
-                    let (outcome, test, work) = self.attempt(faults[*i], extent, config);
+                    let (outcome, test, work) = self.attempt(access, faults[*i], extent, config);
                     chunk_work += work;
                     (outcome, test)
                 })
@@ -417,72 +459,50 @@ impl<'d> SeqPhase<'d> {
     /// confirmed test, if any.
     fn attempt(
         &self,
+        access: &ScanAccess,
         fault: Fault,
         extent: &Extent,
         config: &SeqAtpgConfig,
     ) -> (Option<Status>, Option<ScanTest>, WorkCounters) {
-        let circuit = self.design.circuit();
-        let ff_pos = |ff| {
-            circuit
-                .dffs()
-                .iter()
-                .position(|&f| f == ff)
-                .expect("chain cell is a circuit flip-flop")
-        };
         let mut controllable = Vec::new();
         let mut observable = Vec::new();
-        for (c, chain) in self.design.chains().iter().enumerate() {
+        for (c, cells) in access.cell_ff.iter().enumerate() {
             match extent.get(&c) {
                 Some(&(cmin, omax)) => {
-                    for (k, cell) in chain.cells.iter().enumerate() {
+                    for (k, &ff) in cells.iter().enumerate() {
                         if k < cmin {
-                            controllable.push(ff_pos(cell.ff));
+                            controllable.push(ff);
                         }
                         if k >= omax {
-                            observable.push(ff_pos(cell.ff));
+                            observable.push(ff);
                         }
                     }
                 }
                 None => {
                     // Unaffected chain: fully controllable and observable.
-                    for cell in &chain.cells {
-                        controllable.push(ff_pos(cell.ff));
-                        observable.push(ff_pos(cell.ff));
-                    }
+                    controllable.extend_from_slice(cells);
+                    observable.extend_from_slice(cells);
                 }
             }
         }
-        let layout = scan_vector_layout(self.design);
-        let atpg = SeqAtpg::with_topology(circuit, self.design.topology())
+        let atpg = SeqAtpg::with_topology(self.design.circuit(), self.design.topology())
             .controllable_ffs(controllable)
             .observable_ffs(observable)
-            .fixed_pis(layout.constrained.clone());
+            .fixed_pis(access.layout.constrained.clone());
         let (out, mut work) = atpg.run(fault, config);
-        if std::env::var("FSCAN_DEBUG").is_ok() {
-            let tag = match &out {
-                SeqOutcome::Undetectable => "undetectable".to_string(),
-                SeqOutcome::Aborted => "aborted".to_string(),
-                SeqOutcome::Test(t) => format!("test({} frames)", t.vectors.len()),
-            };
-            eprintln!("seq3 {fault}: {tag}");
-        }
         match out {
             SeqOutcome::Undetectable => (Some(Status::Undetectable), None, work),
             SeqOutcome::Aborted => (None, None, work),
             SeqOutcome::Test(test) => {
-                let (vectors, verify_work) = self.verify(fault, &test);
+                let (vectors, verify_work) = self.verify(access, fault, &test);
                 work += verify_work;
-                if let Some(vectors) = vectors {
-                    (
+                match vectors {
+                    Some(vectors) => (
                         Some(Status::Detected),
                         Some(ScanTest::new(format!("seq {fault}"), vectors)),
                         work,
-                    )
-                } else {
-                    if std::env::var("FSCAN_DEBUG").is_ok() {
-                        eprintln!("seq3 {fault}: UNCONFIRMED by simulation");
-                    }
-                    (Some(Status::Unconfirmed), None, work)
+                    ),
+                    None => (Some(Status::Unconfirmed), None, work),
                 }
             }
         }
@@ -491,30 +511,25 @@ impl<'d> SeqPhase<'d> {
     /// Realizes a sequential test as a concrete scan sequence — scan-in
     /// load, the ATPG frames, then a full shift-out — and confirms the
     /// fault is really detected by sequential fault simulation.
-    fn verify(&self, fault: Fault, test: &SeqTest) -> (Option<Vec<Vec<V3>>>, WorkCounters) {
-        let circuit = self.design.circuit();
-        let layout = scan_vector_layout(self.design);
+    fn verify(
+        &self,
+        access: &ScanAccess,
+        fault: Fault,
+        test: &SeqTest,
+    ) -> (Option<Vec<Vec<V3>>>, WorkCounters) {
+        let layout = &access.layout;
         // Desired load per chain from the required initial state.
-        let states: Vec<Vec<bool>> = self
-            .design
-            .chains()
+        let states: Vec<Vec<bool>> = access
+            .cell_ff
             .iter()
-            .map(|chain| {
-                chain
-                    .cells
+            .map(|cells| {
+                cells
                     .iter()
-                    .map(|cell| {
-                        let pos = circuit
-                            .dffs()
-                            .iter()
-                            .position(|&f| f == cell.ff)
-                            .expect("cell ff");
-                        test.init_state[pos].unwrap_or(false)
-                    })
+                    .map(|&pos| test.init_state[pos].unwrap_or(false))
                     .collect()
             })
             .collect();
-        let mut vectors = scan_load_vectors(self.design, &states);
+        let mut vectors = load_vectors_with(self.design, layout, &states);
         for frame in &test.vectors {
             let mut v = layout.base_vector();
             for (k, val) in frame.iter().enumerate() {
@@ -530,7 +545,7 @@ impl<'d> SeqPhase<'d> {
         // Event-driven confirmation: one good trace, then a single-fault
         // word replayed against it inside the fault's fanout cone.
         let sim = ParallelFaultSim::with_topology(self.design.topology());
-        let init = vec![V3::X; circuit.dffs().len()];
+        let init = vec![V3::X; self.design.circuit().dffs().len()];
         let trace = sim.good_trace(&vectors, &init);
         let (det, mut work) = sim.fault_sim_with_trace_counted(&[fault], &trace);
         work += trace.counters();

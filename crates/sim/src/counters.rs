@@ -28,7 +28,9 @@ use crate::pool::ShardStats;
 ///   captures the logical coverage). The event-driven simulators count
 ///   only gates *actually re-evaluated* (one full seed pass at cycle
 ///   0, changed gates afterwards), so this measures incremental work,
-///   not `cycles × gates`.
+///   not `cycles × gates`. PODEM counts forward re-evaluations only:
+///   a retraction restores the values it undoes from the search's undo
+///   trail and books nothing.
 /// * `lane_cycles` — Σ over simulated cycles of the number of active
 ///   fault lanes (a serial simulation contributes 1 per cycle).
 /// * `implication_events` — nodes popped and re-evaluated by

@@ -12,7 +12,8 @@
 //! masks are disjoint by invariant). Every three-valued gate function
 //! then becomes a handful of bitwise operations, identical for any mask
 //! width — [`Rail`] abstracts the width, with `bool` the 1-lane
-//! instance behind [`V3`] and `u64` the 64-lane instance behind
+//! instance behind [`V3`], `u8` the rail behind the ATPG's two-lane
+//! good/faulty `D5`, and `u64` the 64-lane instance behind
 //! [`Pv64`](crate::Pv64).
 
 use std::fmt;
@@ -25,9 +26,9 @@ use crate::value::V3;
 
 /// A lane mask: the rail type of a dual-rail value.
 ///
-/// Implemented for `bool` (one lane), `u64` (64 lanes) and
-/// [`Lanes<N>`] (`64 * N` lanes). The required operators are lane-wise,
-/// so every dual-rail formula written against this trait is
+/// Implemented for `bool` (one lane), `u8` (8 lanes), `u64` (64 lanes)
+/// and [`Lanes<N>`] (`64 * N` lanes). The required operators are
+/// lane-wise, so every dual-rail formula written against this trait is
 /// automatically lane-exact at any width, and the lane-indexed
 /// accessors ([`lane_bit`](Rail::lane_bit), [`low_mask`](Rail::low_mask))
 /// are *width-checked in every build profile*: an out-of-range lane
@@ -118,38 +119,45 @@ impl Rail for bool {
     }
 }
 
-impl Rail for u64 {
-    const LANES: u32 = 64;
-    const EMPTY: u64 = 0;
-    const FULL: u64 = !0;
+/// The word rails: every bit of a primitive unsigned word is one lane.
+macro_rules! word_rail {
+    ($($word:ty),*) => {$(
+        impl Rail for $word {
+            const LANES: u32 = <$word>::BITS;
+            const EMPTY: $word = 0;
+            const FULL: $word = !0;
 
-    fn lane_bit(lane: u32) -> u64 {
-        if lane >= 64 {
-            lane_out_of_range(lane, 64);
+            fn lane_bit(lane: u32) -> $word {
+                if lane >= Self::LANES {
+                    lane_out_of_range(lane, Self::LANES);
+                }
+                1 << lane
+            }
+
+            fn low_mask(n: u32) -> $word {
+                match n.cmp(&Self::LANES) {
+                    std::cmp::Ordering::Less => (1 << n) - 1,
+                    std::cmp::Ordering::Equal => !0,
+                    std::cmp::Ordering::Greater => lane_out_of_range(n, Self::LANES),
+                }
+            }
+
+            fn count(self) -> u32 {
+                self.count_ones()
+            }
+
+            fn for_each_set_lane(self, mut f: impl FnMut(u32)) {
+                let mut m = self;
+                while m != 0 {
+                    f(m.trailing_zeros());
+                    m &= m - 1;
+                }
+            }
         }
-        1u64 << lane
-    }
-
-    fn low_mask(n: u32) -> u64 {
-        match n {
-            64 => !0,
-            0..=63 => (1u64 << n) - 1,
-            _ => lane_out_of_range(n, 64),
-        }
-    }
-
-    fn count(self) -> u32 {
-        self.count_ones()
-    }
-
-    fn for_each_set_lane(self, mut f: impl FnMut(u32)) {
-        let mut m = self;
-        while m != 0 {
-            f(m.trailing_zeros());
-            m &= m - 1;
-        }
-    }
+    )*};
 }
+
+word_rail!(u8, u64);
 
 /// A wide lane mask: `N` 64-bit words glued into one `64 * N`-lane
 /// rail. `Lanes<4>` (aliased [`R256`]) is the 256-lane mask behind the
@@ -276,7 +284,7 @@ impl<const N: usize> Rail for Lanes<N> {
 /// assert_eq!(zero.and(x), zero); // controlling 0 wins
 /// assert_eq!(zero.or(x), x);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DualRail<M: Rail> {
     zeros: M,
     ones: M,
@@ -362,6 +370,19 @@ impl<M: Rail> DualRail<M> {
             zeros: known & !val,
             ones: val,
         }
+    }
+}
+
+impl DualRail<u8> {
+    /// [`DualRail::new`] as a `const fn`, for constants over the byte
+    /// rail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rails overlap (at compile time in a constant).
+    pub const fn from_bytes(zeros: u8, ones: u8) -> DualRail<u8> {
+        assert!(zeros & ones == 0, "contradictory dual-rail value");
+        DualRail { zeros, ones }
     }
 }
 
@@ -592,6 +613,13 @@ mod tests {
         assert_eq!(u64::low_mask(0), 0);
         assert!(std::panic::catch_unwind(|| u64::lane_bit(64)).is_err());
         assert!(std::panic::catch_unwind(|| bool::lane_bit(1)).is_err());
+        assert_eq!(u8::lane_bit(7), 0x80);
+        assert_eq!(u8::low_mask(8), 0xff);
+        assert_eq!(u8::low_mask(2), 0b11);
+        assert_eq!(u8::low_mask(0), 0);
+        assert!(std::panic::catch_unwind(|| u8::lane_bit(8)).is_err());
+        assert!(std::panic::catch_unwind(|| u8::low_mask(9)).is_err());
+        assert!(std::panic::catch_unwind(|| u64::low_mask(65)).is_err());
         assert!(std::panic::catch_unwind(|| R256::lane_bit(256)).is_err());
         assert!(std::panic::catch_unwind(|| R256::low_mask(257)).is_err());
         assert_eq!(R256::lane_bit(130), Lanes([0, 0, 4, 0]));

@@ -59,6 +59,8 @@ fn comb_phase_is_byte_identical_across_thread_counts() {
     // The parallel path really exercises its new machinery.
     let counters = reference.unwrap().report.metrics.counters;
     assert!(counters.podem_shards > 0, "no sharded PODEM batch ran");
+    // ...and PODEM's retraction path: no committed snapshot backtracks.
+    assert!(counters.podem_backtracks > 0, "no PODEM search backtracked");
 }
 
 #[test]
