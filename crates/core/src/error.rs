@@ -16,13 +16,11 @@ use std::fmt;
 use fscan_netlist::{NetlistError, ParseBenchError};
 use fscan_scan::ScanError;
 
-use crate::compact::CompactionError;
 use crate::json::JsonError;
 use crate::pipeline::ConfigError;
 
 /// Any failure the functional-scan flow can produce, from `.bench`
-/// parsing through scan insertion, configuration and compaction to JSON
-/// decoding.
+/// parsing through scan insertion and configuration to JSON decoding.
 ///
 /// # Examples
 ///
@@ -43,8 +41,6 @@ pub enum Error {
     Scan(ScanError),
     /// A pipeline configuration was rejected.
     Config(ConfigError),
-    /// Static compaction would have lost detections.
-    Compaction(CompactionError),
     /// A JSON document was malformed or had the wrong shape.
     Json(JsonError),
 }
@@ -59,7 +55,6 @@ impl Error {
             Error::Netlist(_) => "netlist",
             Error::Scan(_) => "scan",
             Error::Config(_) => "config",
-            Error::Compaction(_) => "compaction",
             Error::Json(_) => "json",
         }
     }
@@ -72,7 +67,6 @@ impl fmt::Display for Error {
             Error::Netlist(e) => write!(f, "netlist error: {e}"),
             Error::Scan(e) => write!(f, "scan error: {e}"),
             Error::Config(e) => write!(f, "config error: {e}"),
-            Error::Compaction(e) => write!(f, "compaction error: {e}"),
             Error::Json(e) => write!(f, "{e}"),
         }
     }
@@ -85,7 +79,6 @@ impl std::error::Error for Error {
             Error::Netlist(e) => Some(e),
             Error::Scan(e) => Some(e),
             Error::Config(e) => Some(e),
-            Error::Compaction(e) => Some(e),
             Error::Json(e) => Some(e),
         }
     }
@@ -115,12 +108,6 @@ impl From<ConfigError> for Error {
     }
 }
 
-impl From<CompactionError> for Error {
-    fn from(e: CompactionError) -> Error {
-        Error::Compaction(e)
-    }
-}
-
 impl From<JsonError> for Error {
     fn from(e: JsonError) -> Error {
         Error::Json(e)
@@ -137,7 +124,6 @@ mod tests {
             fscan_netlist::parse_bench("INPUT(", "bad").unwrap_err().into(),
             Error::Scan(ScanError::NoFlipFlops),
             Error::Config(ConfigError::EmptyPodemBudget),
-            Error::Compaction(CompactionError::DetectionLoss { before: 2, after: 1 }),
             Error::Json(JsonError::new("bad")),
         ];
         let mut kinds = Vec::new();
@@ -148,7 +134,7 @@ mod tests {
         }
         assert_eq!(
             kinds,
-            vec!["bench_parse", "scan", "config", "compaction", "json"]
+            vec!["bench_parse", "scan", "config", "json"]
         );
     }
 }

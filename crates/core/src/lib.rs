@@ -32,7 +32,8 @@
 //! [`PipelineReport::stages`]. Around the core flow:
 //!
 //! * [`compact_program`] / [`truncate_to_coverage`] — test-set
-//!   compaction (the paper's §6 reduction observation);
+//!   compaction (the paper's §6 reduction observation): one lossless
+//!   reverse-order pass, or a deliberately lossy forward cut;
 //! * [`diagnose_chain`] — scan-chain fault diagnosis from failing
 //!   responses, built on the §3 location information.
 //!
@@ -78,9 +79,7 @@ pub use fscan_sim::LaneWidth;
 pub use comb_phase::{
     CombPhase, CombPhaseConfig, CombPhaseConfigBuilder, CombPhaseOutcome, CombPhaseReport,
 };
-pub use compact::{
-    compact_program, truncate_to_coverage, CompactionError, CompactionOutcome, CompactionReport,
-};
+pub use compact::{compact_program, truncate_to_coverage, CompactionOutcome, CompactionReport};
 pub use diagnosis::{diagnose_chain, DiagnosisCandidate};
 pub use eco::EcoCarry;
 pub use error::Error;

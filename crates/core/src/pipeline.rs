@@ -9,7 +9,8 @@
 //! compaction is a first-class stage between the combinational and
 //! sequential phases: the program assembled so far (alternating
 //! sequence plus every comb window) is compacted against the
-//! chain-affecting faults before step 3 adds its sequences.
+//! chain-affecting faults, in one reverse-order pass, before step 3
+//! adds its sequences.
 //!
 //! The session compiles the design's circuit into one shared
 //! [`fscan_netlist::CompiledTopology`] (via
@@ -223,10 +224,7 @@ pub(crate) fn alt_sim_with_trace(
 ) -> (Vec<Option<usize>>, ShardStats, WorkCounters, GoodTrace) {
     let init = vec![V3::X; design.circuit().dffs().len()];
     let eval = CombEvaluator::with_topology(design.topology());
-    let trace = match prior {
-        Some(prior) => GoodTrace::replay_from(&eval, prior, vectors, &init),
-        None => GoodTrace::compute(&eval, vectors, &init),
-    };
+    let trace = GoodTrace::replay_from(&eval, prior, vectors, &init);
     let (detections, shards, mut counters) = match width {
         LaneWidth::W64 => ParallelFaultSim::<u64>::with_topology_wide(design.topology())
             .fault_sim_sharded_with_trace(faults, &trace, threads),
@@ -990,9 +988,9 @@ impl AfterComb {
     /// The compaction stage (paper §6, run mid-flow): assembles the
     /// program so far — the alternating sequence plus every comb window
     /// — and reverse-order compacts it against the chain-affecting
-    /// faults. Lossless by construction; [`compact_program`] verifies
-    /// that, and a violation (impossible for self-contained scan
-    /// windows) would panic rather than silently drop coverage.
+    /// faults in one pass. Lossless by construction: every test starts
+    /// with a full scan load and is simulated alone, and every counted
+    /// detection is credited to a kept test (see [`compact_program`]).
     ///
     /// On a rerun the outcome carries over whole when step 2's did and
     /// the alternating sequence and chain-affecting faults are unchanged
@@ -1034,7 +1032,6 @@ impl AfterComb {
                     config.threads,
                     config.lane_width,
                 )
-                .expect("reverse-order compaction preserves every detection")
             },
             |o| &mut o.report.metrics,
         );

@@ -546,9 +546,7 @@ impl<'d> SeqPhase<'d> {
         // word replayed against it inside the fault's fanout cone.
         let sim = ParallelFaultSim::with_topology(self.design.topology());
         let init = vec![V3::X; self.design.circuit().dffs().len()];
-        let trace = sim.good_trace(&vectors, &init);
-        let (det, mut work) = sim.fault_sim_with_trace_counted(&[fault], &trace);
-        work += trace.counters();
+        let (det, _, work) = sim.fault_sim_sharded(&vectors, &init, &[fault], 1);
         (det[0].is_some().then_some(vectors), work)
     }
 }

@@ -27,7 +27,7 @@
 //! would — the differential proptest oracle in `tests/props.rs` checks
 //! this net-for-net against [`CombEvaluator`] on random circuits.
 
-use fscan_netlist::NodeId;
+use fscan_netlist::{CompiledTopology, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
@@ -182,14 +182,49 @@ impl GoodTrace {
     /// Simulates `vectors.len()` cycles of the fault-free machine from
     /// flip-flop state `init`, re-evaluating only gates whose inputs
     /// changed (cycle 0 pays one full levelized pass). Fanout adjacency
-    /// comes from the evaluator's shared [`CompiledTopology`]
-    /// (`fscan_netlist::CompiledTopology`) CSR slices.
+    /// comes from the evaluator's shared [`CompiledTopology`] CSR slices.
+    /// The cold case of [`replay_from`](Self::replay_from): no prior
+    /// trace to copy from.
     ///
     /// # Panics
     ///
     /// Panics if a vector's length differs from the input count or
     /// `init` from the flip-flop count.
     pub fn compute(eval: &CombEvaluator, vectors: &[Vec<V3>], init: &[V3]) -> GoodTrace {
+        GoodTrace::replay_from(eval, None, vectors, init)
+    }
+
+    /// Simulates like [`compute`](Self::compute), but seeds every cycle
+    /// from `prior`, when given — a trace of the **base** design this
+    /// evaluator's topology was patched from — so gates outside the
+    /// edit's dirty cones are *copied* instead of re-evaluated. Without
+    /// a prior this is [`compute`](Self::compute).
+    ///
+    /// The result is identical to `GoodTrace::compute(eval, vectors,
+    /// init)` in every stored artifact (outputs, states, snapshot,
+    /// deltas); only the [`counters`](Self::counters) differ:
+    /// `gate_evals` counts just the gates that actually went through the
+    /// kernel, and `trace_cycles_reused` counts the cycles for which
+    /// `prior` was live. The reuse rule is purely value-based — a gate
+    /// is copied when its function is unchanged (it is not in the
+    /// patch's [`touched`](fscan_netlist::DirtyInfo::touched) set) and
+    /// its fanin values match the prior machine's values for the same
+    /// cycle, in which case its output provably matches too. `prior`
+    /// may therefore come from *any* vector sequence: divergent inputs
+    /// simply shrink the copied region. A cold (unpatched) topology
+    /// reuses the whole trace when vectors and init are unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`compute`](Self::compute),
+    /// or if `prior` has a different base node count than the patch
+    /// expects.
+    pub fn replay_from<'p>(
+        eval: &CombEvaluator,
+        prior: impl Into<Option<&'p GoodTrace>>,
+        vectors: &[Vec<V3>],
+        init: &[V3],
+    ) -> GoodTrace {
         let topo = eval.topology();
         assert_eq!(
             init.len(),
@@ -197,6 +232,7 @@ impl GoodTrace {
             "init length != flip-flop count"
         );
         let n = topo.num_nodes();
+        let mut reuse = prior.into().map(|prior| Reuse::new(prior, topo));
         let pos = eval.order_positions();
         let mut values = vec![V3::X; n];
         let mut outputs: Vec<Vec<V3>> = Vec::with_capacity(vectors.len());
@@ -218,20 +254,39 @@ impl GoodTrace {
             };
         };
 
-        // Cycle 0: one full levelized pass seeds the persistent values.
+        // A gate's value this cycle: the prior machine's when it is live
+        // and already knows the answer, the kernel's otherwise.
+        let settle =
+            |values: &[V3], live: Option<&Reuse>, id: NodeId, counters: &mut WorkCounters| {
+                if let Some(v) = live.and_then(|r| r.copy(topo, values, id)) {
+                    return v;
+                }
+                counters.gate_evals += 1;
+                kernel::eval_v3(
+                    topo.kind(id),
+                    topo.fanin(id).iter().map(|&src| values[src.index()]),
+                )
+            };
+
+        // Cycle 0: one levelized pass seeds the persistent values.
         assert_eq!(
             vec0.len(),
             topo.inputs().len(),
             "vector length != input count"
         );
+        let live0 = reuse.as_mut().and_then(|r| r.live(0));
+        if live0.is_some() {
+            counters.trace_cycles_reused += 1;
+        }
         for (&pi, &v) in topo.inputs().iter().zip(vec0.iter()) {
             values[pi.index()] = v;
         }
         for (&ff, &v) in topo.dffs().iter().zip(state.iter()) {
             values[ff.index()] = v;
         }
-        eval.eval_values(&mut values);
-        counters.gate_evals += eval.order().len() as u64;
+        for &id in eval.order() {
+            values[id.index()] = settle(&values, live0, id, &mut counters);
+        }
         counters.lane_cycles += 1;
         outputs.push(topo.outputs().iter().map(|&po| values[po.index()]).collect());
         delta_ends.push(0);
@@ -254,205 +309,15 @@ impl GoodTrace {
                 }
             }
         };
-        for vec_t in vectors.iter().skip(1) {
-            assert_eq!(
-                vec_t.len(),
-                topo.inputs().len(),
-                "vector length != input count"
-            );
-            counters.lane_cycles += 1;
-            for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
-                if values[pi.index()] != v {
-                    values[pi.index()] = v;
-                    delta_nodes.push(pi.index() as u32);
-                    delta_values.push(v);
-                    schedule(&mut queue, pi);
-                }
-            }
-            for (&ff, &v) in topo.dffs().iter().zip(state.iter()) {
-                if values[ff.index()] != v {
-                    values[ff.index()] = v;
-                    delta_nodes.push(ff.index() as u32);
-                    delta_values.push(v);
-                    schedule(&mut queue, ff);
-                }
-            }
-            while let Some(p) = queue.pop() {
-                let id = order[p];
-                counters.gate_evals += 1;
-                let out = kernel::eval_v3(
-                    topo.kind(id),
-                    topo.fanin(id).iter().map(|&src| values[src.index()]),
-                );
-                if values[id.index()] != out {
-                    values[id.index()] = out;
-                    delta_nodes.push(id.index() as u32);
-                    delta_values.push(out);
-                    schedule(&mut queue, id);
-                }
-            }
-            delta_ends.push(delta_nodes.len());
-            outputs.push(topo.outputs().iter().map(|&po| values[po.index()]).collect());
-            for (s, &ff) in state.iter_mut().zip(topo.dffs().iter()) {
-                *s = values[topo.fanin(ff)[0].index()];
-            }
-        }
-
-        GoodTrace {
-            outputs,
-            final_state: state,
-            values0,
-            delta_nodes,
-            delta_values,
-            delta_ends,
-            counters,
-        }
-    }
-
-    /// Simulates like [`compute`](Self::compute), but seeds every cycle
-    /// from `prior` — a trace of the **base** design this evaluator's
-    /// topology was patched from — so gates outside the edit's dirty
-    /// cones are *copied* instead of re-evaluated.
-    ///
-    /// The result is identical to `GoodTrace::compute(eval, vectors,
-    /// init)` in every stored artifact (outputs, states, snapshot,
-    /// deltas); only the [`counters`](Self::counters) differ:
-    /// `gate_evals` counts just the gates that actually went through the
-    /// kernel, and `trace_cycles_reused` counts the cycles for which
-    /// `prior` was live. The reuse rule is purely value-based — a gate
-    /// is copied when its function is unchanged (it is not in the
-    /// patch's [`touched`](fscan_netlist::DirtyInfo::touched) set) and
-    /// its fanin values match the prior machine's values for the same
-    /// cycle, in which case its output provably matches too. `prior`
-    /// may therefore come from *any* vector sequence: divergent inputs
-    /// simply shrink the copied region. A cold (unpatched) topology
-    /// reuses the whole trace when vectors and init are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`compute`](Self::compute),
-    /// or if `prior` has a different base node count than the patch
-    /// expects.
-    pub fn replay_from(
-        eval: &CombEvaluator,
-        prior: &GoodTrace,
-        vectors: &[Vec<V3>],
-        init: &[V3],
-    ) -> GoodTrace {
-        let topo = eval.topology();
-        assert_eq!(
-            init.len(),
-            topo.dffs().len(),
-            "init length != flip-flop count"
-        );
-        let n = topo.num_nodes();
-        let prior_n = prior.values0.len();
-        assert!(
-            prior_n <= n,
-            "prior trace has {prior_n} nodes, patched topology only {n}"
-        );
-        // Nodes whose *function* changed: copying their prior value is
-        // never sound, no matter how the fanin values compare.
-        let mut changed_fn = vec![false; n];
-        if let Some(dirty) = topo.dirty() {
-            for &t in dirty.touched() {
-                changed_fn[t.index()] = true;
-            }
-        }
-        let pos = eval.order_positions();
-        let mut values = vec![V3::X; n];
-        let mut outputs: Vec<Vec<V3>> = Vec::with_capacity(vectors.len());
-        let mut counters = WorkCounters::ZERO;
-        let mut delta_nodes: Vec<u32> = Vec::new();
-        let mut delta_values: Vec<V3> = Vec::new();
-        let mut delta_ends: Vec<usize> = Vec::with_capacity(vectors.len());
-        let mut state: Vec<V3> = init.to_vec();
-        // The prior machine's end-of-cycle net values, advanced through
-        // its delta lists in lockstep with our own cycles.
-        let mut pvals: Vec<V3> = prior.values0.clone();
-
-        let Some(vec0) = vectors.first() else {
-            return GoodTrace {
-                outputs,
-                final_state: state,
-                values0: values,
-                delta_nodes,
-                delta_values,
-                delta_ends,
-                counters,
-            };
-        };
-
-        // Cycle 0: one levelized pass, copying wherever the prior
-        // machine already knows the answer.
-        assert_eq!(
-            vec0.len(),
-            topo.inputs().len(),
-            "vector length != input count"
-        );
-        let live0 = prior.cycles() > 0;
-        if live0 {
-            counters.trace_cycles_reused += 1;
-        }
-        for (&pi, &v) in topo.inputs().iter().zip(vec0.iter()) {
-            values[pi.index()] = v;
-        }
-        for (&ff, &v) in topo.dffs().iter().zip(state.iter()) {
-            values[ff.index()] = v;
-        }
-        for &id in eval.order() {
-            let i = id.index();
-            let clean = live0 && i < prior_n && !changed_fn[i];
-            if clean
-                && topo
-                    .fanin(id)
-                    .iter()
-                    .all(|&f| values[f.index()] == pvals[f.index()])
-            {
-                values[i] = pvals[i];
-            } else {
-                counters.gate_evals += 1;
-                values[i] = kernel::eval_v3(
-                    topo.kind(id),
-                    topo.fanin(id).iter().map(|&src| values[src.index()]),
-                );
-            }
-        }
-        counters.lane_cycles += 1;
-        outputs.push(topo.outputs().iter().map(|&po| values[po.index()]).collect());
-        delta_ends.push(0);
-        let values0 = values.clone();
-        for (s, &ff) in state.iter_mut().zip(topo.dffs().iter()) {
-            *s = values[topo.fanin(ff)[0].index()];
-        }
-
-        // Cycles 1..: the same event-driven propagation as `compute`,
-        // except a popped gate whose function is unchanged and whose
-        // fanins match the prior machine is copied, not evaluated.
-        let order = eval.order();
-        let mut queue = TopoQueue::new(order.len());
-        let schedule = |queue: &mut TopoQueue, id: NodeId| {
-            for &sink in topo.fanout_sinks(id) {
-                if topo.kind(sink).is_gate() {
-                    let p = pos[sink.index()];
-                    // From a popped gate: its readers sit above it.
-                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
-                    queue.insert(p as usize);
-                }
-            }
-        };
         for (t, vec_t) in vectors.iter().enumerate().skip(1) {
             assert_eq!(
                 vec_t.len(),
                 topo.inputs().len(),
                 "vector length != input count"
             );
-            let live = t < prior.cycles();
-            if live {
+            let live = reuse.as_mut().and_then(|r| r.live(t));
+            if live.is_some() {
                 counters.trace_cycles_reused += 1;
-                for (id, v) in prior.changes(t) {
-                    pvals[id.index()] = v;
-                }
             }
             counters.lane_cycles += 1;
             for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
@@ -473,25 +338,10 @@ impl GoodTrace {
             }
             while let Some(p) = queue.pop() {
                 let id = order[p];
-                let i = id.index();
-                let clean = live && i < prior_n && !changed_fn[i];
-                let out = if clean
-                    && topo
-                        .fanin(id)
-                        .iter()
-                        .all(|&f| values[f.index()] == pvals[f.index()])
-                {
-                    pvals[i]
-                } else {
-                    counters.gate_evals += 1;
-                    kernel::eval_v3(
-                        topo.kind(id),
-                        topo.fanin(id).iter().map(|&src| values[src.index()]),
-                    )
-                };
-                if values[i] != out {
-                    values[i] = out;
-                    delta_nodes.push(i as u32);
+                let out = settle(&values, live, id, &mut counters);
+                if values[id.index()] != out {
+                    values[id.index()] = out;
+                    delta_nodes.push(id.index() as u32);
                     delta_values.push(out);
                     schedule(&mut queue, id);
                 }
@@ -555,6 +405,67 @@ impl GoodTrace {
     /// cycle, as for any serial good-machine run.
     pub fn counters(&self) -> WorkCounters {
         self.counters
+    }
+}
+
+/// The prior machine a [`GoodTrace::replay_from`] copies from.
+struct Reuse<'p> {
+    prior: &'p GoodTrace,
+    /// Nodes whose *function* changed: copying their prior value is
+    /// never sound, no matter how the fanin values compare.
+    changed_fn: Vec<bool>,
+    /// The prior machine's end-of-cycle net values, advanced through
+    /// its delta lists in lockstep with the replay's own cycles.
+    pvals: Vec<V3>,
+}
+
+impl<'p> Reuse<'p> {
+    fn new(prior: &'p GoodTrace, topo: &CompiledTopology) -> Reuse<'p> {
+        let n = topo.num_nodes();
+        let prior_n = prior.values0.len();
+        assert!(
+            prior_n <= n,
+            "prior trace has {prior_n} nodes, patched topology only {n}"
+        );
+        let mut changed_fn = vec![false; n];
+        if let Some(dirty) = topo.dirty() {
+            for &t in dirty.touched() {
+                changed_fn[t.index()] = true;
+            }
+        }
+        Reuse {
+            prior,
+            changed_fn,
+            pvals: prior.values0.clone(),
+        }
+    }
+
+    /// Advances the prior machine to cycle `t`; `None` once its trace
+    /// has run out.
+    fn live(&mut self, t: usize) -> Option<&Self> {
+        if t >= self.prior.cycles() {
+            return None;
+        }
+        if t > 0 {
+            for (id, v) in self.prior.changes(t) {
+                self.pvals[id.index()] = v;
+            }
+        }
+        Some(self)
+    }
+
+    /// The prior machine's value of gate `id` this cycle, when copying
+    /// it is sound: the gate's function is unchanged and its fanins
+    /// carry the prior machine's values.
+    fn copy(&self, topo: &CompiledTopology, values: &[V3], id: NodeId) -> Option<V3> {
+        let i = id.index();
+        let clean = i < self.pvals.len()
+            && !self.changed_fn[i]
+            && topo
+                .fanin(id)
+                .iter()
+                .all(|&f| values[f.index()] == self.pvals[f.index()]);
+        clean.then(|| self.pvals[i])
     }
 }
 

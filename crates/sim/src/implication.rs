@@ -247,9 +247,8 @@ fn lanes_changed<W: Rail>(w: Pv<W>, good: V3) -> W {
 }
 
 /// Packed `W::LANES`-fault forward implication — the classification
-/// kernel. [`ImplicationEngine64`] is the historical 64-lane alias; the
-/// pipeline default is the 256-lane instance
-/// (`PackedImplicationEngine<R256>`).
+/// kernel, at any rail width; the pipeline default is the 256-lane
+/// instance (`PackedImplicationEngine<R256>`).
 ///
 /// Runs [`ImplicationEngine::run`]'s propagation for up to `W::LANES`
 /// faults at once: the fault-free steady values are splatted across all
@@ -282,9 +281,6 @@ pub struct PackedImplicationEngine<W: Rail = u64> {
     changes: Vec<PackedChange<W>>,
     counters: WorkCounters,
 }
-
-/// The 64-lane packed implication engine (the historical name).
-pub type ImplicationEngine64 = PackedImplicationEngine<u64>;
 
 impl<W: Rail> PackedImplicationEngine<W> {
     /// Builds an engine sharing the evaluator's compiled topology.
@@ -756,7 +752,7 @@ mod tests {
     fn lane_changes_is_width_checked() {
         let (c, [pi, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut packed = ImplicationEngine64::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
         packed.run_word(&good, &[Fault::stem(pi, false)]);
         // A hard (release-mode) check: the old debug_assert let the
         // mask wrap to lane % 64 and report the wrong lane's changes.
@@ -782,7 +778,7 @@ mod tests {
         good[pi.index()] = V3::One;
         eval.eval(&c, &mut good);
         let faults = [Fault::branch(ff, 0, false), Fault::stem(pi, false)];
-        let mut packed = ImplicationEngine64::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
         packed.run_word(&good, &faults);
         assert_eq!(packed.lane_changes(0).count(), 0);
         let mut scalar = ImplicationEngine::new(&c, &eval);
@@ -795,7 +791,7 @@ mod tests {
     fn packed_engine_reuse_is_consistent() {
         let (c, [pi, a, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut packed = ImplicationEngine64::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
         let r1: Vec<PackedChange> = packed.run_word(&good, &[Fault::stem(pi, false)]).to_vec();
         packed.run_word(&good, &[Fault::stem(a, true), Fault::stem(pi, true)]);
         let r3: Vec<PackedChange> = packed.run_word(&good, &[Fault::stem(pi, false)]).to_vec();

@@ -3,7 +3,7 @@
 //! Every engine in the workspace reasons over the same three-valued
 //! algebra (0, 1, X), and before this module each of them carried its
 //! own copy of the gate truth tables: scalar [`V3`], 64-lane packed
-//! [`Pv64`](crate::Pv64), and the ATPG's good/faulty `D5` pairs. This
+//! [`Pv<u64>`](crate::Pv), and the ATPG's good/faulty `D5` pairs. This
 //! module is the single implementation they all call.
 //!
 //! The representation is *dual-rail*: a value is a pair of lane masks
@@ -14,7 +14,7 @@
 //! width — [`Rail`] abstracts the width, with `bool` the 1-lane
 //! instance behind [`V3`], `u8` the rail behind the ATPG's two-lane
 //! good/faulty `D5`, and `u64` the 64-lane instance behind
-//! [`Pv64`](crate::Pv64).
+//! [`Pv<u64>`](crate::Pv).
 
 use std::fmt;
 use std::hash::Hash;
@@ -431,7 +431,7 @@ impl std::error::Error for NonCombinational {}
 /// lane width.
 ///
 /// This is the one gate-truth-table implementation in the workspace;
-/// [`V3`], [`Pv64`](crate::Pv64) and the ATPG's `D5` all evaluate
+/// [`V3`], [`Pv<u64>`](crate::Pv) and the ATPG's `D5` all evaluate
 /// through it.
 ///
 /// Non-combinational kinds ([`GateKind::Input`], [`GateKind::Dff`])

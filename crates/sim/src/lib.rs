@@ -9,7 +9,7 @@
 //! * [`V3`] — three-valued logic (0, 1, X), the kernel's 1-lane
 //!   instance;
 //! * [`Pv<W>`](Pv) — `W::LANES` three-valued machines packed into one
-//!   dual-rail pair ([`Pv64`] and [`Pv256`] are the 64- and 256-lane
+//!   dual-rail pair (`Pv<u64>` and [`Pv256`] are the 64- and 256-lane
 //!   instances), used by the parallel fault simulator;
 //! * [`CombEvaluator`] — levelized combinational evaluation with
 //!   stuck-at fault injection;
@@ -34,8 +34,7 @@
 //!   per-stage `cpu`/`shards`/`counters` cost triple;
 //! * [`ImplicationEngine`] / [`PackedImplicationEngine`] — the 3-valued
 //!   forward implication cone of a fault under fixed input constraints
-//!   (paper, Section 3/Figure 3), scalar and packed at any rail width
-//!   ([`ImplicationEngine64`] is the 64-lane alias).
+//!   (paper, Section 3/Figure 3), scalar and packed at any rail width.
 //!
 //! # Examples
 //!
@@ -77,12 +76,10 @@ mod width;
 pub use comb::CombEvaluator;
 pub use counters::{StageMetrics, WorkCounters};
 pub use event::{GoodTrace, TopoQueue};
-pub use implication::{
-    ImplicationEngine, ImplicationEngine64, NetChange, PackedChange, PackedImplicationEngine,
-};
+pub use implication::{ImplicationEngine, NetChange, PackedChange, PackedImplicationEngine};
 pub use mem::{ConeHist, MemMetrics, CONE_HIST_BUCKETS};
-pub use pack::{pack_order, pack_order64};
-pub use packed::{Pv, Pv256, Pv64};
+pub use pack::pack_order;
+pub use packed::{Pv, Pv256};
 pub use parallel::ParallelFaultSim;
 pub use pool::{resolve_threads, shard_map, shard_map_counted, ShardStats};
 pub use scratch::SimScratch;

@@ -202,11 +202,6 @@ pub fn pack_order(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec
     order
 }
 
-/// [`pack_order`] under its historical 64-lane name.
-pub fn pack_order64(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec<usize> {
-    pack_order(topo, good, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +229,6 @@ mod tests {
         let (c, faults, _) = sample();
         let topo = CompiledTopology::compile(&c);
         let order = pack_order(&topo, &all_x(&c), &faults);
-        assert_eq!(order, pack_order64(&topo, &all_x(&c), &faults));
         let mut seen = vec![false; faults.len()];
         for &i in &order {
             assert!(!seen[i], "index {i} repeated");

@@ -1,9 +1,9 @@
 //! Width-generic packed three-valued values.
 //!
 //! [`Pv<W>`](Pv) packs `W::LANES` three-valued logic values into one
-//! dual-rail pair of lane masks; [`Pv64`] is the historical 64-lane
-//! instance (`W = u64`) and [`Pv256`] the 256-lane instance behind the
-//! pipeline's default packed width.
+//! dual-rail pair of lane masks; `Pv<u64>` is the 64-lane instance and
+//! [`Pv256`] the 256-lane instance behind the pipeline's default packed
+//! width.
 
 use std::fmt;
 
@@ -24,13 +24,13 @@ use crate::value::V3;
 /// # Examples
 ///
 /// ```
-/// use fscan_sim::{Pv64, Pv256, V3};
+/// use fscan_sim::{Pv, Pv256, V3};
 ///
-/// let a = Pv64::splat(V3::One);
-/// let b = Pv64::splat(V3::X);
+/// let a = Pv::<u64>::splat(V3::One);
+/// let b = Pv::<u64>::splat(V3::X);
 /// let c = a.and(b);
 /// assert_eq!(c.get(17), V3::X);
-/// assert_eq!(a.and(Pv64::splat(V3::Zero)).get(0), V3::Zero);
+/// assert_eq!(a.and(Pv::splat(V3::Zero)).get(0), V3::Zero);
 ///
 /// let wide = Pv256::splat(V3::Zero).with(200, V3::One);
 /// assert_eq!(wide.get(200), V3::One);
@@ -41,9 +41,6 @@ pub struct Pv<W: Rail> {
     zeros: W,
     ones: W,
 }
-
-/// The 64-lane packed value (two machine words).
-pub type Pv64 = Pv<u64>;
 
 /// The 256-lane packed value (four 64-bit words per rail).
 pub type Pv256 = Pv<R256>;
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn splat_get_roundtrip() {
         for v in [V3::Zero, V3::One, V3::X] {
-            let p = Pv64::splat(v);
+            let p = Pv::<u64>::splat(v);
             for lane in [0, 13, 63] {
                 assert_eq!(p.get(lane), v);
             }
@@ -290,7 +287,7 @@ mod tests {
 
     #[test]
     fn force_overrides_everything() {
-        let p = Pv64::splat(V3::X).force(0b101, true).force(0b010, false);
+        let p = Pv::<u64>::splat(V3::X).force(0b101, true).force(0b010, false);
         assert_eq!(p.get(0), V3::One);
         assert_eq!(p.get(1), V3::Zero);
         assert_eq!(p.get(2), V3::One);
@@ -308,15 +305,15 @@ mod tests {
         // A hard (release-mode) check at every width: the old
         // debug_assert let `1u64 << lane` wrap in release builds and
         // read lane `lane % 64` — the wrong machine.
-        assert!(std::panic::catch_unwind(|| Pv64::splat(V3::X).get(64)).is_err());
-        assert!(std::panic::catch_unwind(|| Pv64::splat(V3::X).with(64, V3::One)).is_err());
+        assert!(std::panic::catch_unwind(|| Pv::<u64>::splat(V3::X).get(64)).is_err());
+        assert!(std::panic::catch_unwind(|| Pv::<u64>::splat(V3::X).with(64, V3::One)).is_err());
         assert!(std::panic::catch_unwind(|| Pv256::splat(V3::X).get(256)).is_err());
         assert!(std::panic::catch_unwind(|| Pv256::splat(V3::X).with(256, V3::One)).is_err());
     }
 
     #[test]
     fn invariant_checked() {
-        let r = std::panic::catch_unwind(|| Pv64::from_masks(1, 1));
+        let r = std::panic::catch_unwind(|| Pv::<u64>::from_masks(1, 1));
         assert!(r.is_err());
         let bad = R256::lane_bit(100);
         let r = std::panic::catch_unwind(|| Pv256::from_masks(bad, bad));
@@ -344,7 +341,7 @@ mod tests {
 
     #[test]
     fn try_eval_rejects_non_combinational() {
-        let err = Pv64::try_eval(GateKind::Dff, [Pv64::splat(V3::One)]).unwrap_err();
+        let err = Pv::<u64>::try_eval(GateKind::Dff, [Pv::splat(V3::One)]).unwrap_err();
         assert_eq!(err, NonCombinational(GateKind::Dff));
     }
 }

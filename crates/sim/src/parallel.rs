@@ -106,9 +106,9 @@ impl<W: Rail> ParallelFaultSim<W> {
 
     /// Simulates the fault-free machine over `vectors` from state `init`
     /// once, event-driven. The returned trace can be passed to
-    /// [`fault_sim_with_trace`](Self::fault_sim_with_trace) any number
-    /// of times, so callers re-simulating the same sequence against
-    /// different fault lists pay for the good machine once.
+    /// [`fault_sim_into`](Self::fault_sim_into) any number of times, so
+    /// callers re-simulating the same sequence against different fault
+    /// lists pay for the good machine once.
     pub fn good_trace(&self, vectors: &[Vec<V3>], init: &[V3]) -> GoodTrace {
         GoodTrace::compute(&self.eval, vectors, init)
     }
@@ -125,50 +125,32 @@ impl<W: Rail> ParallelFaultSim<W> {
         init: &[V3],
         faults: &[Fault],
     ) -> Vec<Option<usize>> {
-        let trace = self.good_trace(vectors, init);
-        self.fault_sim_with_trace(faults, &trace)
+        self.fault_sim_sharded(vectors, init, faults, 1).0
     }
 
-    /// [`fault_sim`](Self::fault_sim) against an already-computed good
-    /// trace (from [`good_trace`](Self::good_trace) over the same
-    /// circuit).
-    pub fn fault_sim_with_trace(&self, faults: &[Fault], trace: &GoodTrace) -> Vec<Option<usize>> {
-        self.fault_sim_with_trace_counted(faults, trace).0
-    }
-
-    /// [`fault_sim_with_trace`](Self::fault_sim_with_trace) plus exact
-    /// [`WorkCounters`] for the faulty machines: one `gate_evals` per
-    /// packed gate evaluation actually performed (event-driven from
-    /// cycle 0 on — cycle 0 seeds the cone with value *copies* and only
-    /// evaluates gates a fault effect reaches), `cone_nets` = the
-    /// union fault-cone size per 64-fault word, `lane_cycles` = Σ active
-    /// lanes per simulated cycle, one `early_exits` per word whose
-    /// faults were all detected before the vector set ran out, one
-    /// `scratch_reuses` per word served by the arena. The good-machine
-    /// work is *not* included — it lives in [`GoodTrace::counters`] and
-    /// is paid once, not per word.
+    /// The zero-allocation workhorse: simulates `faults` against an
+    /// already-computed good trace (from [`good_trace`](Self::good_trace)
+    /// over the same circuit), writing verdicts into a caller-owned
+    /// vector and running every 64-fault word through the reusable
+    /// `scratch` arena. Once `scratch` and `out` are warm (one prior
+    /// call of at least this size), a call performs no heap allocation
+    /// at all — the property the allocation-counter integration test
+    /// pins down.
+    ///
+    /// Returns exact [`WorkCounters`] for the faulty machines: one
+    /// `gate_evals` per packed gate evaluation actually performed
+    /// (event-driven from cycle 0 on — cycle 0 seeds the cone with value
+    /// *copies* and only evaluates gates a fault effect reaches),
+    /// `cone_nets` = the union fault-cone size per 64-fault word,
+    /// `lane_cycles` = Σ active lanes per simulated cycle, one
+    /// `early_exits` per word whose faults were all detected before the
+    /// vector set ran out, one `scratch_reuses` per word served by the
+    /// arena. The good-machine work is *not* included — it lives in
+    /// [`GoodTrace::counters`] and is paid once, not per word.
     ///
     /// Every contribution is a function of one 64-fault word only, so
     /// sums over any partition of the fault list (at word boundaries)
     /// are identical — the property `fault_sim_sharded` relies on.
-    pub fn fault_sim_with_trace_counted(
-        &self,
-        faults: &[Fault],
-        trace: &GoodTrace,
-    ) -> (Vec<Option<usize>>, WorkCounters) {
-        let mut scratch = self.scratch();
-        let mut out = Vec::new();
-        let counters = self.fault_sim_into(faults, trace, &mut scratch, &mut out);
-        (out, counters)
-    }
-
-    /// The zero-allocation workhorse:
-    /// [`fault_sim_with_trace_counted`](Self::fault_sim_with_trace_counted)
-    /// writing verdicts into a caller-owned vector and running every
-    /// 64-fault word through the reusable `scratch` arena. Once
-    /// `scratch` and `out` are warm (one prior call of at least this
-    /// size), a call performs no heap allocation at all — the property
-    /// the allocation-counter integration test pins down.
     pub fn fault_sim_into(
         &self,
         faults: &[Fault],
@@ -194,11 +176,12 @@ impl<W: Rail> ParallelFaultSim<W> {
     /// The good trace is computed once and shared read-only; each worker
     /// owns one [`SimScratch`] arena (built in the pool's per-worker
     /// init) and simulates whole 64-lane words, and verdicts are merged
-    /// in fault order, so the result is identical to the serial
-    /// [`fault_sim`](Self::fault_sim) for every thread count. Also
-    /// returns the work distribution and the summed [`WorkCounters`]
-    /// (good-machine run included), which are bit-identical for every
-    /// thread count because each word's contribution is chunk-local.
+    /// in fault order, so the verdicts are identical for every thread
+    /// count; one worker runs inline, which is what
+    /// [`fault_sim`](Self::fault_sim) does. Also returns the work
+    /// distribution and the summed [`WorkCounters`] (good-machine run
+    /// included), which are bit-identical for every thread count
+    /// because each word's contribution is chunk-local.
     pub fn fault_sim_sharded(
         &self,
         vectors: &[Vec<V3>],
@@ -608,7 +591,7 @@ mod tests {
         let init = vec![V3::X; 7];
         let sim = ParallelFaultSim::new(&c);
         let trace = sim.good_trace(&vectors, &init);
-        let (via_trace, work) = sim.fault_sim_with_trace_counted(&faults, &trace);
+        let (via_trace, _, work) = sim.fault_sim_sharded_with_trace(&faults, &trace, 1);
         assert_eq!(via_trace, sim.fault_sim(&vectors, &init, &faults));
         assert!(work.cone_nets > 0, "cones must be accounted");
         // The whole point: incremental cone simulation does strictly less
@@ -636,7 +619,7 @@ mod tests {
         let init = vec![V3::X; 6];
         let sim = ParallelFaultSim::new(&c);
         let trace = sim.good_trace(&vectors, &init);
-        let (reference, ref_work) = sim.fault_sim_with_trace_counted(&faults, &trace);
+        let (reference, _, ref_work) = sim.fault_sim_sharded_with_trace(&faults, &trace, 1);
         let mut scratch = sim.scratch();
         let mut out = Vec::new();
         for round in 0..3 {
@@ -662,8 +645,8 @@ mod tests {
         let narrow = ParallelFaultSim::new(&c);
         let wide = ParallelFaultSim::<R256>::new_wide(&c);
         let trace = narrow.good_trace(&vectors, &init);
-        let (nres, nwork) = narrow.fault_sim_with_trace_counted(&faults, &trace);
-        let (wres, wwork) = wide.fault_sim_with_trace_counted(&faults, &trace);
+        let (nres, _, nwork) = narrow.fault_sim_sharded_with_trace(&faults, &trace, 1);
+        let (wres, _, wwork) = wide.fault_sim_sharded_with_trace(&faults, &trace, 1);
         assert_eq!(wres, nres, "verdicts must be width-invariant");
         assert_eq!(wwork.scratch_reuses, faults.len().div_ceil(256) as u64);
         assert!(

@@ -1,7 +1,13 @@
 //! Cross-crate property-based tests on the core invariants.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
+use fscan::{
+    alternating_vectors, classify_faults, compact_program, Category, CombPhase, CombPhaseConfig,
+    LaneWidth, ScanTest, TestProgram,
+};
 use fscan_fault::{all_faults, collapse, Fault};
 use fscan_netlist::{
     generate, parse_bench, write_bench, BenchReader, CompiledTopology, FanoutTable,
@@ -10,8 +16,8 @@ use fscan_netlist::{
 use fscan_scan::{insert_functional_scan, insert_mux_scan, TpiConfig};
 use fscan_sim::kernel::R256;
 use fscan_sim::{
-    CombEvaluator, ImplicationEngine, ImplicationEngine64, NetChange, PackedImplicationEngine,
-    ParallelFaultSim, SeqSim, TopoQueue, V3,
+    CombEvaluator, ImplicationEngine, NetChange, PackedImplicationEngine, ParallelFaultSim, SeqSim,
+    TopoQueue, V3,
 };
 
 fn arb_circuit() -> impl Strategy<Value = fscan_netlist::Circuit> {
@@ -460,7 +466,7 @@ proptest! {
 
         let faults = collapse(&circuit, &all_faults(&circuit));
         let mut scalar = ImplicationEngine::new(&circuit, &eval);
-        let mut packed = ImplicationEngine64::new(&circuit, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::new(&circuit, &eval);
         for word in faults.chunks(64) {
             packed.run_word(&good, word);
             for (lane, &fault) in word.iter().enumerate() {
@@ -528,6 +534,64 @@ proptest! {
         prop_assert_eq!(w.implication_words, (faults.len() as u64).div_ceil(256));
         prop_assert_eq!(w.kernel_gate_evals, w.gate_evals);
         prop_assert!(w.gate_evals <= s.gate_evals);
+    }
+
+    /// Oracle for one-pass reverse-order compaction: re-simulating every
+    /// test alone from all-X with the serial reference, the faults the
+    /// full pre-compaction program (the alternating sequence plus every
+    /// comb window) detects are exactly the faults the compacted program
+    /// detects, and the report counts that same set before and after —
+    /// at 64 and 256 lanes and at 1 and 2 threads, which all keep the
+    /// same tests.
+    #[test]
+    fn compaction_keeps_every_detection(circuit in arb_circuit()) {
+        let design = insert_functional_scan(&circuit, &TpiConfig::default()).expect("tpi");
+        let faults = collapse(design.circuit(), &all_faults(design.circuit()));
+        let classified = classify_faults(&design, &faults);
+        let affected: Vec<Fault> = classified
+            .iter()
+            .filter(|c| c.category != Category::Unaffected)
+            .map(|c| c.fault)
+            .collect();
+        let hard: Vec<Fault> = classified
+            .iter()
+            .filter(|c| c.category == Category::Hard)
+            .map(|c| c.fault)
+            .collect();
+        let mut program = TestProgram::new();
+        program.push(ScanTest::new("alternating", alternating_vectors(&design)));
+        for test in CombPhase::new(&design, CombPhaseConfig::default()).run(&hard).program {
+            program.push(test);
+        }
+        let sim = SeqSim::new(design.circuit());
+        let init = vec![V3::X; design.circuit().dffs().len()];
+        let detected = |program: &TestProgram| {
+            let mut caught = BTreeSet::new();
+            for test in program.tests() {
+                let verdicts = sim.fault_sim(&test.vectors, &init, &affected);
+                caught.extend(verdicts.iter().enumerate().filter_map(|(i, d)| d.map(|_| i)));
+            }
+            caught
+        };
+        let before = detected(&program);
+        let mut kept: Option<TestProgram> = None;
+        for width in [LaneWidth::W64, LaneWidth::W256] {
+            for threads in [1, 2] {
+                let outcome = compact_program(&design, program.clone(), &affected, threads, width);
+                let report = &outcome.report;
+                prop_assert_eq!(report.tests_before, program.len());
+                prop_assert_eq!(report.detected_before, before.len());
+                prop_assert_eq!(report.detected_after, report.detected_before);
+                prop_assert_eq!(report.lost, 0);
+                match &kept {
+                    Some(k) => prop_assert_eq!(&outcome.program, k, "{:?} x {}", width, threads),
+                    None => {
+                        prop_assert_eq!(detected(&outcome.program), before.clone());
+                        kept = Some(outcome.program);
+                    }
+                }
+            }
+        }
     }
 }
 
