@@ -1,8 +1,6 @@
 //! Time-frame expansion: unrolling a sequential circuit into a
 //! combinational model.
 
-use std::collections::HashMap;
-
 use fscan_fault::{Fault, FaultSite};
 use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
 
@@ -106,7 +104,7 @@ impl Unrolled {
                     // A DFF output stem in frame t is the state input of
                     // frame t: for t == 0 the state0 input, otherwise the
                     // capture buffer of frame t-1.
-                    let k = original.dffs().iter().position(|&d| d == n)?;
+                    let k = map.dff_index(n)?;
                     let node = if t == 0 {
                         self.state0[k]
                     } else {
@@ -114,15 +112,15 @@ impl Unrolled {
                     };
                     Some(Fault::stem(node, fault.stuck))
                 } else {
-                    Some(Fault::stem(*map.node.get(&(t, n))?, fault.stuck))
+                    Some(Fault::stem(map.get(t, n)?, fault.stuck))
                 }
             }
             FaultSite::Branch { gate, pin } => {
                 if original.node(gate).kind() == GateKind::Dff {
-                    let k = original.dffs().iter().position(|&d| d == gate)?;
+                    let k = map.dff_index(gate)?;
                     Some(Fault::stem(self.capture[t][k], fault.stuck))
                 } else {
-                    Some(Fault::branch(*map.node.get(&(t, gate))?, pin, fault.stuck))
+                    Some(Fault::branch(map.get(t, gate)?, pin, fault.stuck))
                 }
             }
         }
@@ -131,10 +129,40 @@ impl Unrolled {
 
 /// Mapping from `(frame, original node)` to unrolled nodes, for gates
 /// and primary inputs (flip-flops map through state/capture tables).
+///
+/// Two dense tables built once per unroll: one per frame indexed by
+/// original node id, and each original node's flip-flop index.
 #[derive(Clone, Debug, Default)]
 pub struct FrameMap {
-    /// `(frame, original id)` → unrolled id.
-    pub node: HashMap<(usize, NodeId), NodeId>,
+    /// `frames[t][original id]`: the frame-`t` copy, if the node has one.
+    frames: Vec<Vec<Option<NodeId>>>,
+    /// `dff[original id]`: the node's index in `Circuit::dffs`, if any.
+    dff: Vec<Option<usize>>,
+}
+
+impl FrameMap {
+    fn new(circuit: &Circuit, frames: usize) -> FrameMap {
+        let mut dff = vec![None; circuit.num_nodes()];
+        for (k, &ff) in circuit.dffs().iter().enumerate() {
+            dff[ff.index()] = Some(k);
+        }
+        FrameMap {
+            frames: Vec::with_capacity(frames),
+            dff,
+        }
+    }
+
+    /// The frame-`frame` copy of original node `node`: `None` for
+    /// flip-flops, and for frames or nodes outside the unroll.
+    pub fn get(&self, frame: usize, node: NodeId) -> Option<NodeId> {
+        *self.frames.get(frame)?.get(node.index())?
+    }
+
+    /// Original node `node`'s index in `Circuit::dffs`, if it is a
+    /// flip-flop.
+    fn dff_index(&self, node: NodeId) -> Option<usize> {
+        *self.dff.get(node.index())?
+    }
 }
 
 /// Unrolls `circuit` over `frames` time frames. See [`Unrolled`].
@@ -163,7 +191,7 @@ pub fn unroll_with_map_using(
     assert!(frames > 0, "need at least one frame");
     debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
     let mut out = Circuit::new(format!("{}@x{}", circuit.name(), frames));
-    let mut map = FrameMap::default();
+    let mut map = FrameMap::new(circuit, frames);
 
     // Frame-0 state inputs.
     let state0: Vec<NodeId> = circuit
@@ -180,6 +208,7 @@ pub fn unroll_with_map_using(
     let mut state = state0.clone();
 
     for t in 0..frames {
+        let mut frame: Vec<Option<NodeId>> = vec![None; circuit.num_nodes()];
         // Fresh PIs for the frame.
         let pis: Vec<NodeId> = circuit
             .inputs()
@@ -187,21 +216,18 @@ pub fn unroll_with_map_using(
             .enumerate()
             .map(|(k, &orig)| {
                 let id = out.add_input(format!("pi{t}_{k}"));
-                map.node.insert((t, orig), id);
+                frame[orig.index()] = Some(id);
                 id
             })
             .collect();
         // Copy combinational nodes in topological order.
-        let resolve = |map: &FrameMap, state: &[NodeId], orig: NodeId| -> NodeId {
-            if let Some(&m) = map.node.get(&(t, orig)) {
-                return m;
-            }
-            let k = circuit
-                .dffs()
-                .iter()
-                .position(|&d| d == orig)
-                .expect("unresolved fanin must be a flip-flop");
-            state[k]
+        let resolve = |frame: &[Option<NodeId>], state: &[NodeId], orig: NodeId| -> NodeId {
+            frame[orig.index()].unwrap_or_else(|| {
+                let k = map
+                    .dff_index(orig)
+                    .expect("unresolved fanin must be a flip-flop");
+                state[k]
+            })
         };
         for &id in topo.order() {
             let node = circuit.node(id);
@@ -212,7 +238,7 @@ pub fn unroll_with_map_using(
             let fanin: Vec<NodeId> = node
                 .fanin()
                 .iter()
-                .map(|&f| resolve(&map, &state, f))
+                .map(|&f| resolve(&frame, &state, f))
                 .collect();
             let name = format!("{}_{t}", node.name().unwrap_or("n"));
             let new_id = if matches!(kind, GateKind::Const0 | GateKind::Const1) {
@@ -220,13 +246,13 @@ pub fn unroll_with_map_using(
             } else {
                 out.add_gate(kind, fanin, name)
             };
-            map.node.insert((t, id), new_id);
+            frame[id.index()] = Some(new_id);
         }
         // Frame POs.
         let pos: Vec<NodeId> = circuit
             .outputs()
             .iter()
-            .map(|&o| resolve(&map, &state, o))
+            .map(|&o| resolve(&frame, &state, o))
             .collect();
         for &p in &pos {
             out.mark_output(p);
@@ -238,11 +264,12 @@ pub fn unroll_with_map_using(
             .enumerate()
             .map(|(k, &ff)| {
                 let d = circuit.node(ff).fanin()[0];
-                let src = resolve(&map, &state, d);
+                let src = resolve(&frame, &state, d);
                 out.add_gate(GateKind::Buf, vec![src], format!("cap{t}_{k}"))
             })
             .collect();
         state = captures.clone();
+        map.frames.push(frame);
         pi_all.push(pis);
         capture_all.push(captures);
         po_all.push(pos);
@@ -340,6 +367,27 @@ mod tests {
         assert_eq!(f0, Fault::stem(u.state0(0), false));
         let f1 = u.map_fault(&c, Fault::stem(ff, false), 1, &map).unwrap();
         assert_eq!(f1, Fault::stem(u.capture(0, 0), false));
+    }
+
+    #[test]
+    fn frame_map_covers_inputs_and_gates_but_not_flip_flops() {
+        let mut c = Circuit::new("acc");
+        let pi = c.add_input("pi");
+        let ff = c.add_dff_placeholder("ff");
+        let x = c.add_gate(GateKind::Xor, vec![ff, pi], "x");
+        c.set_dff_input(ff, x).unwrap();
+        c.mark_output(x);
+        let (u, map) = unroll_with_map(&c, 3);
+        for t in 0..3 {
+            assert_eq!(map.get(t, pi), Some(u.pi(t, 0)));
+            assert_eq!(map.get(t, ff), None);
+            let copy = map.get(t, x).expect("gate copied in every frame");
+            let name = format!("x_{t}");
+            assert_eq!(u.circuit().node(copy).name(), Some(name.as_str()));
+            assert_eq!(u.pos(t), &[copy]);
+        }
+        assert_eq!(map.get(3, x), None, "no fourth frame");
+        assert_eq!(map.get(0, NodeId::from_index(c.num_nodes())), None);
     }
 
     #[test]

@@ -32,7 +32,13 @@ use crate::pool::ShardStats;
 ///   a retraction restores the values it undoes from the search's undo
 ///   trail and books nothing.
 /// * `lane_cycles` — Σ over simulated cycles of the number of active
-///   fault lanes (a serial simulation contributes 1 per cycle).
+///   fault lanes (a serial simulation contributes 1 per cycle). In a
+///   single-word
+///   [`fault_sim_sharded`](crate::ParallelFaultSim::fault_sim_sharded)
+///   call the good machine is stepped only as far as the word reads
+///   it, so its `gate_evals` and `lane_cycles` cover only the cycles
+///   through the word's last detection (all of them if a lane stays
+///   undetected).
 /// * `implication_events` — nodes popped and re-evaluated by
 ///   [`ImplicationEngine::run`](crate::ImplicationEngine::run).
 /// * `cone_nets` — nets a fault can structurally reach: sizes of the

@@ -184,10 +184,28 @@ pub fn pack_order(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec
         topo.num_nodes(),
         "steady values must cover every node"
     );
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_cached_key(pack_key(topo, good, faults));
+    order
+}
+
+/// A fault's sort key in [`pack_order`]: effect class, sensitized
+/// position, node, pin, polarity, and last its index into the fault
+/// list, which makes every key unique — so any correct sort of the keys
+/// gives the same order.
+type PackKey = ((u8, u32, u8), u32, usize, usize, bool, usize);
+
+/// The key of fault index `i` under the `good` steady state. It walks
+/// the fault's fanout-free chain with kernel evaluations, so
+/// [`pack_order`] computes it once per fault rather than per comparison.
+fn pack_key<'a>(
+    topo: &'a CompiledTopology,
+    good: &'a [V3],
+    faults: &'a [Fault],
+) -> impl Fn(&usize) -> PackKey + 'a {
     let dfs = sensitized_positions(topo, good);
     let heads = ffr_heads(topo);
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_unstable_by_key(|&i| {
+    move |&i| {
         let f = faults[i];
         let (node, pin) = match f.site {
             FaultSite::Stem(n) => (n, usize::MAX),
@@ -198,8 +216,7 @@ pub fn pack_order(topo: &CompiledTopology, good: &[V3], faults: &[Fault]) -> Vec
             None => (1u8, dfs[heads[node.index()] as usize], 0),
         };
         (class, dfs[node.index()], node.index(), pin, f.stuck, i)
-    });
-    order
+    }
 }
 
 #[cfg(test)]
@@ -235,6 +252,38 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.into_iter().all(|s| s));
+    }
+
+    #[test]
+    fn cached_keys_give_the_uncached_order() {
+        use crate::comb::CombEvaluator;
+        use fscan_fault::collapse;
+        use fscan_netlist::{generate, GeneratorConfig};
+        for seed in 0..6u64 {
+            let c = generate(
+                &GeneratorConfig::new(format!("k{seed}"), seed)
+                    .inputs(7)
+                    .gates(160)
+                    .dffs(8),
+            );
+            let topo = CompiledTopology::compile(&c);
+            // Steady values with some inputs known, so that many faults
+            // excite and walk their chains, and some stay X.
+            let eval = CombEvaluator::new(&c);
+            let mut good = vec![V3::X; c.num_nodes()];
+            for (k, &pi) in c.inputs().iter().enumerate() {
+                good[pi.index()] = match (k as u64 + seed) % 3 {
+                    0 => V3::Zero,
+                    1 => V3::One,
+                    _ => V3::X,
+                };
+            }
+            eval.eval(&c, &mut good);
+            let faults = collapse(&c, &all_faults(&c));
+            let mut uncached: Vec<usize> = (0..faults.len()).collect();
+            uncached.sort_unstable_by_key(pack_key(&topo, &good, &faults));
+            assert_eq!(pack_order(&topo, &good, &faults), uncached, "seed {seed}");
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@ use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
-use crate::event::{GoodTrace, TopoQueue};
+use crate::event::{GoodCycles, GoodMachine, GoodTrace, TopoQueue};
 use crate::kernel::Rail;
 use crate::packed::Pv;
+use crate::pool::ShardStats;
 use crate::scratch::{SimScratch, NO_ENTRY};
 use crate::value::V3;
 
@@ -23,7 +24,9 @@ use crate::value::V3;
 /// The good machine is simulated once per vector sequence (event-driven,
 /// see [`GoodTrace`]) and replayed read-only by every fault word — the
 /// trace is scalar and width-independent, so widening the rail divides
-/// the number of cone walks without touching the good machine.
+/// the number of cone walks without touching the good machine. A list
+/// that fits one word simulates the good machine only as far as the
+/// word reads it (see [`fault_sim_sharded`](Self::fault_sim_sharded)).
 /// Each word restricts itself to the union fanout cone of its fault
 /// sites — nets outside the cone provably carry good values — and within
 /// the cone only gates whose inputs changed since the previous cycle are
@@ -173,22 +176,47 @@ impl<W: Rail> ParallelFaultSim<W> {
     /// [`fault_sim`](Self::fault_sim) sharded across `threads` scoped
     /// workers (`0` = hardware thread count).
     ///
-    /// The good trace is computed once and shared read-only; each worker
-    /// owns one [`SimScratch`] arena (built in the pool's per-worker
-    /// init) and simulates whole 64-lane words, and verdicts are merged
-    /// in fault order, so the verdicts are identical for every thread
-    /// count; one worker runs inline, which is what
-    /// [`fault_sim`](Self::fault_sim) does. Also returns the work
-    /// distribution and the summed [`WorkCounters`] (good-machine run
-    /// included), which are bit-identical for every thread count
-    /// because each word's contribution is chunk-local.
+    /// How the good machine runs depends on the list's size alone, so
+    /// verdicts and counters are identical for every thread count:
+    ///
+    /// * an empty list simulates nothing;
+    /// * a list of at most 64 faults on a wider rail runs on the 64-lane
+    ///   rail: it is one word at either width, so verdicts and every
+    ///   counter are the same, and the narrow word is cheaper;
+    /// * a list that fits one word runs inline, pulling each good cycle
+    ///   from a one-cycle stepper just before reading it, so the good
+    ///   machine stops once every lane is detected — its `gate_evals`
+    ///   and `lane_cycles` cover only the cycles the word read;
+    /// * a longer list computes the good trace once and shares it
+    ///   read-only: each worker owns one [`SimScratch`] arena (built in
+    ///   the pool's per-worker init) and simulates whole words, and
+    ///   verdicts are merged in fault order.
+    ///
+    /// Also returns the work distribution and the summed
+    /// [`WorkCounters`] (good-machine run included), which are
+    /// bit-identical for every thread count because each word's
+    /// contribution is chunk-local.
     pub fn fault_sim_sharded(
         &self,
         vectors: &[Vec<V3>],
         init: &[V3],
         faults: &[Fault],
         threads: usize,
-    ) -> (Vec<Option<usize>>, crate::pool::ShardStats, WorkCounters) {
+    ) -> (Vec<Option<usize>>, ShardStats, WorkCounters) {
+        if let Some(narrow) = self.narrowed(faults) {
+            return narrow.fault_sim_sharded(vectors, init, faults, threads);
+        }
+        if faults.is_empty() {
+            return (Vec::new(), ShardStats::idle(threads), WorkCounters::ZERO);
+        }
+        if faults.len() <= W::LANES as usize {
+            let mut good = GoodMachine::new(&self.eval, None, vectors, init);
+            let mut out = vec![None; faults.len()];
+            let mut counters =
+                self.simulate_chunk(faults, &mut good, &mut self.scratch(), &mut out);
+            counters += good.trace().counters();
+            return (out, ShardStats::serial(faults.len()), counters);
+        }
         let trace = self.good_trace(vectors, init);
         let (detections, stats, mut counters) =
             self.fault_sim_sharded_with_trace(faults, &trace, threads);
@@ -199,15 +227,20 @@ impl<W: Rail> ParallelFaultSim<W> {
     /// [`fault_sim_sharded`](Self::fault_sim_sharded) against a
     /// caller-supplied good trace — the incremental-rerun entry point,
     /// where the trace comes from [`GoodTrace::replay_from`] rather
-    /// than a fresh [`good_trace`](Self::good_trace). The returned
-    /// counters cover only the faulty machines; the caller owns the
-    /// trace's own [`GoodTrace::counters`] accounting.
+    /// than a fresh [`good_trace`](Self::good_trace). A list of at most
+    /// 64 faults on a wider rail runs on the 64-lane rail, with the
+    /// same verdicts and counters. The returned counters cover only the
+    /// faulty machines; the caller owns the trace's own
+    /// [`GoodTrace::counters`] accounting.
     pub fn fault_sim_sharded_with_trace(
         &self,
         faults: &[Fault],
         trace: &GoodTrace,
         threads: usize,
-    ) -> (Vec<Option<usize>>, crate::pool::ShardStats, WorkCounters) {
+    ) -> (Vec<Option<usize>>, ShardStats, WorkCounters) {
+        if let Some(narrow) = self.narrowed(faults) {
+            return narrow.fault_sim_sharded_with_trace(faults, trace, threads);
+        }
         crate::pool::shard_map_counted(
             threads,
             W::LANES as usize,
@@ -221,8 +254,22 @@ impl<W: Rail> ParallelFaultSim<W> {
         )
     }
 
-    /// Simulates one 64-fault word against the shared good trace, using
-    /// (and resetting) the caller's scratch arena.
+    /// This simulator on the 64-lane rail, over the same topology, when
+    /// the rail is wider and `faults` fits one 64-lane word: one word
+    /// books the same verdicts and counters at every width, and the
+    /// narrow word evaluates and allocates less.
+    fn narrowed(&self, faults: &[Fault]) -> Option<ParallelFaultSim> {
+        (W::LANES > 64 && faults.len() <= 64).then(|| ParallelFaultSim {
+            eval: self.eval.clone(),
+            _width: PhantomData,
+        })
+    }
+
+    /// Simulates one word of at most `W::LANES` faults against the good
+    /// machine, using (and resetting) the caller's scratch arena. Each
+    /// cycle is read from `good` just before the word needs it, so a
+    /// stepping machine simulates no cycle after the word's last
+    /// detection.
     ///
     /// Restricted to the union fanout cone of the word's fault sites:
     /// every net outside the cone carries the good value in every lane
@@ -235,7 +282,7 @@ impl<W: Rail> ParallelFaultSim<W> {
     fn simulate_chunk(
         &self,
         chunk: &[Fault],
-        trace: &GoodTrace,
+        mut good: impl GoodCycles,
         scratch: &mut SimScratch<W>,
         detection: &mut [Option<usize>],
     ) -> WorkCounters {
@@ -244,7 +291,8 @@ impl<W: Rail> ParallelFaultSim<W> {
         debug_assert_eq!(detection.len(), chunk.len());
         let mut counters = WorkCounters::ZERO;
         counters.scratch_reuses += 1;
-        if trace.cycles() == 0 {
+        let cycles = good.cycles();
+        if cycles == 0 {
             return counters;
         }
         let n_lanes = chunk.len() as u32;
@@ -365,7 +413,7 @@ impl<W: Rail> ParallelFaultSim<W> {
 
         // Current good values (replayed from the trace's deltas); faulty
         // lanes' values are meaningful only inside the cone.
-        good_now.copy_from_slice(trace.values0());
+        good_now.copy_from_slice(good.through(0).values0());
         let schedule = |queue: &mut TopoQueue, id: NodeId| {
             for &sink in topo.fanout_sinks(id) {
                 if in_cone(sink) && topo.kind(sink).is_gate() {
@@ -378,7 +426,8 @@ impl<W: Rail> ParallelFaultSim<W> {
         };
 
         let mut detected_mask = W::EMPTY;
-        for t in 0..trace.cycles() {
+        for t in 0..cycles {
+            let trace = good.through(t);
             counters.lane_cycles += u64::from(n_lanes);
             if t == 0 {
                 // Seed: every in-cone net starts at the good snapshot
@@ -482,7 +531,7 @@ impl<W: Rail> ParallelFaultSim<W> {
                 }
             }
             if detected_mask == full_mask {
-                if t + 1 < trace.cycles() {
+                if t + 1 < cycles {
                     counters.early_exits += 1;
                 }
                 break;

@@ -65,6 +65,16 @@ impl ShardStats {
         }
     }
 
+    /// Stats for a stage handed no items: the resolved worker count
+    /// (`0` = hardware thread count), none of which processed anything.
+    pub(crate) fn idle(threads: usize) -> ShardStats {
+        let threads = resolve_threads(threads);
+        ShardStats {
+            threads,
+            per_worker: vec![0; threads],
+        }
+    }
+
     /// Total items processed.
     pub fn items(&self) -> usize {
         self.per_worker.iter().sum()
@@ -201,14 +211,7 @@ where
         // here made `ShardStats::absorb` (and the per-stage reports)
         // understate worker counts for stages that ever saw an empty
         // item list.
-        return (
-            Vec::new(),
-            ShardStats {
-                threads,
-                per_worker: vec![0; threads],
-            },
-            WorkCounters::ZERO,
-        );
+        return (Vec::new(), ShardStats::idle(threads), WorkCounters::ZERO);
     }
     // Fixed chunk geometry: ~4 chunks per worker for load balance, but
     // never below `min_chunk`. Chunk boundaries influence only the work

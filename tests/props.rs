@@ -16,8 +16,8 @@ use fscan_netlist::{
 use fscan_scan::{insert_functional_scan, insert_mux_scan, TpiConfig};
 use fscan_sim::kernel::R256;
 use fscan_sim::{
-    CombEvaluator, ImplicationEngine, NetChange, PackedImplicationEngine, ParallelFaultSim, SeqSim,
-    TopoQueue, V3,
+    CombEvaluator, GoodTrace, ImplicationEngine, NetChange, PackedImplicationEngine,
+    ParallelFaultSim, SeqSim, TopoQueue, WorkCounters, V3,
 };
 
 fn arb_circuit() -> impl Strategy<Value = fscan_netlist::Circuit> {
@@ -52,6 +52,36 @@ fn arb_vectors(inputs: usize, cycles: usize) -> impl Strategy<Value = Vec<Vec<V3
         ),
         1..cycles,
     )
+}
+
+/// The cycles a single fault word reads: through its last detection
+/// when every lane is detected, otherwise the whole sequence.
+fn cycles_read(verdicts: &[Option<usize>], cycles: usize) -> usize {
+    if verdicts.is_empty() {
+        return 0;
+    }
+    verdicts
+        .iter()
+        .try_fold(0, |last, d| d.map(|t| last.max(t + 1)))
+        .unwrap_or(cycles)
+}
+
+/// One fault simulation's verdicts and counters.
+type Simulated = (Vec<Option<usize>>, WorkCounters);
+
+/// `fault_sim_sharded`, and `fault_sim_sharded_with_trace` over the
+/// `eager` trace, at one width.
+fn sharded_at<W: fscan_sim::kernel::Rail>(
+    sim: &ParallelFaultSim<W>,
+    vectors: &[Vec<V3>],
+    init: &[V3],
+    faults: &[Fault],
+    eager: &GoodTrace,
+    threads: usize,
+) -> (Simulated, Simulated) {
+    let (verdicts, _, work) = sim.fault_sim_sharded(vectors, init, faults, threads);
+    let (eager_verdicts, _, faulty) = sim.fault_sim_sharded_with_trace(faults, eager, threads);
+    ((verdicts, work), (eager_verdicts, faulty))
 }
 
 proptest! {
@@ -588,6 +618,103 @@ proptest! {
                     None => {
                         prop_assert_eq!(detected(&outcome.program), before.clone());
                         kept = Some(outcome.program);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Oracle for the single-word fault-sim path. A list that fits one
+    /// word steps its good machine only as far as the word reads it,
+    /// and a list of at most 64 faults runs on the 64-lane rail at
+    /// either width. On random circuits and three-valued vectors, for
+    /// lists of 0, 1–64, 65–256 and more than 256 faults, at 64 and 256
+    /// lanes and 1 and 2 threads:
+    ///
+    /// * verdicts equal the serial reference's;
+    /// * against an eagerly computed trace, the verdicts and the faulty
+    ///   machines' counters are equal, and the good machine's
+    ///   `gate_evals` never exceed the eager trace's;
+    /// * one word's good machine ran exactly the cycles the word read,
+    ///   and stepping it k cycles records the eager trace's first k
+    ///   cycles; several words share the eager trace, counters and all;
+    /// * at most 64 faults give identical counters at both widths.
+    #[test]
+    fn single_word_fault_sim_matches_eager_and_serial(
+        circuit in arb_circuit(),
+        vectors in arb_vectors(10, 24),
+        pick in any::<u64>(),
+    ) {
+        let n = circuit.inputs().len();
+        let vectors: Vec<Vec<V3>> = vectors
+            .into_iter()
+            .map(|mut v| { v.resize(n, V3::X); v })
+            .collect();
+        let init = vec![V3::X; circuit.dffs().len()];
+        let eval = CombEvaluator::new(&circuit);
+        let eager = GoodTrace::compute(&eval, &vectors, &init);
+        let serial_sim = SeqSim::new(&circuit);
+        let narrow = ParallelFaultSim::new(&circuit);
+        let wide = ParallelFaultSim::<R256>::new_wide(&circuit);
+        // Lists longer than their pool repeat faults; every lane is
+        // simulated on its own, so the reference still holds. One list
+        // is drawn from the detected faults alone, so that its word is
+        // fully detected and its good machine can stop early.
+        let universe = all_faults(&circuit);
+        let verdicts = serial_sim.fault_sim(&vectors, &init, &universe);
+        let detected: Vec<Fault> = universe
+            .iter()
+            .zip(&verdicts)
+            .filter_map(|(&f, d)| d.map(|_| f))
+            .collect();
+        let pick = pick as usize;
+        let lists = [
+            (&universe, 0),
+            (if detected.is_empty() { &universe } else { &detected }, 1 + pick % 64),
+            (&universe, 1 + (pick >> 6) % 64),
+            (&universe, 65 + (pick >> 12) % 192),
+            (&universe, 257 + (pick >> 20) % 160),
+        ];
+        for (pool, size) in lists {
+            let faults: Vec<Fault> =
+                pool.iter().cycle().skip(pick % pool.len()).take(size).copied().collect();
+            let serial = serial_sim.fault_sim(&vectors, &init, &faults);
+            let mut first_work: Option<WorkCounters> = None;
+            for lanes in [64, 256] {
+                for threads in [1, 2] {
+                    let ((verdicts, work), (eager_verdicts, faulty)) = if lanes == 64 {
+                        sharded_at(&narrow, &vectors, &init, &faults, &eager, threads)
+                    } else {
+                        sharded_at(&wide, &vectors, &init, &faults, &eager, threads)
+                    };
+                    let at = format!("{size} faults, {lanes} lanes, {threads} threads");
+                    prop_assert_eq!(&verdicts, &serial, "{}", at);
+                    prop_assert_eq!(&eager_verdicts, &serial, "{}", at);
+                    prop_assert_eq!(work.kernel_gate_evals, faulty.kernel_gate_evals, "{}", at);
+                    prop_assert_eq!(work.cone_nets, faulty.cone_nets, "{}", at);
+                    prop_assert_eq!(work.scratch_reuses, faulty.scratch_reuses, "{}", at);
+                    prop_assert_eq!(work.early_exits, faulty.early_exits, "{}", at);
+                    let good_evals = work.gate_evals - faulty.gate_evals;
+                    let good_cycles = work.lane_cycles - faulty.lane_cycles;
+                    prop_assert!(good_evals <= eager.counters().gate_evals, "{}", at);
+                    if size <= lanes {
+                        let read = cycles_read(&verdicts, vectors.len());
+                        let stepped = GoodTrace::compute(&eval, &vectors[..read], &init);
+                        prop_assert_eq!(good_cycles, read as u64, "{}", at);
+                        prop_assert_eq!(good_evals, stepped.counters().gate_evals, "{}", at);
+                        prop_assert_eq!(stepped.outputs(), &eager.outputs()[..read], "{}", at);
+                        if read > 0 {
+                            prop_assert_eq!(stepped.values0(), eager.values0(), "{}", at);
+                        }
+                        for t in 1..read {
+                            prop_assert!(stepped.changes(t).eq(eager.changes(t)), "{} cycle {}", at, t);
+                        }
+                    } else {
+                        prop_assert_eq!(work, faulty + eager.counters(), "{}", at);
+                    }
+                    if size <= 64 {
+                        let first = *first_work.get_or_insert(work);
+                        prop_assert_eq!(work, first, "{} vs the first run", at);
                     }
                 }
             }
