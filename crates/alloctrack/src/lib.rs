@@ -188,7 +188,9 @@ impl MemMark {
     /// `realloc` calls since this mark was taken. 0 when no tracking
     /// allocator is installed.
     pub fn reallocs(&self) -> u64 {
-        REALLOCS.load(Ordering::Relaxed).saturating_sub(self.reallocs_at)
+        REALLOCS
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.reallocs_at)
     }
 }
 

@@ -97,7 +97,13 @@ impl Unrolled {
     ///
     /// Returns `None` if the faulted structure has no copy in the frame
     /// (cannot happen for faults enumerated from the original circuit).
-    pub fn map_fault(&self, original: &Circuit, fault: Fault, t: usize, map: &FrameMap) -> Option<Fault> {
+    pub fn map_fault(
+        &self,
+        original: &Circuit,
+        fault: Fault,
+        t: usize,
+        map: &FrameMap,
+    ) -> Option<Fault> {
         match fault.site {
             FaultSite::Stem(n) => {
                 if original.node(n).kind() == GateKind::Dff {

@@ -440,9 +440,7 @@ impl HistoryPoint {
     pub fn total(&self, key: &str) -> u64 {
         self.circuits
             .iter()
-            .filter_map(|(_, counters)| {
-                counters.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-            })
+            .filter_map(|(_, counters)| counters.iter().find(|(k, _)| k == key).map(|(_, v)| *v))
             .sum()
     }
 }

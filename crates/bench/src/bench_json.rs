@@ -157,9 +157,6 @@ mod tests {
         let json = bench_json(&[small_report(1)], 0.05, 1, 256);
         let reparsed = parse(&json).unwrap();
         assert_eq!(reparsed.render_pretty(), json);
-        assert_eq!(
-            reparsed.get("scale").and_then(|v| v.as_f64()),
-            Some(0.05)
-        );
+        assert_eq!(reparsed.get("scale").and_then(|v| v.as_f64()), Some(0.05));
     }
 }

@@ -131,9 +131,7 @@ fn parse_args() -> Result<Options, String> {
             "--json" => {
                 // Optional path operand; defaults to BENCH_pipeline.json.
                 json = Some(match args.peek() {
-                    Some(next) if !next.starts_with("--") && !is_what(next) => {
-                        args.next().unwrap()
-                    }
+                    Some(next) if !next.starts_with("--") && !is_what(next) => args.next().unwrap(),
                     _ => "BENCH_pipeline.json".to_string(),
                 });
             }
@@ -165,8 +163,14 @@ fn selected(only: &Option<String>) -> Vec<&'static fscan_bench::SuiteCircuit> {
 }
 
 fn print_table1(opts: &Options) {
-    println!("Table 1: Test suite (synthetic substitutes at scale {}).", opts.scale);
-    println!("{:<10} {:>7} {:>6} {:>8} {:>7}", "name", "#gates", "#FFs", "#faults", "#chains");
+    println!(
+        "Table 1: Test suite (synthetic substitutes at scale {}).",
+        opts.scale
+    );
+    println!(
+        "{:<10} {:>7} {:>6} {:>8} {:>7}",
+        "name", "#gates", "#FFs", "#faults", "#chains"
+    );
     let mut gates = 0;
     let mut ffs = 0;
     let mut faults = 0;
@@ -179,7 +183,10 @@ fn print_table1(opts: &Options) {
         faults += row.faults;
         chains += row.chains;
     }
-    println!("{:<10} {gates:>7} {ffs:>6} {faults:>8} {chains:>7}", "total");
+    println!(
+        "{:<10} {gates:>7} {ffs:>6} {faults:>8} {chains:>7}",
+        "total"
+    );
 }
 
 fn pipeline_reports(opts: &Options) -> Vec<PipelineReport> {
@@ -343,10 +350,7 @@ impl Table3Totals {
 fn print_figure5(reports: &[PipelineReport]) {
     // The paper plots the largest circuit (s38584); plot the report with
     // the longest detection curve.
-    let Some(report) = reports
-        .iter()
-        .max_by_key(|r| r.comb.detection_curve.len())
-    else {
+    let Some(report) = reports.iter().max_by_key(|r| r.comb.detection_curve.len()) else {
         return;
     };
     let series = figure5(report);
@@ -454,12 +458,7 @@ fn stress(args: &[String]) -> ExitCode {
         total.cone_hist.total_cones()
     );
     if let Some(path) = &json {
-        let snapshot = bench_json(
-            &[out.report],
-            1.0,
-            cfg.threads,
-            cfg.lanes.lanes() as usize,
-        );
+        let snapshot = bench_json(&[out.report], 1.0, cfg.threads, cfg.lanes.lanes() as usize);
         if let Err(e) = std::fs::write(path, &snapshot) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -533,7 +532,11 @@ fn eco(args: &[String]) -> ExitCode {
         .expect("default budgets are valid");
     eprintln!(
         "eco scenario on {only} (scale {scale}, threads {}, {lanes}): cold base run...",
-        if threads == 0 { "auto".to_string() } else { threads.to_string() }
+        if threads == 0 {
+            "auto".to_string()
+        } else {
+            threads.to_string()
+        }
     );
     let design = std::sync::Arc::new(fscan_bench::build_design(circuit, scale));
     let session = fscan::PipelineSession::shared(std::sync::Arc::clone(&design), config);
@@ -855,28 +858,30 @@ fn check_baseline(args: &[String]) -> ExitCode {
     // regenerated and would trivially match itself.
     let read_stage = |path: &str, stage: &str, key: &str| -> Result<Vec<(String, u64)>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let stages = fscan_bench::parse_stage_counters(&text).map_err(|e| format!("{path}: {e}"))?;
+        let stages =
+            fscan_bench::parse_stage_counters(&text).map_err(|e| format!("{path}: {e}"))?;
         Ok(fscan_bench::stage_counter_totals(&stages, stage, key))
     };
-    let mut stage_gate = |ref_path: &str, stage: &str, key: &str, factor: f64| -> Result<(), String> {
-        let reference = read_stage(ref_path, stage, key)?;
-        let current = read_stage(cur_path, stage, key)?;
-        for (name, value) in &current {
-            if let Some((_, r)) = reference.iter().find(|(n, _)| n == name) {
-                println!(
-                    "{name}: {stage} {key} {value} vs reference {r} ({:.2}x)",
-                    *r as f64 / (*value).max(1) as f64
-                );
+    let mut stage_gate =
+        |ref_path: &str, stage: &str, key: &str, factor: f64| -> Result<(), String> {
+            let reference = read_stage(ref_path, stage, key)?;
+            let current = read_stage(cur_path, stage, key)?;
+            for (name, value) in &current {
+                if let Some((_, r)) = reference.iter().find(|(n, _)| n == name) {
+                    println!(
+                        "{name}: {stage} {key} {value} vs reference {r} ({:.2}x)",
+                        *r as f64 / (*value).max(1) as f64
+                    );
+                }
             }
-        }
-        failures.extend(fscan_bench::check_improvement(
-            &reference,
-            &current,
-            &format!("{stage} {key}"),
-            factor,
-        ));
-        Ok(())
-    };
+            failures.extend(fscan_bench::check_improvement(
+                &reference,
+                &current,
+                &format!("{stage} {key}"),
+                factor,
+            ));
+            Ok(())
+        };
     // Comb-stage gate: event-driven PODEM resimulation plus global
     // fault dropping against the committed pre-ATPG reference.
     let comb_gate = comb_reference
@@ -994,7 +999,12 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &opts.json {
-        let json = bench_json(&reports, opts.scale, opts.threads, opts.lanes.lanes() as usize);
+        let json = bench_json(
+            &reports,
+            opts.scale,
+            opts.threads,
+            opts.lanes.lanes() as usize,
+        );
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;

@@ -113,9 +113,7 @@ pub fn sample_faults(faults: &[Fault], n: usize) -> Vec<Fault> {
     if n == 0 || n >= faults.len() {
         return faults.to_vec();
     }
-    (0..n)
-        .map(|i| faults[i * faults.len() / n])
-        .collect()
+    (0..n).map(|i| faults[i * faults.len() / n]).collect()
 }
 
 /// Generates the stress circuit, inserts functional scan, and runs the
@@ -148,7 +146,8 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         num_chains: cfg.chains,
         ..TpiConfig::default()
     };
-    let design = insert_functional_scan(&circuit, &tpi).expect("scan insertion on generated circuit");
+    let design =
+        insert_functional_scan(&circuit, &tpi).expect("scan insertion on generated circuit");
     let nodes = design.topology().num_nodes();
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     let faults_total = faults.len();
@@ -159,8 +158,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         .lane_width(cfg.lanes)
         .build()
         .expect("default budgets are valid");
-    let report =
-        PipelineSession::shared_with_faults(Arc::new(design), pipeline, sampled).run();
+    let report = PipelineSession::shared_with_faults(Arc::new(design), pipeline, sampled).run();
     StressReport {
         report,
         nodes,
@@ -206,7 +204,12 @@ mod tests {
         assert!(wide > narrow, "{} lanes must dominate 64", R256::LANES);
         // One cone per classified fault, nothing more.
         assert_eq!(
-            out.report.classification.metrics.mem.cone_hist.total_cones(),
+            out.report
+                .classification
+                .metrics
+                .mem
+                .cone_hist
+                .total_cones(),
             out.faults_run as u64
         );
         assert_eq!(

@@ -26,18 +26,102 @@ pub struct SuiteCircuit {
 /// The 12 largest ISCAS'89 benchmarks the paper evaluates on, with
 /// their canonical gate/flip-flop/input counts.
 pub const PAPER_SUITE: [SuiteCircuit; 12] = [
-    SuiteCircuit { name: "s1196", gates: 529, dffs: 18, inputs: 14, chains: 1, seed: 0x1196 },
-    SuiteCircuit { name: "s1238", gates: 508, dffs: 18, inputs: 14, chains: 1, seed: 0x1238 },
-    SuiteCircuit { name: "s1423", gates: 657, dffs: 74, inputs: 17, chains: 1, seed: 0x1423 },
-    SuiteCircuit { name: "s1488", gates: 653, dffs: 6, inputs: 8, chains: 1, seed: 0x1488 },
-    SuiteCircuit { name: "s1494", gates: 647, dffs: 6, inputs: 8, chains: 1, seed: 0x1494 },
-    SuiteCircuit { name: "s5378", gates: 2779, dffs: 179, inputs: 35, chains: 2, seed: 0x5378 },
-    SuiteCircuit { name: "s9234", gates: 5597, dffs: 211, inputs: 36, chains: 2, seed: 0x9234 },
-    SuiteCircuit { name: "s13207", gates: 7951, dffs: 638, inputs: 62, chains: 4, seed: 0x13207 },
-    SuiteCircuit { name: "s15850", gates: 9772, dffs: 534, inputs: 77, chains: 4, seed: 0x15850 },
-    SuiteCircuit { name: "s35932", gates: 16065, dffs: 1728, inputs: 35, chains: 8, seed: 0x35932 },
-    SuiteCircuit { name: "s38417", gates: 22179, dffs: 1636, inputs: 28, chains: 8, seed: 0x38417 },
-    SuiteCircuit { name: "s38584", gates: 19253, dffs: 1426, inputs: 38, chains: 8, seed: 0x38584 },
+    SuiteCircuit {
+        name: "s1196",
+        gates: 529,
+        dffs: 18,
+        inputs: 14,
+        chains: 1,
+        seed: 0x1196,
+    },
+    SuiteCircuit {
+        name: "s1238",
+        gates: 508,
+        dffs: 18,
+        inputs: 14,
+        chains: 1,
+        seed: 0x1238,
+    },
+    SuiteCircuit {
+        name: "s1423",
+        gates: 657,
+        dffs: 74,
+        inputs: 17,
+        chains: 1,
+        seed: 0x1423,
+    },
+    SuiteCircuit {
+        name: "s1488",
+        gates: 653,
+        dffs: 6,
+        inputs: 8,
+        chains: 1,
+        seed: 0x1488,
+    },
+    SuiteCircuit {
+        name: "s1494",
+        gates: 647,
+        dffs: 6,
+        inputs: 8,
+        chains: 1,
+        seed: 0x1494,
+    },
+    SuiteCircuit {
+        name: "s5378",
+        gates: 2779,
+        dffs: 179,
+        inputs: 35,
+        chains: 2,
+        seed: 0x5378,
+    },
+    SuiteCircuit {
+        name: "s9234",
+        gates: 5597,
+        dffs: 211,
+        inputs: 36,
+        chains: 2,
+        seed: 0x9234,
+    },
+    SuiteCircuit {
+        name: "s13207",
+        gates: 7951,
+        dffs: 638,
+        inputs: 62,
+        chains: 4,
+        seed: 0x13207,
+    },
+    SuiteCircuit {
+        name: "s15850",
+        gates: 9772,
+        dffs: 534,
+        inputs: 77,
+        chains: 4,
+        seed: 0x15850,
+    },
+    SuiteCircuit {
+        name: "s35932",
+        gates: 16065,
+        dffs: 1728,
+        inputs: 35,
+        chains: 8,
+        seed: 0x35932,
+    },
+    SuiteCircuit {
+        name: "s38417",
+        gates: 22179,
+        dffs: 1636,
+        inputs: 28,
+        chains: 8,
+        seed: 0x38417,
+    },
+    SuiteCircuit {
+        name: "s38584",
+        gates: 19253,
+        dffs: 1426,
+        inputs: 38,
+        chains: 8,
+        seed: 0x38584,
+    },
 ];
 
 /// The generator configuration for a suite circuit at the given scale.

@@ -230,7 +230,12 @@ pub fn history_table(points: &[crate::baseline::HistoryPoint]) -> String {
     }
     out.push('\n');
     for p in points {
-        out.push_str(&format!("{:<14} {:>5} {:>4}", p.rev, p.lanes, p.circuits.len()));
+        out.push_str(&format!(
+            "{:<14} {:>5} {:>4}",
+            p.rev,
+            p.lanes,
+            p.circuits.len()
+        ));
         for (key, _) in HISTORY_COLUMNS {
             out.push_str(&format!(" {:>12}", p.total(key)));
         }

@@ -24,13 +24,22 @@ fn committed_baselines_rerender_byte_identically() {
         "BENCH_baseline_w64.json",
         "BENCH_baseline_pre_atpg.json",
     ] {
-        let Some(text) = repo_file(name) else { continue };
-        let doc = fscan::json::parse(&text)
-            .unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
-        assert_eq!(doc.render_pretty(), text, "{name} is not a printer fixed point");
+        let Some(text) = repo_file(name) else {
+            continue;
+        };
+        let doc =
+            fscan::json::parse(&text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+        assert_eq!(
+            doc.render_pretty(),
+            text,
+            "{name} is not a printer fixed point"
+        );
         checked += 1;
     }
-    assert!(checked > 0, "no committed baseline found next to the workspace");
+    assert!(
+        checked > 0,
+        "no committed baseline found next to the workspace"
+    );
 }
 
 #[test]
@@ -62,7 +71,10 @@ fn committed_baseline_counters_match_the_library_parsers() {
     let circuits = doc.get("circuits").and_then(|v| v.as_array()).unwrap();
     assert_eq!(circuits.len(), totals.len());
     for ((name, counters), circuit) in totals.iter().zip(circuits) {
-        assert_eq!(circuit.get("name").and_then(|v| v.as_str()), Some(name.as_str()));
+        assert_eq!(
+            circuit.get("name").and_then(|v| v.as_str()),
+            Some(name.as_str())
+        );
         let evals = circuit
             .get("total_counters")
             .and_then(|v| v.get("gate_evals"))

@@ -144,7 +144,10 @@ mod tests {
         let phase = AlternatingPhase::new(&design);
         let (det, _) = phase.run(&easy);
         let missed = det.iter().filter(|d| d.is_none()).count();
-        assert_eq!(missed, 0, "alternating must catch all easy faults on mux scan");
+        assert_eq!(
+            missed, 0,
+            "alternating must catch all easy faults on mux scan"
+        );
     }
 
     #[test]

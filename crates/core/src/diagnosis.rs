@@ -81,14 +81,11 @@ pub fn diagnose_chain(
 
 /// Whether the observation definitely differs from the good machine.
 fn deviates(good: &Trace, observed: &[Vec<V3>]) -> bool {
-    good.outputs
-        .iter()
-        .zip(observed.iter())
-        .any(|(g, o)| {
-            g.iter()
-                .zip(o.iter())
-                .any(|(&gv, &ov)| gv.is_known() && ov.is_known() && gv != ov)
-        })
+    good.outputs.iter().zip(observed.iter()).any(|(g, o)| {
+        g.iter()
+            .zip(o.iter())
+            .any(|(&gv, &ov)| gv.is_known() && ov.is_known() && gv != ov)
+    })
 }
 
 /// `Some(explained)` when the candidate never contradicts the

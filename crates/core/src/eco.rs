@@ -162,7 +162,8 @@ impl PipelineSession {
         prior: &PipelineReport,
         delta: &NetlistDelta,
     ) -> Result<PipelineReport, ScanError> {
-        self.rerun_with_design(prior, delta).map(|(report, _)| report)
+        self.rerun_with_design(prior, delta)
+            .map(|(report, _)| report)
     }
 
     /// [`rerun`](Self::rerun), also returning the patched design so the

@@ -121,7 +121,9 @@ mod tests {
     #[test]
     fn every_variant_has_kind_display_and_source() {
         let cases: Vec<Error> = vec![
-            fscan_netlist::parse_bench("INPUT(", "bad").unwrap_err().into(),
+            fscan_netlist::parse_bench("INPUT(", "bad")
+                .unwrap_err()
+                .into(),
             Error::Scan(ScanError::NoFlipFlops),
             Error::Config(ConfigError::EmptyPodemBudget),
             Error::Json(JsonError::new("bad")),
@@ -132,9 +134,6 @@ mod tests {
             assert!(std::error::Error::source(err).is_some(), "{err}");
             kinds.push(err.kind());
         }
-        assert_eq!(
-            kinds,
-            vec!["bench_parse", "scan", "config", "json"]
-        );
+        assert_eq!(kinds, vec!["bench_parse", "scan", "config", "json"]);
     }
 }

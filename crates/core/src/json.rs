@@ -559,8 +559,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii number characters");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number characters");
         if fractional {
             let v: f64 = text.parse().map_err(|_| self.err("malformed number"))?;
             if !v.is_finite() {
@@ -624,9 +624,9 @@ impl<'a> ObjReader<'a> {
 
     fn u64(&mut self, key: &str) -> Result<u64, JsonError> {
         let what = self.what;
-        self.required(key)?
-            .as_u64()
-            .ok_or_else(|| JsonError::new(format!("{what}: \"{key}\" must be a non-negative integer")))
+        self.required(key)?.as_u64().ok_or_else(|| {
+            JsonError::new(format!("{what}: \"{key}\" must be a non-negative integer"))
+        })
     }
 
     fn usize(&mut self, key: &str) -> Result<usize, JsonError> {
@@ -1148,10 +1148,7 @@ pub fn report_to_value(report: &PipelineReport) -> Value {
                             .detection_curve
                             .iter()
                             .map(|&(v, d)| {
-                                Value::Array(vec![
-                                    Value::UInt(v as u64),
-                                    Value::UInt(d as u64),
-                                ])
+                                Value::Array(vec![Value::UInt(v as u64), Value::UInt(d as u64)])
                             })
                             .collect(),
                     ),
@@ -1162,8 +1159,14 @@ pub fn report_to_value(report: &PipelineReport) -> Value {
         (
             "compact",
             Value::object([
-                ("tests_before", Value::UInt(report.compact.tests_before as u64)),
-                ("tests_after", Value::UInt(report.compact.tests_after as u64)),
+                (
+                    "tests_before",
+                    Value::UInt(report.compact.tests_before as u64),
+                ),
+                (
+                    "tests_after",
+                    Value::UInt(report.compact.tests_after as u64),
+                ),
                 (
                     "detected_before",
                     Value::UInt(report.compact.detected_before as u64),
@@ -1197,7 +1200,13 @@ pub fn report_to_value(report: &PipelineReport) -> Value {
         ),
         (
             "undetected_faults",
-            Value::Array(report.undetected_faults.iter().map(fault_to_value).collect()),
+            Value::Array(
+                report
+                    .undetected_faults
+                    .iter()
+                    .map(fault_to_value)
+                    .collect(),
+            ),
         ),
         ("program", program_to_value(&report.program)),
     ])
@@ -1236,10 +1245,9 @@ pub fn report_from_value(value: &Value) -> Result<PipelineReport, JsonError> {
         .ok_or_else(|| JsonError::new("report.comb: detection_curve must be an array"))?
         .iter()
         .map(|p| {
-            let pair = p
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| JsonError::new("report.comb: curve points are [vectors, detected]"))?;
+            let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
+                JsonError::new("report.comb: curve points are [vectors, detected]")
+            })?;
             let v = uint_field(&pair[0], "report.comb.detection_curve")?;
             let d = uint_field(&pair[1], "report.comb.detection_curve")?;
             Ok((v, d))
@@ -1335,8 +1343,7 @@ mod tests {
     #[test]
     fn scalars_round_trip() {
         for text in [
-            "null", "true", "false", "0", "42", "-7", "3.141593", "\"hi\"", "[]", "{}",
-            "[1,2,3]",
+            "null", "true", "false", "0", "42", "-7", "3.141593", "\"hi\"", "[]", "{}", "[1,2,3]",
         ] {
             let v = parse(text).unwrap();
             assert_eq!(parse(&v.render_compact()).unwrap(), v, "{text}");
@@ -1380,7 +1387,16 @@ mod tests {
 
     #[test]
     fn malformed_documents_error_with_offsets() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "{\"a\":}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"\\q\"",
+            "{\"a\":}",
+        ] {
             let err = parse(bad).unwrap_err();
             assert!(err.to_string().contains("byte"), "{bad}: {err}");
         }
@@ -1508,7 +1524,10 @@ mod tests {
         let mut program = TestProgram::new();
         program.push(ScanTest::new(
             "alternating",
-            vec![vec![V3::Zero, V3::One, V3::X], vec![V3::One, V3::One, V3::Zero]],
+            vec![
+                vec![V3::Zero, V3::One, V3::X],
+                vec![V3::One, V3::One, V3::Zero],
+            ],
         ));
         let v = program_to_value(&program);
         assert_eq!(program_from_value(&v).unwrap(), program);

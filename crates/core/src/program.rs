@@ -183,7 +183,10 @@ mod tests {
         let mut p = TestProgram::new();
         p.push(ScanTest::new(
             "t0",
-            vec![vec![V3::Zero, V3::One, V3::X], vec![V3::One, V3::One, V3::Zero]],
+            vec![
+                vec![V3::Zero, V3::One, V3::X],
+                vec![V3::One, V3::One, V3::Zero],
+            ],
         ));
         p.push(ScanTest::new("t1", vec![vec![V3::X, V3::X, V3::X]]));
         let mut out = Vec::new();

@@ -110,7 +110,10 @@ fn assert_same_verdicts(incremental: &PipelineReport, cold: &PipelineReport, wha
     let (ic, cc) = (&incremental.comb, &cold.comb);
     assert_eq!(ic.targeted, cc.targeted, "{what}: comb.targeted");
     assert_eq!(ic.detected, cc.detected, "{what}: comb.detected");
-    assert_eq!(ic.undetectable, cc.undetectable, "{what}: comb.undetectable");
+    assert_eq!(
+        ic.undetectable, cc.undetectable,
+        "{what}: comb.undetectable"
+    );
     assert_eq!(ic.undetected, cc.undetected, "{what}: comb.undetected");
     assert_eq!(ic.vectors, cc.vectors, "{what}: comb.vectors");
     assert_eq!(ic.cycles, cc.cycles, "{what}: comb.cycles");
@@ -119,8 +122,14 @@ fn assert_same_verdicts(incremental: &PipelineReport, cold: &PipelineReport, wha
         "{what}: comb.detection_curve"
     );
     let (ip, cp) = (&incremental.compact, &cold.compact);
-    assert_eq!(ip.tests_before, cp.tests_before, "{what}: compact.tests_before");
-    assert_eq!(ip.tests_after, cp.tests_after, "{what}: compact.tests_after");
+    assert_eq!(
+        ip.tests_before, cp.tests_before,
+        "{what}: compact.tests_before"
+    );
+    assert_eq!(
+        ip.tests_after, cp.tests_after,
+        "{what}: compact.tests_after"
+    );
     assert_eq!(
         ip.detected_before, cp.detected_before,
         "{what}: compact.detected_before"

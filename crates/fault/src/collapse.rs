@@ -77,11 +77,7 @@ pub fn collapse(circuit: &Circuit, universe: &[Fault]) -> Vec<Fault> {
 
 /// [`collapse`] against an already-compiled topology of `circuit`,
 /// avoiding a redundant compilation when the caller shares one.
-pub fn collapse_with(
-    circuit: &Circuit,
-    topo: &CompiledTopology,
-    universe: &[Fault],
-) -> Vec<Fault> {
+pub fn collapse_with(circuit: &Circuit, topo: &CompiledTopology, universe: &[Fault]) -> Vec<Fault> {
     debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
     let index: HashMap<Fault, usize> = universe
         .iter()

@@ -51,7 +51,11 @@ impl ParseBenchError {
 
 impl fmt::Display for ParseBenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bench parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "bench parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -228,8 +232,7 @@ G17 = NOT(G11)
     fn rejects_fixed_arity_mismatch() {
         // A typed error with the offending line, not an `add_gate`
         // panic deep inside the builder.
-        let err = parse_bench("INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)\n", "t")
-            .unwrap_err();
+        let err = parse_bench("INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)\n", "t").unwrap_err();
         assert!(err.to_string().contains("exactly 1"), "{err}");
         assert_eq!(err.line(), 3);
         assert_eq!(err.offset(), 18);

@@ -140,7 +140,11 @@ impl Circuit {
 
     /// Adds a constant node of the given value and returns its id.
     pub fn add_const(&mut self, value: bool, name: impl Into<String>) -> NodeId {
-        let kind = if value { GateKind::Const1 } else { GateKind::Const0 };
+        let kind = if value {
+            GateKind::Const1
+        } else {
+            GateKind::Const0
+        };
         self.push_node(Node {
             kind,
             fanin: Vec::new(),

@@ -361,7 +361,10 @@ impl NetlistDelta {
                     let &[d] = fanin.as_slice() else {
                         return Err(NetlistError::UnsupportedEdit {
                             node: id,
-                            reason: format!("added flip-flop `{}` needs exactly one D pin", dn.name),
+                            reason: format!(
+                                "added flip-flop `{}` needs exactly one D pin",
+                                dn.name
+                            ),
                         });
                     };
                     out.set_dff_input(id, d)?;
@@ -372,11 +375,7 @@ impl NetlistDelta {
             debug_assert_eq!(id.index(), self.base_nodes + i);
         }
         for r in &self.redriven {
-            let fanin: Vec<NodeId> = r
-                .fanin
-                .iter()
-                .map(|f| f.resolve(self.base_nodes))
-                .collect();
+            let fanin: Vec<NodeId> = r.fanin.iter().map(|f| f.resolve(self.base_nodes)).collect();
             if r.kind == GateKind::Dff {
                 let &[d] = fanin.as_slice() else {
                     return Err(NetlistError::UnsupportedEdit {
@@ -397,8 +396,7 @@ impl NetlistDelta {
         // be tombstoned. Checked before tombstoning, since tombstoning
         // itself strips the node from the marker lists.
         if !self.removed.is_empty() {
-            let removed: std::collections::HashSet<NodeId> =
-                self.removed.iter().copied().collect();
+            let removed: std::collections::HashSet<NodeId> = self.removed.iter().copied().collect();
             for (id, node) in out.iter() {
                 if removed.contains(&id) {
                     continue;

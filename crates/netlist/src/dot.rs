@@ -79,10 +79,10 @@ mod tests {
         let dot = to_dot(&c);
         assert!(dot.contains("rankdir=LR"));
         assert!(dot.contains("NAND"));
-        assert!(dot.contains("shape=box"));      // the flip-flop
+        assert!(dot.contains("shape=box")); // the flip-flop
         assert!(dot.contains("shape=triangle")); // inputs
-        assert!(dot.contains("doublecircle"));   // the PO marker
-        // Edges: a->g, b->g, g->ff, ff->po0.
+        assert!(dot.contains("doublecircle")); // the PO marker
+                                               // Edges: a->g, b->g, g->ff, ff->po0.
         assert_eq!(dot.matches(" -> ").count(), 4);
     }
 

@@ -71,7 +71,10 @@ impl fmt::Display for NetlistError {
                 write!(f, "pin {pin} out of range on node {node}")
             }
             NetlistError::ArityMismatch { node, kind, got } => {
-                write!(f, "node {node} of kind {kind} has invalid fanin count {got}")
+                write!(
+                    f,
+                    "node {node} of kind {kind} has invalid fanin count {got}"
+                )
             }
             NetlistError::DanglingFanin { node, fanin } => {
                 write!(f, "node {node} references nonexistent fanin {fanin}")

@@ -253,7 +253,10 @@ mod tests {
     #[test]
     fn respects_counts_and_validates() {
         for seed in 0..5 {
-            let cfg = GeneratorConfig::new("t", seed).inputs(10).gates(300).dffs(25);
+            let cfg = GeneratorConfig::new("t", seed)
+                .inputs(10)
+                .gates(300)
+                .dffs(25);
             let c = generate(&cfg);
             assert_eq!(c.inputs().len(), 10);
             assert_eq!(c.dffs().len(), 25);
@@ -279,7 +282,11 @@ mod tests {
         let c = generate(&GeneratorConfig::new("t", 9).gates(200).dffs(12));
         for &ff in c.dffs() {
             let d = c.node(ff).fanin()[0];
-            assert!(c.node(d).kind().is_gate(), "DFF driven by {:?}", c.node(d).kind());
+            assert!(
+                c.node(d).kind().is_gate(),
+                "DFF driven by {:?}",
+                c.node(d).kind()
+            );
         }
     }
 }

@@ -45,14 +45,14 @@ mod stats;
 mod topo;
 
 pub use bench::{parse_bench, write_bench, ParseBenchError};
-pub use reader::{BenchReader, NetlistBuilder, SrcPos};
-pub use hash::{content_hash64, Fnv1a64};
 pub use circuit::{Circuit, Node, NodeId};
 pub use delta::{DeltaNode, DeltaRef, NetlistDelta, Redrive};
 pub use dot::to_dot;
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use generator::{generate, GeneratorConfig};
+pub use hash::{content_hash64, Fnv1a64};
 pub use level::{FanoutTable, Levelization};
+pub use reader::{BenchReader, NetlistBuilder, SrcPos};
 pub use stats::CircuitStats;
 pub use topo::{CompiledTopology, DirtyInfo};

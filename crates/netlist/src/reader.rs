@@ -50,7 +50,11 @@ impl SrcPos {
 #[derive(Copy, Clone, Debug)]
 enum FwdRef {
     /// Pin `pin` of combinational gate `node` reads the signal.
-    Pin { node: NodeId, pin: usize, at: SrcPos },
+    Pin {
+        node: NodeId,
+        pin: usize,
+        at: SrcPos,
+    },
     /// The D input of flip-flop `ff` reads the signal.
     DffD { ff: NodeId, at: SrcPos },
 }
@@ -391,11 +395,7 @@ impl BenchReader {
 }
 
 /// Parses one `.bench` line into builder calls.
-fn parse_line(
-    builder: &mut NetlistBuilder,
-    raw: &str,
-    at: SrcPos,
-) -> Result<(), ParseBenchError> {
+fn parse_line(builder: &mut NetlistBuilder, raw: &str, at: SrcPos) -> Result<(), ParseBenchError> {
     let line = match raw.find('#') {
         Some(i) => &raw[..i],
         None => raw,
@@ -421,8 +421,8 @@ fn parse_line(
             .rfind(')')
             .ok_or_else(|| at.err("expected ')' in gate line"))?;
         let kw = rhs[..open].trim();
-        let kind = kind_from_keyword(kw)
-            .ok_or_else(|| at.err(format!("unknown gate kind '{kw}'")))?;
+        let kind =
+            kind_from_keyword(kw).ok_or_else(|| at.err(format!("unknown gate kind '{kw}'")))?;
         let args: Vec<&str> = rhs[open + 1..close]
             .split(',')
             .map(str::trim)

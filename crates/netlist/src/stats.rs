@@ -70,7 +70,13 @@ impl fmt::Display for CircuitStats {
         write!(
             f,
             "{}: {} gates, {} FFs, {} PIs, {} POs, depth {}, avg fanout {:.2}",
-            self.name, self.gates, self.dffs, self.inputs, self.outputs, self.depth, self.avg_fanout
+            self.name,
+            self.gates,
+            self.dffs,
+            self.inputs,
+            self.outputs,
+            self.depth,
+            self.avg_fanout
         )
     }
 }

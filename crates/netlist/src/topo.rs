@@ -219,9 +219,8 @@ impl CompiledTopology {
             dffs,
         } = t;
         let n = kinds.len();
-        let fanin = |id: usize| {
-            &fanin_edges[fanin_offsets[id] as usize..fanin_offsets[id + 1] as usize]
-        };
+        let fanin =
+            |id: usize| &fanin_edges[fanin_offsets[id] as usize..fanin_offsets[id + 1] as usize];
 
         // Fanout CSR: counting pass, then fill. Iterating nodes in id
         // order and pins in pin order reproduces FanoutTable's per-source
@@ -367,8 +366,7 @@ impl CompiledTopology {
         let base_n = self.num_nodes;
         let n = base_n + delta.added.len();
 
-        let removed: std::collections::HashSet<NodeId> =
-            delta.removed.iter().copied().collect();
+        let removed: std::collections::HashSet<NodeId> = delta.removed.iter().copied().collect();
         let mut redriven: std::collections::HashMap<NodeId, (GateKind, Vec<NodeId>)> =
             std::collections::HashMap::with_capacity(delta.redriven.len());
         for r in &delta.redriven {

@@ -109,7 +109,10 @@ pub fn insert_mux_scan(circuit: &Circuit, num_chains: usize) -> Result<ScanDesig
     let original_gates = c.num_gates();
     let (scan_mode, not_scan) = add_scan_infra(&mut c);
     let mut chains = Vec::with_capacity(num_chains);
-    for (k, ffs) in partition_ffs(circuit.dffs(), num_chains).into_iter().enumerate() {
+    for (k, ffs) in partition_ffs(circuit.dffs(), num_chains)
+        .into_iter()
+        .enumerate()
+    {
         let scan_in = c.add_input(format!("scan_in{k}"));
         let mut prev = scan_in;
         let mut cells = Vec::with_capacity(ffs.len());
@@ -122,7 +125,14 @@ pub fn insert_mux_scan(circuit: &Circuit, num_chains: usize) -> Result<ScanDesig
         chains.push(ScanChain { scan_in, cells });
     }
     let added_gates = c.num_gates() - original_gates;
-    let design = ScanDesign::new(c, scan_mode, vec![(scan_mode, true)], chains, 0, added_gates);
+    let design = ScanDesign::new(
+        c,
+        scan_mode,
+        vec![(scan_mode, true)],
+        chains,
+        0,
+        added_gates,
+    );
     design.verify()?;
     Ok(design)
 }
@@ -137,7 +147,10 @@ mod tests {
     fn partition_balances() {
         let ids: Vec<NodeId> = (0..7).map(NodeId::from_index).collect();
         let parts = partition_ffs(&ids, 3);
-        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 2, 2]);
+        assert_eq!(
+            parts.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![3, 2, 2]
+        );
         let flat: Vec<NodeId> = parts.concat();
         assert_eq!(flat, ids);
     }
@@ -147,7 +160,10 @@ mod tests {
         let mut c = Circuit::new("comb");
         let a = c.add_input("a");
         c.mark_output(a);
-        assert!(matches!(insert_mux_scan(&c, 1), Err(ScanError::NoFlipFlops)));
+        assert!(matches!(
+            insert_mux_scan(&c, 1),
+            Err(ScanError::NoFlipFlops)
+        ));
     }
 
     #[test]
@@ -228,7 +244,10 @@ mod tests {
         // Compare the original POs (the first outputs of the new circuit).
         for t in 0..vectors_orig.len() {
             for k in 0..circuit.outputs().len() {
-                assert_eq!(t_orig.outputs[t][k], t_new.outputs[t][k], "cycle {t} po {k}");
+                assert_eq!(
+                    t_orig.outputs[t][k], t_new.outputs[t][k],
+                    "cycle {t} po {k}"
+                );
             }
         }
     }

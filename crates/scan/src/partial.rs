@@ -65,10 +65,7 @@ pub fn ff_dependency_graph(circuit: &Circuit) -> Vec<Vec<usize>> {
 /// [`ff_dependency_graph`] against an already-compiled topology of
 /// `circuit`, avoiding a redundant compilation when the caller shares
 /// one.
-pub fn ff_dependency_graph_with(
-    circuit: &Circuit,
-    topo: &CompiledTopology,
-) -> Vec<Vec<usize>> {
+pub fn ff_dependency_graph_with(circuit: &Circuit, topo: &CompiledTopology) -> Vec<Vec<usize>> {
     debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
     let index_of: HashMap<NodeId, usize> = circuit
         .dffs()
@@ -107,11 +104,7 @@ pub fn ff_dependency_graph_with(
 /// Tarjan strongly-connected components over the subgraph induced by
 /// `alive`. Returns SCCs of size ≥ 2, plus self-loop singletons when
 /// `include_self_loops`.
-fn cyclic_sccs(
-    edges: &[Vec<usize>],
-    alive: &[bool],
-    include_self_loops: bool,
-) -> Vec<Vec<usize>> {
+fn cyclic_sccs(edges: &[Vec<usize>], alive: &[bool], include_self_loops: bool) -> Vec<Vec<usize>> {
     let n = edges.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -170,8 +163,8 @@ fn cyclic_sccs(
                                 break;
                             }
                         }
-                        let is_cyclic = scc.len() > 1
-                            || (include_self_loops && edges[v].contains(&v));
+                        let is_cyclic =
+                            scc.len() > 1 || (include_self_loops && edges[v].contains(&v));
                         if is_cyclic {
                             out.push(scc);
                         }
@@ -219,10 +212,7 @@ pub fn select_scan_ffs(circuit: &Circuit, config: &PartialScanConfig) -> Vec<usi
         let members: HashSet<usize> = scc.iter().copied().collect();
         let degree = |v: usize| {
             let outd = edges[v].iter().filter(|w| members.contains(w)).count();
-            let ind = scc
-                .iter()
-                .filter(|&&u| edges[u].contains(&v))
-                .count();
+            let ind = scc.iter().filter(|&&u| edges[u].contains(&v)).count();
             (outd.max(1)) * (ind.max(1))
         };
         let &pick = scc

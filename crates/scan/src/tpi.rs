@@ -174,11 +174,7 @@ impl<'a> Builder<'a> {
     /// Finds a functional path from `prev` to some flip-flop in
     /// `remaining`, returning the cell (not yet applied) plus its
     /// forcing plan.
-    fn find_path(
-        &self,
-        prev: NodeId,
-        remaining: &HashSet<NodeId>,
-    ) -> Option<(ScanCell, Plan)> {
+    fn find_path(&self, prev: NodeId, remaining: &HashSet<NodeId>) -> Option<(ScanCell, Plan)> {
         // parent[gate] = (previous net, pin on gate where data enters)
         let mut parent: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
         let mut depth: HashMap<NodeId, usize> = HashMap::new();
@@ -186,8 +182,8 @@ impl<'a> Builder<'a> {
         let mut candidates_tried = 0usize;
 
         let try_candidate = |end_net: NodeId,
-                                 dff: NodeId,
-                                 parent: &HashMap<NodeId, (NodeId, usize)>|
+                             dff: NodeId,
+                             parent: &HashMap<NodeId, (NodeId, usize)>|
          -> Option<(ScanCell, Plan)> {
             // Reconstruct the gate path from prev to end_net.
             let mut rev: Vec<(NodeId, usize)> = Vec::new();
@@ -655,10 +651,7 @@ mod tests {
         let (_, functional) = design.segment_counts();
         assert!(functional >= 1, "{design}");
         // PI constrained to 1.
-        assert!(design
-            .constraints()
-            .iter()
-            .any(|&(n, v)| n == pi && v));
+        assert!(design.constraints().iter().any(|&(n, v)| n == pi && v));
     }
 
     #[test]
@@ -763,7 +756,10 @@ mod tests {
         let t_new = new_sim.run(&vectors_new, &init, None);
         for t in 0..vectors_orig.len() {
             for k in 0..circuit.outputs().len() {
-                assert_eq!(t_orig.outputs[t][k], t_new.outputs[t][k], "cycle {t} po {k}");
+                assert_eq!(
+                    t_orig.outputs[t][k], t_new.outputs[t][k],
+                    "cycle {t} po {k}"
+                );
             }
         }
     }

@@ -27,7 +27,9 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
+        let value = args
+            .get(i + 1)
+            .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
         match flag {
             "--addr" => config.addr = value.clone(),
             "--workers" => {

@@ -32,7 +32,10 @@ fn run(addr: SocketAddr, external: bool) -> Result<(), String> {
         return Err(format!("cold run: status {}: {}", cold.status, cold.text()));
     }
     if !external && cold.header("x-fscan-cache") != Some("miss") {
-        return Err(format!("cold run: expected a cache miss, got {:?}", cold.header("x-fscan-cache")));
+        return Err(format!(
+            "cold run: expected a cache miss, got {:?}",
+            cold.header("x-fscan-cache")
+        ));
     }
 
     let warm = client::post_run(addr, &request).map_err(|e| format!("warm run: {e}"))?;
@@ -40,7 +43,10 @@ fn run(addr: SocketAddr, external: bool) -> Result<(), String> {
         return Err(format!("warm run: status {}", warm.status));
     }
     if warm.header("x-fscan-cache") != Some("hit") {
-        return Err(format!("warm run: expected a cache hit, got {:?}", warm.header("x-fscan-cache")));
+        return Err(format!(
+            "warm run: expected a cache hit, got {:?}",
+            warm.header("x-fscan-cache")
+        ));
     }
     // Wall-clock lines differ run to run; everything else must not.
     let strip = |text: &str| {
@@ -69,9 +75,16 @@ fn run(addr: SocketAddr, external: bool) -> Result<(), String> {
     if streamed.chunks.len() < 6 {
         return Err(format!("stream run: only {} chunks", streamed.chunks.len()));
     }
-    for (i, stage) in ["classify", "alternating", "comb", "compact", "seq", "report"]
-        .iter()
-        .enumerate()
+    for (i, stage) in [
+        "classify",
+        "alternating",
+        "comb",
+        "compact",
+        "seq",
+        "report",
+    ]
+    .iter()
+    .enumerate()
     {
         let line = String::from_utf8_lossy(&streamed.chunks[i]).into_owned();
         let doc = fscan::json::parse(&line).map_err(|e| format!("chunk {i}: {e}"))?;
@@ -80,8 +93,8 @@ fn run(addr: SocketAddr, external: bool) -> Result<(), String> {
         }
     }
 
-    let bad = client::post(addr, "/run", "text/plain", b"INPUT(")
-        .map_err(|e| format!("bad run: {e}"))?;
+    let bad =
+        client::post(addr, "/run", "text/plain", b"INPUT(").map_err(|e| format!("bad run: {e}"))?;
     if bad.status != 400 {
         return Err(format!("bad run: status {}", bad.status));
     }

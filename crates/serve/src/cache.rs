@@ -319,9 +319,8 @@ mod tests {
         let cache = RunCache::new(2);
         assert!(cache.get(5).is_none());
         let design = demo_design(5).unwrap();
-        let report = Arc::new(
-            PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run(),
-        );
+        let report =
+            Arc::new(PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run());
         cache.put(
             5,
             RunEntry {
@@ -333,7 +332,13 @@ mod tests {
         assert!(Arc::ptr_eq(&entry.design, &design));
         assert!(Arc::ptr_eq(&entry.report, &report));
         // Capacity bound evicts the least recently used run.
-        cache.put(6, RunEntry { design: Arc::clone(&design), report: Arc::clone(&report) });
+        cache.put(
+            6,
+            RunEntry {
+                design: Arc::clone(&design),
+                report: Arc::clone(&report),
+            },
+        );
         cache.get(5);
         cache.put(7, RunEntry { design, report });
         assert!(cache.get(6).is_none());

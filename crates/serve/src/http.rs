@@ -179,7 +179,11 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, RequestError>
         .to_string();
     match parts.next() {
         Some(v) if v.starts_with("HTTP/1.") => {}
-        _ => return Err(RequestError::Malformed("expected an HTTP/1.x version".into())),
+        _ => {
+            return Err(RequestError::Malformed(
+                "expected an HTTP/1.x version".into(),
+            ))
+        }
     }
 
     // Headers.
@@ -536,7 +540,10 @@ mod tests {
 
     #[test]
     fn rejects_oversized_bodies_without_reading_them() {
-        let huge = format!("POST /run HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
+        let huge = format!(
+            "POST /run HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
         assert!(matches!(roundtrip(&huge), Err(RequestError::TooLarge(_))));
     }
 

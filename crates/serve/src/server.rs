@@ -234,7 +234,10 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
                 match tx.try_send(conn) {
                     Ok(()) => {}
                     Err(TrySendError::Full(conn)) => {
-                        accept_shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        accept_shared
+                            .counters
+                            .rejected
+                            .fetch_add(1, Ordering::Relaxed);
                         reject_busy(conn);
                     }
                     Err(TrySendError::Disconnected(_)) => break,
@@ -312,7 +315,10 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         };
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         if served > 0 {
-            shared.counters.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
+            shared
+                .counters
+                .keepalive_reuses
+                .fetch_add(1, Ordering::Relaxed);
         }
         served += 1;
         let close = request.wants_close();
@@ -417,16 +423,15 @@ fn parse_run_request(request: &mut Request) -> Result<RunParams, Error> {
                 "bench" => bench = Some(string_field(value, "run envelope: bench")?),
                 "name" => name = string_field(value, "run envelope: name")?,
                 "chains" => {
-                    chains = value
-                        .as_u64()
-                        .ok_or_else(|| json::JsonError::new("run envelope: chains: expected an integer"))?
-                        as usize;
+                    chains = value.as_u64().ok_or_else(|| {
+                        json::JsonError::new("run envelope: chains: expected an integer")
+                    })? as usize;
                 }
                 "config" => config = config_from_value(&value).map_err(Error::from)?,
                 "stream" => {
-                    stream = value
-                        .as_bool()
-                        .ok_or_else(|| json::JsonError::new("run envelope: stream: expected a bool"))?;
+                    stream = value.as_bool().ok_or_else(|| {
+                        json::JsonError::new("run envelope: stream: expected a bool")
+                    })?;
                 }
                 other => {
                     return Err(json::JsonError::new(format!(
@@ -552,7 +557,16 @@ fn handle_run(
     let session = PipelineSession::shared(Arc::clone(&design), on_worker(params.config));
     shared.counters.runs.fetch_add(1, Ordering::Relaxed);
     if params.stream {
-        stream_run(stream, session, cache_header, &key_header, close, shared, key, design)
+        stream_run(
+            stream,
+            session,
+            cache_header,
+            &key_header,
+            close,
+            shared,
+            key,
+            design,
+        )
     } else {
         let report = Arc::new(session.run());
         let body = json::report_to_json(&report);
@@ -567,7 +581,10 @@ fn handle_run(
             stream,
             200,
             "application/json",
-            &[("x-fscan-cache", cache_header), ("x-fscan-key", &key_header)],
+            &[
+                ("x-fscan-cache", cache_header),
+                ("x-fscan-key", &key_header),
+            ],
             body.as_bytes(),
             close,
         )
@@ -594,14 +611,15 @@ fn stream_run(
         &[("x-fscan-cache", cache), ("x-fscan-key", key_header)],
         close,
     )?;
-    let line = |stage: &str, extra: Vec<(&'static str, Value)>, metrics: &fscan_sim::StageMetrics| {
-        let mut fields = vec![("checkpoint", Value::Str(stage.to_string()))];
-        fields.extend(extra);
-        fields.push(("metrics", metrics_to_value(metrics)));
-        let mut text = Value::object(fields).render_compact();
-        text.push('\n');
-        text
-    };
+    let line =
+        |stage: &str, extra: Vec<(&'static str, Value)>, metrics: &fscan_sim::StageMetrics| {
+            let mut fields = vec![("checkpoint", Value::Str(stage.to_string()))];
+            fields.extend(extra);
+            fields.push(("metrics", metrics_to_value(metrics)));
+            let mut text = Value::object(fields).render_compact();
+            text.push('\n');
+            text
+        };
 
     let classified = session.classify();
     let summary = classified.summary();
@@ -653,8 +671,14 @@ fn stream_run(
         line(
             "compact",
             vec![
-                ("tests_before", Value::UInt(compact_report.tests_before as u64)),
-                ("tests_after", Value::UInt(compact_report.tests_after as u64)),
+                (
+                    "tests_before",
+                    Value::UInt(compact_report.tests_before as u64),
+                ),
+                (
+                    "tests_after",
+                    Value::UInt(compact_report.tests_after as u64),
+                ),
             ],
             &compact_report.metrics,
         )
@@ -715,8 +739,8 @@ fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
                 let text = value
                     .as_str()
                     .ok_or_else(|| json::JsonError::new("eco envelope: base: expected a string"))?;
-                let parsed = u64::from_str_radix(text.trim_start_matches("0x"), 16)
-                    .map_err(|_| {
+                let parsed =
+                    u64::from_str_radix(text.trim_start_matches("0x"), 16).map_err(|_| {
                         json::JsonError::new(format!(
                             "eco envelope: base: not a hex design key: {text}"
                         ))
@@ -726,22 +750,19 @@ fn parse_eco_request(request: &Request) -> Result<EcoParams, Error> {
             "bench" => bench = Some(string_field(value, "eco envelope: bench")?),
             "name" => name = string_field(value, "eco envelope: name")?,
             "chains" => {
-                chains = value
-                    .as_u64()
-                    .ok_or_else(|| json::JsonError::new("eco envelope: chains: expected an integer"))?
-                    as usize;
+                chains = value.as_u64().ok_or_else(|| {
+                    json::JsonError::new("eco envelope: chains: expected an integer")
+                })? as usize;
             }
             "config" => config = config_from_value(&value).map_err(Error::from)?,
             other => {
-                return Err(json::JsonError::new(format!(
-                    "eco envelope: unknown key `{other}`"
-                ))
-                .into())
+                return Err(
+                    json::JsonError::new(format!("eco envelope: unknown key `{other}`")).into(),
+                )
             }
         }
     }
-    let base =
-        base.ok_or_else(|| json::JsonError::new("eco envelope: missing required `base`"))?;
+    let base = base.ok_or_else(|| json::JsonError::new("eco envelope: missing required `base`"))?;
     let bench =
         bench.ok_or_else(|| json::JsonError::new("eco envelope: missing required `bench`"))?;
     config.validate()?;
@@ -957,7 +978,10 @@ fn stats_json(shared: &Shared) -> String {
             Value::object([
                 ("tracking", Value::Bool(fscan_alloctrack::installed())),
                 ("live_bytes", Value::UInt(fscan_alloctrack::current_bytes())),
-                ("total_allocs", Value::UInt(fscan_alloctrack::total_allocs())),
+                (
+                    "total_allocs",
+                    Value::UInt(fscan_alloctrack::total_allocs()),
+                ),
                 ("reallocs", Value::UInt(fscan_alloctrack::total_reallocs())),
             ]),
         ),
@@ -980,5 +1004,12 @@ fn error_response(
         ]),
     )])
     .render_compact();
-    write_response(stream, status, "application/json", &[], body.as_bytes(), close)
+    write_response(
+        stream,
+        status,
+        "application/json",
+        &[],
+        body.as_bytes(),
+        close,
+    )
 }

@@ -137,12 +137,22 @@ fn streaming_emits_a_checkpoint_chunk_per_stage() {
         .collect();
     assert_eq!(
         stages,
-        ["classify", "alternating", "comb", "compact", "seq", "report"]
+        [
+            "classify",
+            "alternating",
+            "comb",
+            "compact",
+            "seq",
+            "report"
+        ]
     );
     // Every stage chunk carries its metrics; the last carries the
     // decodable full report.
     let first = json::parse(&String::from_utf8_lossy(&response.chunks[0])).unwrap();
-    assert!(first.get("metrics").and_then(|m| m.get("counters")).is_some());
+    assert!(first
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .is_some());
     let last = json::parse(&String::from_utf8_lossy(&response.chunks[5])).unwrap();
     let report = json::report_from_value(last.get("report").unwrap()).unwrap();
     assert_eq!(report.name, "itest");

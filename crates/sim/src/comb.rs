@@ -135,7 +135,13 @@ impl CombEvaluator {
 
     /// The value a flip-flop would capture next cycle, honoring a branch
     /// fault on its D pin and stem faults on its driver.
-    pub fn dff_next(&self, circuit: &Circuit, values: &[V3], dff: NodeId, fault: Option<Fault>) -> V3 {
+    pub fn dff_next(
+        &self,
+        circuit: &Circuit,
+        values: &[V3],
+        dff: NodeId,
+        fault: Option<Fault>,
+    ) -> V3 {
         debug_assert_eq!(circuit.num_nodes(), self.topo.num_nodes());
         let d = self.topo.fanin(dff)[0];
         if let Some(Fault {

@@ -546,8 +546,8 @@ impl<'p> Reuse<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fscan_netlist::{generate, Circuit, GateKind, GeneratorConfig};
     use crate::seq::SeqSim;
+    use fscan_netlist::{generate, Circuit, GateKind, GeneratorConfig};
 
     fn trace_for(c: &Circuit, vectors: &[Vec<V3>], init: &[V3]) -> GoodTrace {
         let eval = CombEvaluator::new(c);
@@ -603,7 +603,12 @@ mod tests {
 
     #[test]
     fn deltas_replay_to_reference_values() {
-        let c = generate(&GeneratorConfig::new("replay", 3).inputs(5).gates(70).dffs(5));
+        let c = generate(
+            &GeneratorConfig::new("replay", 3)
+                .inputs(5)
+                .gates(70)
+                .dffs(5),
+        );
         let vectors = fscan_atpg_free_vectors(&c, 15, 9);
         let init = vec![V3::X; c.dffs().len()];
         let trace = trace_for(&c, &vectors, &init);
@@ -764,8 +769,7 @@ mod tests {
         let mut eco = base.clone();
         eco.redrive(victim, dual, base.node(victim).fanin().to_vec());
         let delta = NetlistDelta::diff(&base, &eco).unwrap();
-        let patched_topo =
-            std::sync::Arc::new(CompiledTopology::compile(&base).patch(&delta));
+        let patched_topo = std::sync::Arc::new(CompiledTopology::compile(&base).patch(&delta));
         let eval = CombEvaluator::with_topology(patched_topo);
 
         let cold = GoodTrace::compute(&eval, &vectors, &init);

@@ -153,7 +153,12 @@ impl ImplicationEngine {
             FaultSite::Stem(n) => {
                 let stuck = V3::from_bool(fault.stuck);
                 let kind = topo.kind(n);
-                if kind.is_gate() || matches!(kind, fscan_netlist::GateKind::Const0 | fscan_netlist::GateKind::Const1) {
+                if kind.is_gate()
+                    || matches!(
+                        kind,
+                        fscan_netlist::GateKind::Const0 | fscan_netlist::GateKind::Const1
+                    )
+                {
                     // Re-evaluate at the gate itself (the stem override is
                     // applied when the node is processed below).
                     push_gate(queue, n);
@@ -592,7 +597,7 @@ mod tests {
         let mut c = Circuit::new("fig3");
         let pi = c.add_input("PI");
         let ff = c.add_dff_placeholder("FF"); // chain data, X
-        // A = BUF(PI) so the fault site is an internal net like the paper's.
+                                              // A = BUF(PI) so the fault site is an internal net like the paper's.
         let a = c.add_gate(GateKind::Buf, vec![pi], "A");
         // B = AND(A, FF): good 1·X = X; faulty 0·X = 0.
         let b = c.add_gate(GateKind::And, vec![a, ff], "B");

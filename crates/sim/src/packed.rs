@@ -287,7 +287,9 @@ mod tests {
 
     #[test]
     fn force_overrides_everything() {
-        let p = Pv::<u64>::splat(V3::X).force(0b101, true).force(0b010, false);
+        let p = Pv::<u64>::splat(V3::X)
+            .force(0b101, true)
+            .force(0b010, false);
         assert_eq!(p.get(0), V3::One);
         assert_eq!(p.get(1), V3::Zero);
         assert_eq!(p.get(2), V3::One);

@@ -607,7 +607,10 @@ mod tests {
 
     #[test]
     fn sharded_matches_serial_for_every_thread_count() {
-        let cfg = GeneratorConfig::new("shard", 11).inputs(8).gates(160).dffs(8);
+        let cfg = GeneratorConfig::new("shard", 11)
+            .inputs(8)
+            .gates(160)
+            .dffs(8);
         let c = generate(&cfg);
         let faults = collapse(&c, &all_faults(&c));
         assert!(faults.len() > 128, "need several 64-lane words");
@@ -659,7 +662,10 @@ mod tests {
     fn scratch_reuse_is_verdict_and_counter_identical() {
         // One arena serving many words must behave exactly like a fresh
         // arena per call — no state may leak across words.
-        let cfg = GeneratorConfig::new("reuse", 5).inputs(7).gates(120).dffs(6);
+        let cfg = GeneratorConfig::new("reuse", 5)
+            .inputs(7)
+            .gates(120)
+            .dffs(6);
         let c = generate(&cfg);
         let faults = collapse(&c, &all_faults(&c));
         assert!(faults.len() > 64);
@@ -683,7 +689,10 @@ mod tests {
         use crate::kernel::R256;
         // 256-lane words must give the exact verdicts of the 64-lane
         // default (and the serial reference), with fewer cone walks.
-        let cfg = GeneratorConfig::new("wide", 11).inputs(8).gates(160).dffs(8);
+        let cfg = GeneratorConfig::new("wide", 11)
+            .inputs(8)
+            .gates(160)
+            .dffs(8);
         let c = generate(&cfg);
         let faults = collapse(&c, &all_faults(&c));
         assert!(faults.len() > 64, "need more than one 64-lane word");
@@ -720,7 +729,7 @@ mod tests {
         let cfg = GeneratorConfig::new("e", 2).gates(20).dffs(2);
         let c = generate(&cfg);
         let sim = ParallelFaultSim::new(&c);
-        let res = sim.fault_sim(&[vec![V3::Zero; c.inputs().len()], ], &[V3::X; 2], &[]);
+        let res = sim.fault_sim(&[vec![V3::Zero; c.inputs().len()]], &[V3::X; 2], &[]);
         assert!(res.is_empty());
     }
 }

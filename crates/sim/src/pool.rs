@@ -154,9 +154,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &[T]) -> Vec<R> + Sync,
 {
-    let (out, stats, _) = shard_map_counted(threads, min_chunk, items, init, |state, base, chunk| {
-        (f(state, base, chunk), WorkCounters::ZERO)
-    });
+    let (out, stats, _) =
+        shard_map_counted(threads, min_chunk, items, init, |state, base, chunk| {
+            (f(state, base, chunk), WorkCounters::ZERO)
+        });
     (out, stats)
 }
 
@@ -304,16 +305,22 @@ mod tests {
         let items: Vec<usize> = (0..1000).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 4, 7] {
-            let (got, stats) = shard_map(threads, 1, &items, || (), |_, base, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &x)| {
-                        assert_eq!(base + k, x, "base index must match item position");
-                        x * 3 + 1
-                    })
-                    .collect()
-            });
+            let (got, stats) = shard_map(
+                threads,
+                1,
+                &items,
+                || (),
+                |_, base, chunk| {
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &x)| {
+                            assert_eq!(base + k, x, "base index must match item position");
+                            x * 3 + 1
+                        })
+                        .collect()
+                },
+            );
             assert_eq!(got, expect, "threads = {threads}");
             assert_eq!(stats.items(), items.len());
             assert!(stats.threads <= threads.max(1));
@@ -343,15 +350,21 @@ mod tests {
     #[test]
     fn respects_min_chunk_multiples() {
         let items: Vec<u32> = (0..300).collect();
-        let (got, _) = shard_map(8, 64, &items, || (), |_, base, chunk| {
-            // Every chunk except the last must start at a multiple of 64
-            // and span a multiple of 64.
-            assert_eq!(base % 64, 0);
-            if base + chunk.len() < items.len() {
-                assert_eq!(chunk.len() % 64, 0);
-            }
-            chunk.to_vec()
-        });
+        let (got, _) = shard_map(
+            8,
+            64,
+            &items,
+            || (),
+            |_, base, chunk| {
+                // Every chunk except the last must start at a multiple of 64
+                // and span a multiple of 64.
+                assert_eq!(base % 64, 0);
+                if base + chunk.len() < items.len() {
+                    assert_eq!(chunk.len() % 64, 0);
+                }
+                chunk.to_vec()
+            },
+        );
         assert_eq!(got, items);
     }
 
@@ -366,14 +379,20 @@ mod tests {
             ..WorkCounters::ZERO
         };
         for threads in [1, 2, 4, 7] {
-            let (out, _, counters) = shard_map_counted(threads, 1, &items, || (), |_, _, chunk| {
-                let work = WorkCounters {
-                    gate_evals: chunk.iter().map(|&x| x * x).sum(),
-                    lane_cycles: chunk.len() as u64,
-                    ..WorkCounters::ZERO
-                };
-                (chunk.to_vec(), work)
-            });
+            let (out, _, counters) = shard_map_counted(
+                threads,
+                1,
+                &items,
+                || (),
+                |_, _, chunk| {
+                    let work = WorkCounters {
+                        gate_evals: chunk.iter().map(|&x| x * x).sum(),
+                        lane_cycles: chunk.len() as u64,
+                        ..WorkCounters::ZERO
+                    };
+                    (chunk.to_vec(), work)
+                },
+            );
             assert_eq!(out, items, "threads = {threads}");
             assert_eq!(counters, expect, "threads = {threads}");
         }
@@ -415,14 +434,24 @@ mod tests {
         // with nothing left pending) must still absorb the requested
         // worker count without distorting the item distribution.
         let mut total = ShardStats::default();
-        let (_, empty_stats, _) =
-            shard_map_counted(4, 64, &[] as &[u32], || (), |_, _, c| (c.to_vec(), WorkCounters::ZERO));
+        let (_, empty_stats, _) = shard_map_counted(
+            4,
+            64,
+            &[] as &[u32],
+            || (),
+            |_, _, c| (c.to_vec(), WorkCounters::ZERO),
+        );
         total.absorb(&empty_stats);
         assert_eq!(total.threads, 4);
         assert_eq!(total.items(), 0);
         let items: Vec<u32> = (0..100).collect();
-        let (_, full_stats, _) =
-            shard_map_counted(2, 1, &items, || (), |_, _, c| (c.to_vec(), WorkCounters::ZERO));
+        let (_, full_stats, _) = shard_map_counted(
+            2,
+            1,
+            &items,
+            || (),
+            |_, _, c| (c.to_vec(), WorkCounters::ZERO),
+        );
         total.absorb(&full_stats);
         assert_eq!(total.threads, 4, "empty call's worker count sticks");
         assert_eq!(total.items(), 100);

@@ -136,7 +136,11 @@ impl<'c> SeqSim<'c> {
         let mut outputs = Vec::with_capacity(vectors.len());
         let mut po_buf = vec![V3::X; c.outputs().len()];
         for (t, vec_t) in vectors.iter().enumerate() {
-            assert_eq!(vec_t.len(), c.inputs().len(), "vector length != input count");
+            assert_eq!(
+                vec_t.len(),
+                c.inputs().len(),
+                "vector length != input count"
+            );
             for (&pi, &v) in c.inputs().iter().zip(vec_t.iter()) {
                 values[pi.index()] = v;
             }

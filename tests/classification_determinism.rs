@@ -71,7 +71,10 @@ fn wide_classification_matches_every_narrower_oracle() {
     let design = build_design(s5378, 0.1);
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     assert!(faults.len() > 512, "need several 256-fault words");
-    assert!(!faults.len().is_multiple_of(256), "want a partial tail word");
+    assert!(
+        !faults.len().is_multiple_of(256),
+        "want a partial tail word"
+    );
 
     let (w64, _, work64, hist64) = classify_faults_sharded_at(&design, &faults, 1, LaneWidth::W64);
     let mut reference_work = None;

@@ -127,7 +127,8 @@ fn figure1a_dedicated_scan_alternating_detects_everything_it_should() {
     }
     c.mark_output(prev);
     let design = insert_mux_scan(&c, 1).unwrap();
-    let faults = fscan_fault::collapse(design.circuit(), &fscan_fault::all_faults(design.circuit()));
+    let faults =
+        fscan_fault::collapse(design.circuit(), &fscan_fault::all_faults(design.circuit()));
     let classified = classify_faults(&design, &faults);
     // The paper's idealization "any fault in the functional logic will
     // not affect the scan chain" holds for mission logic; the one real

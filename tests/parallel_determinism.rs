@@ -135,9 +135,7 @@ fn work_counters_are_bit_identical_across_thread_counts() {
         assert!(total.windows_formed > 0, "step 2 formed no windows");
         for threads in THREADS.into_iter().skip(1) {
             let parallel = &reports[&(seed, threads)];
-            for ((stage_a, a), (stage_b, b)) in
-                serial.stages().into_iter().zip(parallel.stages())
-            {
+            for ((stage_a, a), (stage_b, b)) in serial.stages().into_iter().zip(parallel.stages()) {
                 assert_eq!(stage_a, stage_b);
                 assert_eq!(
                     a.counters, b.counters,
@@ -201,4 +199,3 @@ proptest! {
         prop_assert_eq!(original.metrics.counters, permuted.metrics.counters);
     }
 }
-

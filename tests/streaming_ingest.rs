@@ -78,7 +78,11 @@ fn chunked_ingest_never_copies_the_whole_file() {
         text.push_str(&i.to_string());
         text.push('\n');
     }
-    assert!(text.len() > 900_000, "padding underdelivered: {}", text.len());
+    assert!(
+        text.len() > 900_000,
+        "padding underdelivered: {}",
+        text.len()
+    );
 
     // Whole-text baseline: one feed covering the entire input.
     let whole_before = TOTAL_BYTES.load(Ordering::Relaxed);
