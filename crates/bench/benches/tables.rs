@@ -12,14 +12,23 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use fscan::{
-    classify_faults, AlternatingPhase, Category, ChainLocation, Classifier, CombPhase,
-    CombPhaseConfig, DistParams, SeqPhase,
+    classify_faults, AlternatingPhase, Category, ChainLocation, Classifier, CombPhase, DistParams,
+    PipelineConfig, SeqPhase,
 };
-use fscan_atpg::SeqAtpgConfig;
+use fscan_atpg::{PodemConfig, SeqAtpgConfig};
 use fscan_bench::{build_design, PAPER_SUITE};
 use fscan_fault::{all_faults, collapse, Fault};
 
 const SCALE: f64 = 0.08;
+
+/// The comb stage's inputs: one thread and the default PODEM budget.
+fn comb_config() -> PipelineConfig {
+    PipelineConfig {
+        podem: PodemConfig::default(),
+        threads: 1,
+        ..PipelineConfig::default()
+    }
+}
 
 fn s5378() -> &'static fscan_bench::SuiteCircuit {
     PAPER_SUITE.iter().find(|c| c.name == "s5378").unwrap()
@@ -62,7 +71,8 @@ fn bench_table3_comb_phase(c: &mut Criterion) {
     let mut group = c.benchmark_group("table3_comb_phase");
     group.sample_size(10);
     group.bench_function("comb_atpg_plus_seq_fault_sim", |b| {
-        let phase = CombPhase::new(&design, CombPhaseConfig::default());
+        let config = comb_config();
+        let phase = CombPhase::new(&design, &config);
         b.iter(|| phase.run(&hard));
     });
     group.finish();
@@ -77,7 +87,7 @@ fn bench_table3_seq_phase(c: &mut Criterion) {
         .filter(|cf| cf.category == Category::Hard)
         .map(|cf| cf.fault)
         .collect();
-    let comb = CombPhase::new(&design, CombPhaseConfig::default()).run(&hard);
+    let comb = CombPhase::new(&design, &comb_config()).run(&hard);
     let locs: Vec<Vec<ChainLocation>> = comb
         .remaining
         .iter()
@@ -96,19 +106,20 @@ fn bench_table3_seq_phase(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("grouped_sequential_atpg", |b| {
         let frames = design.max_chain_len() + 4;
-        let phase = SeqPhase::new(
-            &design,
-            DistParams::scaled(design.max_chain_len()),
-            SeqAtpgConfig {
+        let config = PipelineConfig {
+            seq: SeqAtpgConfig {
                 max_frames: frames,
                 ..SeqAtpgConfig::default()
             },
-            SeqAtpgConfig {
+            final_seq: SeqAtpgConfig {
                 max_frames: frames + 4,
                 backtrack_limit: 50_000,
                 step_limit: 60_000,
             },
-        );
+            dist: Some(DistParams::scaled(design.max_chain_len())),
+            ..comb_config()
+        };
+        let phase = SeqPhase::new(&design, &config);
         b.iter(|| phase.run(&comb.remaining, &locs));
     });
     group.finish();

@@ -33,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .classify()
             .alternating()
             .comb()
+            .compact()
             .seq();
         println!(
             "{:<10} {:>7} {:>5} {:>8} {:>7} {:>7} {:>7} {:>9}",

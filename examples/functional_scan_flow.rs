@@ -104,8 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  hard: {} affecting {:?}", c.fault, c.locations);
     }
 
-    // Resume: alternating sequence, then step 2, then step 3.
-    let report = classified.alternating().comb().seq();
+    // Resume: alternating sequence, then step 2, compaction, then step 3.
+    let report = classified.alternating().comb().compact().seq();
     println!("\n{report}");
     Ok(())
 }

@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Resume the remaining stages from the checkpoint.
-    let report = classified.alternating().comb().seq();
+    let report = classified.alternating().comb().compact().seq();
     println!("\n{report}");
     Ok(())
 }

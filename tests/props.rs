@@ -5,9 +5,10 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use fscan::{
-    alternating_vectors, classify_faults, compact_program, Category, CombPhase, CombPhaseConfig,
-    LaneWidth, ScanTest, TestProgram,
+    alternating_vectors, classify_faults, compact_program, Category, CombPhase, LaneWidth,
+    PipelineConfig, ScanTest, TestProgram,
 };
+use fscan_atpg::PodemConfig;
 use fscan_fault::{all_faults, collapse, Fault};
 use fscan_netlist::{
     generate, parse_bench, write_bench, BenchReader, CompiledTopology, FanoutTable,
@@ -590,7 +591,13 @@ proptest! {
             .collect();
         let mut program = TestProgram::new();
         program.push(ScanTest::new("alternating", alternating_vectors(&design)));
-        for test in CombPhase::new(&design, CombPhaseConfig::default()).run(&hard).program {
+        // One thread and the default PODEM budget.
+        let comb_config = PipelineConfig {
+            podem: PodemConfig::default(),
+            threads: 1,
+            ..PipelineConfig::default()
+        };
+        for test in CombPhase::new(&design, &comb_config).run(&hard).program {
             program.push(test);
         }
         let sim = SeqSim::new(design.circuit());
@@ -607,7 +614,8 @@ proptest! {
         let mut kept: Option<TestProgram> = None;
         for width in [LaneWidth::W64, LaneWidth::W256] {
             for threads in [1, 2] {
-                let outcome = compact_program(&design, program.clone(), &affected, threads, width);
+                let config = PipelineConfig { threads, lane_width: width, ..PipelineConfig::default() };
+                let outcome = compact_program(&design, &config, program.clone(), &affected);
                 let report = &outcome.report;
                 prop_assert_eq!(report.tests_before, program.len());
                 prop_assert_eq!(report.detected_before, before.len());

@@ -45,6 +45,6 @@ fn pipeline_compiles_base_topology_exactly_once() {
     // Step 3's per-attempt *unrolled* circuits are distinct circuits and
     // legitimately compile their own plans; the base circuit itself is
     // never recompiled, which the report's counter asserts.
-    let report = after_comb.seq();
+    let report = after_comb.compact().seq();
     assert_eq!(report.total_counters().topology_builds, 1);
 }
