@@ -9,6 +9,7 @@ use fscan_atpg::{Podem, PodemConfig, SeqAtpg, SeqAtpgConfig};
 use fscan_fault::{all_faults, collapse};
 use fscan_netlist::{generate, GeneratorConfig};
 use fscan_sim::{CombEvaluator, ImplicationEngine, ParallelFaultSim, SeqSim, V3};
+use std::sync::Arc;
 
 fn bench_comb_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("comb_sim");
@@ -62,7 +63,7 @@ fn bench_implication(c: &mut Criterion) {
     eval.eval(&circuit, &mut good);
     let faults = collapse(&circuit, &all_faults(&circuit));
     c.bench_function("implication_cone_per_fault", |b| {
-        let mut engine = ImplicationEngine::new(&circuit, &eval);
+        let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         let mut idx = 0usize;
         b.iter(|| {
             let f = faults[idx % faults.len()];

@@ -1,14 +1,34 @@
-//! Work-counter regression checking against a committed baseline.
+//! Counter gates: a committed gate file bounds the work counters of
+//! fresh [`bench_json`](crate::bench_json()) snapshots.
 //!
-//! `BENCH_baseline.json` (a [`bench_json`](crate::bench_json) snapshot
-//! committed to the repository) records the per-circuit
-//! `total_counters` block of a known-good build. [`check_regression`]
-//! compares a fresh snapshot against it and flags every circuit whose
-//! total grew beyond a tolerance — the CI guard that keeps the
-//! event-driven simulator's incremental-work win from silently eroding.
-//! [`check_exact`] guards structural counters (`topology_builds`) that
-//! must not move at all: a pipeline run compiles its circuit exactly
-//! once, and any drift means an engine started rebuilding privately.
+//! `reproduce check-baseline BENCH_gates.txt` is the CI guard that keeps
+//! each deterministic win (event-driven work, fault dropping, the wide
+//! rail, ECO reuse, the memory rails) from silently eroding. Each
+//! non-blank line of a gate file is one gate; `#` starts a comment:
+//!
+//! ```text
+//! FRESH SELECTOR[*F] OP BOUND    per circuit: F × fresh value OP BOUND
+//! FRESH sum(SELECTOR) OP N       the fresh values summed over circuits
+//! ```
+//!
+//! - `FRESH` is the snapshot under test.
+//! - `SELECTOR` is `total.<counter>` (a circuit's `total_counters`),
+//!   `mem.<quantity>` (its `total_mem`; `mem.cone_total` is the number
+//!   of cones in its histogram) or `<stage>.<counter>` (one stage's
+//!   counters, e.g. `comb.gate_evals`).
+//! - `OP` is `<=`, `>=` or `==`.
+//! - `BOUND` is a number `N`, or `[F*]REF`: `F` times the same
+//!   circuit's value in the reference snapshot `REF`.
+//!
+//! For example, `bench_t1.json total.gate_evals <= 1.05*BENCH_baseline.json`
+//! allows 5% more work than the committed baseline, and
+//! `bench_t1.json classify.gate_evals*1.5 <= BENCH_baseline_w64.json`
+//! requires the classify stage to stay 1.5× below the 64-lane
+//! reference. A gate that compares nothing fails ([`Gate::check`]).
+//!
+//! [`history_record`] and [`parse_history`] write and read
+//! `BENCH_history.jsonl`, the per-PR trace of every passing check's
+//! counters.
 
 use fscan::json::Value;
 
@@ -17,14 +37,13 @@ use fscan::json::Value;
 pub type CircuitCounters = Vec<(String, Vec<(String, u64)>)>;
 
 /// Extracts every `(counter, value)` pair of each circuit's
-/// `total_counters` block from a [`bench_json`](crate::bench_json)
-/// snapshot.
+/// `total_counters` block from a [`bench_json`](crate::bench_json())
+/// snapshot: the content of one [`history_record`].
 ///
 /// Only the `total_counters` block is consulted; the per-stage counters
 /// (which contain the same keys) are skipped. Snapshots are parsed with
-/// the canonical [`fscan::json`] parser (order-preserving, so the
-/// extracted pairs keep emission order), replacing the line-oriented
-/// scraper this module started with.
+/// the canonical [`fscan::json`] parser, which preserves key order, so
+/// the extracted pairs keep emission order.
 ///
 /// # Examples
 ///
@@ -57,36 +76,26 @@ pub type CircuitCounters = Vec<(String, Vec<(String, u64)>)>;
 /// );
 /// ```
 pub fn parse_total_counters(json: &str) -> Result<CircuitCounters, String> {
+    let doc = fscan::json::parse(json).map_err(|e| e.to_string())?;
     let mut out: CircuitCounters = Vec::new();
-    for (name, circuit) in circuits_of(json)? {
+    for circuit in doc
+        .get("circuits")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+    {
+        let name = circuit
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("circuit without a name")?;
         let totals = circuit
             .get("total_counters")
             .ok_or_else(|| format!("circuit {name} has no total_counters"))?;
-        out.push((name, counter_pairs(totals)?));
+        out.push((name.to_string(), counter_pairs(totals)?));
     }
     if out.is_empty() {
         return Err("no circuits with total_counters found".into());
     }
     Ok(out)
-}
-
-/// Parses a snapshot and yields each circuit as `(name, object)`.
-fn circuits_of(json: &str) -> Result<Vec<(String, Value)>, String> {
-    let doc = fscan::json::parse(json).map_err(|e| e.to_string())?;
-    let circuits = doc
-        .get("circuits")
-        .and_then(Value::as_array)
-        .ok_or_else(|| "no circuits with total_counters found".to_string())?;
-    circuits
-        .iter()
-        .map(|c| {
-            let name = c
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "circuit without a name".to_string())?;
-            Ok((name.to_string(), c.clone()))
-        })
-        .collect()
 }
 
 /// Flattens a counters object into `(key, value)` pairs in emission
@@ -104,322 +113,268 @@ fn counter_pairs(counters: &Value) -> Result<Vec<(String, u64)>, String> {
         .collect()
 }
 
-/// Extracts each circuit's `total_mem` block as scalar `(quantity,
-/// value)` pairs. The `cone_hist` bucket array is folded into a
-/// synthetic `cone_total` entry (the number of cones recorded), so mem
-/// gates can use the same `(name, value)` machinery as the counter
-/// gates.
-///
-/// # Examples
-///
-/// ```
-/// use fscan_bench::baseline::parse_total_mem;
-///
-/// let json = r#"{
-///   "circuits": [
-///     {
-///       "name": "stress100k",
-///       "total_mem": {
-///         "peak_bytes": 0,
-///         "arena_bytes": 4096,
-///         "cone_hist": [1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-///       }
-///     }
-///   ]
-/// }"#;
-/// let parsed = parse_total_mem(json).unwrap();
-/// assert_eq!(parsed[0].0, "stress100k");
-/// assert!(parsed[0].1.contains(&("arena_bytes".to_string(), 4096)));
-/// assert!(parsed[0].1.contains(&("cone_total".to_string(), 3)));
-/// ```
-pub fn parse_total_mem(json: &str) -> Result<CircuitCounters, String> {
-    let mut out: CircuitCounters = Vec::new();
-    for (name, circuit) in circuits_of(json)? {
-        let mem = circuit
-            .get("total_mem")
-            .ok_or_else(|| format!("circuit {name} has no total_mem"))?;
-        out.push((name, mem_pairs(mem)?));
-    }
-    if out.is_empty() {
-        return Err("no circuits with total_mem found".into());
-    }
-    Ok(out)
-}
+/// Blocks a selector reads: a circuit's `total_counters`, its
+/// `total_mem`, or the counters of one pipeline stage.
+const BLOCKS: [&str; 7] = [
+    "total",
+    "mem",
+    "classify",
+    "alternating",
+    "comb",
+    "compact",
+    "seq",
+];
 
-/// Flattens a mem object into scalar `(quantity, value)` pairs,
-/// folding the `cone_hist` array into a `cone_total` entry.
-fn mem_pairs(mem: &Value) -> Result<Vec<(String, u64)>, String> {
-    let fields = mem
-        .as_object()
-        .ok_or_else(|| "mem block is not an object".to_string())?;
-    let mut out = Vec::new();
-    for (key, v) in fields {
-        if key == "cone_hist" {
-            let buckets = v
-                .as_array()
-                .ok_or_else(|| "cone_hist is not an array".to_string())?;
-            let mut total = 0u64;
-            for b in buckets {
-                total += b
-                    .as_u64()
-                    .ok_or_else(|| "malformed cone_hist bucket".to_string())?;
-            }
-            out.push(("cone_total".to_string(), total));
-        } else {
-            out.push((
-                key.clone(),
-                v.as_u64()
-                    .ok_or_else(|| format!("malformed mem quantity {key}"))?,
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Requires every circuit's `key` to stay at or below `limit × base`
-/// for the matching baseline entry — the gate for allocator-observed
-/// peaks, which are nondeterministic but must not balloon. Baseline
-/// entries of 0 (no tracking allocator in the baseline run) are
-/// skipped: there is nothing meaningful to compare against.
-pub fn check_max_factor(
-    baseline: &[(String, u64)],
-    current: &[(String, u64)],
-    key: &str,
+/// One line of a gate file: a bound on one counter of a fresh snapshot.
+/// See the [module documentation](self) for the grammar.
+#[derive(Debug)]
+pub struct Gate {
+    /// 1-based line number in the gate file.
+    line: usize,
+    /// The gate as written, comment stripped.
+    text: String,
+    /// The snapshot under test.
+    pub fresh: String,
+    block: String,
+    key: String,
+    /// `sum(...)`: one comparison of the total over the fresh
+    /// snapshot's circuits.
+    sum: bool,
+    /// Multiplies each fresh value before the comparison.
     factor: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, base) in baseline {
-        if *base == 0 {
-            continue;
-        }
-        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        let limit = *base as f64 * factor;
-        if *cur as f64 > limit {
-            failures.push(format!(
-                "{name}: {key} {cur} exceeds {factor}x the baseline {base}"
-            ));
-        }
-    }
-    failures
+    /// `<=`, `>=` or `==`.
+    op: &'static str,
+    bound: Bound,
 }
 
-/// Per-circuit, per-stage counter contents: `(circuit name, [(stage
-/// name, [(counter, value)])])` in emission order.
-pub type StageCounters = Vec<(String, Vec<(String, Vec<(String, u64)>)>)>;
+#[derive(Debug)]
+enum Bound {
+    /// A constant.
+    Number(f64),
+    /// A factor times the same circuit's value in a reference snapshot.
+    Snapshot(f64, String),
+}
 
-/// Extracts every stage's `(counter, value)` pairs of each circuit from
-/// a [`bench_json`](crate::bench_json) snapshot — the per-stage
-/// companion of [`parse_total_counters`], needed by gates that bound a
-/// *single* stage (e.g. the comb-stage `gate_evals` reduction check).
+/// Parses a gate file, one [`Gate`] per non-blank line (`#` starts a
+/// comment). Every error names its line; a file without gates is an
+/// error too, since it would pass without comparing anything.
 ///
 /// # Examples
 ///
 /// ```
-/// use fscan_bench::baseline::parse_stage_counters;
+/// use fscan_bench::baseline::parse_gates;
 ///
-/// let json = r#"{
-///   "circuits": [
-///     {
-///       "name": "s5378",
-///       "stages": [
-///         {
-///           "stage": "comb",
-///           "counters": {
-///             "gate_evals": 11
-///           }
-///         }
-///       ],
-///       "total_counters": {
-///         "gate_evals": 42
-///       }
-///     }
-///   ]
-/// }"#;
-/// let parsed = parse_stage_counters(json).unwrap();
-/// assert_eq!(parsed[0].0, "s5378");
-/// assert_eq!(parsed[0].1[0].0, "comb");
-/// assert_eq!(parsed[0].1[0].1, vec![("gate_evals".to_string(), 11)]);
+/// let gates = parse_gates(
+///     "# s9234\nbench_t1.json total.gate_evals <= 1.05*BENCH_baseline.json\n",
+/// )
+/// .unwrap();
+/// assert_eq!(gates[0].fresh, "bench_t1.json");
+/// let err = parse_gates("bench_t1.json totals.gate_evals <= 1").unwrap_err();
+/// assert!(err.starts_with("line 1 "), "{err}");
 /// ```
-pub fn parse_stage_counters(json: &str) -> Result<StageCounters, String> {
-    let mut out: StageCounters = Vec::new();
-    for (name, circuit) in circuits_of(json)? {
-        let mut stages = Vec::new();
-        for stage in circuit
-            .get("stages")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
+pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
+    let mut gates = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or_default().trim();
+        if line.is_empty() {
+            continue;
+        }
+        let at = |msg: &str| format!("line {} `{line}`: {msg}", i + 1);
+        let &[fresh, lhs, op, rhs] = line.split_whitespace().collect::<Vec<_>>().as_slice() else {
+            return Err(at("expected FRESH SELECTOR OP BOUND"));
+        };
+        let (selector, factor) = match lhs.split_once('*') {
+            Some((selector, factor)) => (
+                selector,
+                number(factor).ok_or_else(|| at("non-numeric factor"))?,
+            ),
+            None => (lhs, 1.0),
+        };
+        let (sum, selector) = match selector
+            .strip_prefix("sum(")
+            .and_then(|s| s.strip_suffix(')'))
         {
-            let label = stage
-                .get("stage")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("circuit {name} has a stage without a label"))?;
-            let counters = stage
-                .get("counters")
-                .ok_or_else(|| format!("stage {label} of {name} has no counters"))?;
-            stages.push((label.to_string(), counter_pairs(counters)?));
+            Some(inner) => (true, inner),
+            None => (false, selector),
+        };
+        let (block, key) = selector
+            .split_once('.')
+            .filter(|(_, key)| !key.is_empty())
+            .ok_or_else(|| at("selector is not BLOCK.COUNTER"))?;
+        if !BLOCKS.contains(&block) {
+            return Err(at(&format!(
+                "unknown block `{block}` (expected one of {})",
+                BLOCKS.join(", ")
+            )));
         }
-        out.push((name, stages));
+        let op = ["<=", ">=", "=="]
+            .into_iter()
+            .find(|o| *o == op)
+            .ok_or_else(|| at(&format!("unknown operator `{op}` (expected <=, >= or ==)")))?;
+        let bound = match number(rhs) {
+            Some(n) => Bound::Number(n),
+            None if sum => return Err(at("sum(...) takes a numeric bound")),
+            None => {
+                let (factor, path) = match rhs.split_once('*') {
+                    Some((factor, path)) => (
+                        number(factor).ok_or_else(|| at("non-numeric factor"))?,
+                        path,
+                    ),
+                    None => (1.0, rhs),
+                };
+                if path.is_empty() {
+                    return Err(at("bound names no snapshot"));
+                }
+                Bound::Snapshot(factor, path.to_string())
+            }
+        };
+        gates.push(Gate {
+            line: i + 1,
+            text: line.to_string(),
+            fresh: fresh.to_string(),
+            block: block.to_string(),
+            key: key.to_string(),
+            sum,
+            factor,
+            op,
+            bound,
+        });
     }
-    if out.is_empty() || out.iter().all(|(_, stages)| stages.is_empty()) {
-        return Err("no circuits with per-stage counters found".into());
+    if gates.is_empty() {
+        return Err("no gates".into());
     }
-    Ok(out)
+    Ok(gates)
 }
 
-/// Projects one stage's counter out of parsed [`StageCounters`]:
-/// `(circuit name, value)` for every circuit that reports `key` under
-/// `stage`.
-pub fn stage_counter_totals(
-    circuits: &StageCounters,
-    stage: &str,
-    key: &str,
-) -> Vec<(String, u64)> {
+/// A finite, non-negative number.
+fn number(text: &str) -> Option<f64> {
+    text.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+}
+
+impl Gate {
+    /// Evaluates the gate, reading each snapshot it names through
+    /// `load`. `Ok` lists every comparison, `Err` the failing ones (or
+    /// why nothing could be compared); both start with the gate's line.
+    ///
+    /// A per-circuit gate compares each fresh circuit against the same
+    /// circuit of the reference snapshot. It fails unless at least one
+    /// circuit is on both sides and carries the selected value, and a
+    /// `sum(...)` gate fails unless some fresh circuit carries it: a
+    /// gate that compares nothing proves nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fscan_bench::baseline::parse_gates;
+    ///
+    /// let snapshot = |evals: u64| {
+    ///     fscan::json::parse(&format!(
+    ///         r#"{{"circuits": [{{"name": "s9234", "total_counters": {{"gate_evals": {evals}}}}}]}}"#
+    ///     ))
+    ///     .map_err(|e| e.to_string())
+    /// };
+    /// let gate = &parse_gates("fresh.json total.gate_evals <= 1.05*base.json").unwrap()[0];
+    /// let load = |fresh: u64| move |path: &str| snapshot(if path == "base.json" { 1000 } else { fresh });
+    /// assert!(gate.check(load(1050)).is_ok());
+    /// assert_eq!(
+    ///     gate.check(load(1051)).unwrap_err(),
+    ///     "line 1 `fresh.json total.gate_evals <= 1.05*base.json`: s9234 1051 is not <= 1050"
+    /// );
+    /// ```
+    pub fn check(&self, load: impl Fn(&str) -> Result<Value, String>) -> Result<String, String> {
+        let at = |msg: &str| format!("line {} `{}`: {msg}", self.line, self.text);
+        let mut fresh = select(
+            &load(&self.fresh).map_err(|e| at(&e))?,
+            &self.block,
+            &self.key,
+        );
+        if self.sum && !fresh.is_empty() {
+            fresh = vec![("sum".to_string(), fresh.iter().map(|(_, v)| v).sum())];
+        }
+        let reference = match &self.bound {
+            Bound::Snapshot(_, path) => {
+                select(&load(path).map_err(|e| at(&e))?, &self.block, &self.key)
+            }
+            Bound::Number(_) => Vec::new(),
+        };
+        let rows: Vec<(&str, f64, f64)> = fresh
+            .iter()
+            .filter_map(|(circuit, value)| {
+                let bound = match &self.bound {
+                    Bound::Number(n) => *n,
+                    Bound::Snapshot(factor, _) => {
+                        reference.iter().find(|(c, _)| c == circuit)?.1 as f64 * factor
+                    }
+                };
+                Some((circuit.as_str(), *value as f64 * self.factor, bound))
+            })
+            .collect();
+        if rows.is_empty() {
+            return Err(at(&format!(
+                "compares nothing: no circuit carries {}.{} on both sides",
+                self.block, self.key
+            )));
+        }
+        let holds = |lhs: f64, rhs: f64| match self.op {
+            "<=" => lhs <= rhs,
+            ">=" => lhs >= rhs,
+            _ => lhs == rhs,
+        };
+        let num = |v: f64| {
+            if v.fract() == 0.0 {
+                format!("{v}")
+            } else {
+                format!("{v:.2}")
+            }
+        };
+        let (failing, passing): (Vec<_>, Vec<_>) =
+            rows.iter().partition(|(_, lhs, rhs)| !holds(*lhs, *rhs));
+        let show = |rows: Vec<&(&str, f64, f64)>, verb: &str| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|(c, lhs, rhs)| format!("{c} {} {verb}{} {}", num(*lhs), self.op, num(*rhs)))
+                .collect();
+            at(&rows.join(", "))
+        };
+        if failing.is_empty() {
+            Ok(show(passing, ""))
+        } else {
+            Err(show(failing, "is not "))
+        }
+    }
+}
+
+/// `(circuit, value)` for every circuit of a snapshot that carries the
+/// selected value. `mem.cone_total` sums the circuit's cone histogram.
+fn select(snapshot: &Value, block: &str, key: &str) -> Vec<(String, u64)> {
+    let circuits = snapshot
+        .get("circuits")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
     circuits
         .iter()
-        .filter_map(|(name, stages)| {
-            stages
-                .iter()
-                .find(|(s, _)| s == stage)
-                .and_then(|(_, counters)| counters.iter().find(|(k, _)| k == key))
-                .map(|(_, v)| (name.clone(), *v))
+        .filter_map(|c| {
+            let value = match block {
+                "total" => c.get("total_counters")?.get(key)?.as_u64(),
+                "mem" if key == "cone_total" => {
+                    let hist = c.get("total_mem")?.get("cone_hist")?.as_array()?;
+                    hist.iter().map(Value::as_u64).sum()
+                }
+                "mem" => c.get("total_mem")?.get(key)?.as_u64(),
+                stage => c
+                    .get("stages")?
+                    .as_array()?
+                    .iter()
+                    .find(|s| s.get("stage").and_then(Value::as_str) == Some(stage))?
+                    .get("counters")?
+                    .get(key)?
+                    .as_u64(),
+            }?;
+            Some((c.get("name")?.as_str()?.to_string(), value))
         })
         .collect()
-}
-
-/// Projects one counter out of parsed [`CircuitCounters`]: `(circuit
-/// name, value)` for every circuit whose `total_counters` block carries
-/// `key`.
-pub fn counter_totals(circuits: &CircuitCounters, key: &str) -> Vec<(String, u64)> {
-    circuits
-        .iter()
-        .filter_map(|(name, counters)| {
-            counters
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| (name.clone(), *v))
-        })
-        .collect()
-}
-
-/// Extracts `(circuit name, total gate_evals)` pairs from a
-/// [`bench_json`](crate::bench_json)-formatted snapshot.
-///
-/// # Examples
-///
-/// ```
-/// use fscan_bench::baseline::parse_gate_evals;
-///
-/// let json = r#"{
-///   "circuits": [
-///     {
-///       "name": "s5378",
-///       "total_counters": {
-///         "gate_evals": 42
-///       }
-///     }
-///   ]
-/// }"#;
-/// assert_eq!(parse_gate_evals(json).unwrap(), vec![("s5378".to_string(), 42)]);
-/// ```
-pub fn parse_gate_evals(json: &str) -> Result<Vec<(String, u64)>, String> {
-    let totals = counter_totals(&parse_total_counters(json)?, "gate_evals");
-    if totals.is_empty() {
-        return Err("no circuits with a total gate_evals counter found".into());
-    }
-    Ok(totals)
-}
-
-/// Compares a fresh snapshot against a baseline: every circuit present
-/// in both must keep its total `gate_evals` within
-/// `baseline × (1 + tolerance_pct / 100)`.
-///
-/// Returns one human-readable line per regressing circuit (empty =
-/// pass). Circuits present only on one side are ignored, so a baseline
-/// covering one circuit still guards partial runs.
-pub fn check_regression(
-    baseline: &[(String, u64)],
-    current: &[(String, u64)],
-    tolerance_pct: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, base) in baseline {
-        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        let limit = *base as f64 * (1.0 + tolerance_pct / 100.0);
-        if *cur as f64 > limit {
-            failures.push(format!(
-                "{name}: gate_evals {cur} exceeds baseline {base} by {:+.1}% (tolerance {tolerance_pct}%)",
-                100.0 * (*cur as f64 / (*base).max(1) as f64 - 1.0)
-            ));
-        }
-    }
-    failures
-}
-
-/// Requires the sum of `key` across every circuit in the fresh snapshot
-/// to reach at least `min`. Used to gate on global fault dropping
-/// actually happening: a comb phase whose `faults_dropped` total
-/// collapses to zero has silently fallen back to one-PODEM-run-per-fault
-/// even if its total work still looks healthy.
-pub fn check_min_total(current: &[(String, u64)], key: &str, min: u64) -> Vec<String> {
-    let total: u64 = current.iter().map(|(_, v)| *v).sum();
-    if total < min {
-        vec![format!(
-            "total {key} {total} is below the required minimum {min}"
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Requires every circuit present in both snapshots to have improved by
-/// at least `factor`: `baseline ≥ factor × current` for `key`. Used to
-/// hold the comb-stage `gate_evals` reduction (event-driven PODEM
-/// resimulation plus global fault dropping) at ≥ 2× against the
-/// committed pre-optimization baseline.
-pub fn check_improvement(
-    baseline: &[(String, u64)],
-    current: &[(String, u64)],
-    key: &str,
-    factor: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, base) in baseline {
-        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        if (*base as f64) < factor * *cur as f64 {
-            failures.push(format!(
-                "{name}: {key} {cur} is only {:.2}x below reference {base} (need >= {factor}x)",
-                *base as f64 / (*cur).max(1) as f64
-            ));
-        }
-    }
-    failures
-}
-
-/// Requires a structural counter to match the baseline exactly on every
-/// circuit present in both snapshots. Used for `topology_builds`: each
-/// pipeline run compiles its circuit once, so any change means an
-/// engine regressed into private rebuilds (or stopped being counted).
-pub fn check_exact(
-    baseline: &[(String, u64)],
-    current: &[(String, u64)],
-    key: &str,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, base) in baseline {
-        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        if cur != base {
-            failures.push(format!("{name}: {key} {cur} differs from baseline {base}"));
-        }
-    }
-    failures
 }
 
 /// One record of `BENCH_history.jsonl`, parsed back out of the line
@@ -555,129 +510,242 @@ mod tests {
     use crate::suite::PAPER_SUITE;
     use crate::tables::run_pipeline;
 
-    fn pairs(v: &[(&str, u64)]) -> Vec<(String, u64)> {
-        v.iter().map(|(n, c)| (n.to_string(), *c)).collect()
+    /// A snapshot whose circuits carry one value in one block
+    /// (`total_counters` or `total_mem`).
+    fn snapshot(block: &str, key: &str, circuits: &[(&str, u64)]) -> Value {
+        let circuits = circuits
+            .iter()
+            .map(|(name, v)| {
+                Value::Object(vec![
+                    ("name".into(), Value::Str(name.to_string())),
+                    (
+                        block.into(),
+                        Value::Object(vec![(key.to_string(), Value::UInt(*v))]),
+                    ),
+                ])
+            })
+            .collect();
+        Value::object([("circuits", Value::Array(circuits))])
+    }
+
+    /// Evaluates a one-gate file against named in-memory snapshots.
+    fn check(line: &str, files: &[(&str, &Value)]) -> Result<String, String> {
+        parse_gates(line).unwrap()[0].check(|path| {
+            files
+                .iter()
+                .find(|(name, _)| *name == path)
+                .map(|(_, doc)| (*doc).clone())
+                .ok_or_else(|| format!("cannot read {path}"))
+        })
+    }
+
+    fn totals(key: &str, circuits: &[(&str, u64)]) -> Value {
+        snapshot("total_counters", key, circuits)
     }
 
     #[test]
-    fn parses_real_emitter_output() {
+    fn selectors_read_the_real_emitter_output() {
         let report = run_pipeline(&PAPER_SUITE[0], 0.05);
         let totals = report.total_counters();
-        let json = bench_json(&[report], 0.05, 1, 256);
-        let parsed = parse_gate_evals(&json).unwrap();
-        assert_eq!(parsed, vec![("s1196".to_string(), totals.gate_evals)]);
-        // Every emitted counter — including the new structural ones —
-        // round-trips through the parser.
-        let all = parse_total_counters(&json).unwrap();
+        let comb = report.comb.metrics.counters.gate_evals;
+        let arena = report.total_mem().arena_bytes;
+        let faults = report.total_faults;
+        let doc = fscan::json::parse(&bench_json(&[report], 0.05, 1, 256)).unwrap();
+        for line in [
+            format!("run.json total.gate_evals == {}", totals.gate_evals),
+            format!("run.json total.scratch_reuses == {}", totals.scratch_reuses),
+            "run.json total.topology_builds == 1".to_string(),
+            format!("run.json comb.gate_evals == {comb}"),
+            format!("run.json mem.arena_bytes == {arena}"),
+            // The classify stage records one cone per fault.
+            format!("run.json mem.cone_total == {faults}"),
+        ] {
+            let ok = check(&line, &[("run.json", &doc)]);
+            assert!(ok.as_deref().is_ok_and(|m| m.contains("s1196")), "{ok:?}");
+        }
+        assert!(arena > 0, "pipeline must report a nonzero arena footprint");
+        // Every emitted total counter round-trips into a history record.
+        let all = parse_total_counters(&doc.render_pretty()).unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].1.len(), totals.fields().len());
-        assert_eq!(
-            counter_totals(&all, "topology_builds"),
-            vec![("s1196".to_string(), 1)]
-        );
-        assert_eq!(
-            counter_totals(&all, "scratch_reuses"),
-            vec![("s1196".to_string(), totals.scratch_reuses)]
-        );
     }
 
     #[test]
     fn flags_only_regressions_beyond_tolerance() {
-        let base = pairs(&[("a", 1000), ("b", 1000), ("c", 1000)]);
-        let cur = pairs(&[("a", 1049), ("b", 1051), ("d", 9999)]);
-        let failures = check_regression(&base, &cur, 5.0);
+        let base = totals("gate_evals", &[("a", 1000), ("b", 1000), ("c", 1000)]);
+        let cur = totals("gate_evals", &[("a", 1049), ("b", 1051), ("d", 9999)]);
+        let gate = "cur.json total.gate_evals <= 1.05*base.json";
+        let failure = check(gate, &[("base.json", &base), ("cur.json", &cur)]).unwrap_err();
         // `a` is within 5%, `b` is over, `c`/`d` are unmatched.
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("b:"), "{failures:?}");
+        assert!(failure.ends_with(": b 1051 is not <= 1050"), "{failure}");
     }
 
     #[test]
     fn improvements_always_pass() {
-        let base = pairs(&[("a", 1000)]);
-        let cur = pairs(&[("a", 200)]);
-        assert!(check_regression(&base, &cur, 0.0).is_empty());
+        let base = totals("gate_evals", &[("a", 1000)]);
+        let cur = totals("gate_evals", &[("a", 200)]);
+        let gate = "cur.json total.gate_evals <= base.json";
+        assert!(check(gate, &[("base.json", &base), ("cur.json", &cur)]).is_ok());
     }
 
     #[test]
     fn exact_check_flags_any_drift() {
-        let base = pairs(&[("a", 1), ("b", 1)]);
-        assert!(check_exact(&base, &pairs(&[("a", 1), ("b", 1)]), "topology_builds").is_empty());
-        let failures = check_exact(&base, &pairs(&[("a", 2), ("b", 1)]), "topology_builds");
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("a:"), "{failures:?}");
-        // One-sided circuits are ignored, like the tolerance check.
-        assert!(check_exact(&base, &pairs(&[("z", 7)]), "topology_builds").is_empty());
+        let gate = "cur.json total.topology_builds == base.json";
+        let base = totals("topology_builds", &[("a", 1), ("b", 1)]);
+        let files = |cur: &Value| check(gate, &[("base.json", &base), ("cur.json", cur)]);
+        assert!(files(&totals("topology_builds", &[("a", 1), ("b", 1)])).is_ok());
+        let failure = files(&totals("topology_builds", &[("a", 2), ("b", 1)])).unwrap_err();
+        assert!(failure.ends_with(": a 2 is not == 1"), "{failure}");
+        // A fresh snapshot sharing no circuit with the baseline compares
+        // nothing, so it fails instead of passing vacuously.
+        let failure = files(&totals("topology_builds", &[("z", 7)])).unwrap_err();
+        assert!(failure.contains("compares nothing"), "{failure}");
     }
 
     #[test]
-    fn rejects_malformed_input() {
-        assert!(parse_gate_evals("{}").is_err());
-        assert!(parse_gate_evals("\"total_counters\": {\n\"gate_evals\": 3\n").is_err());
-        assert!(parse_stage_counters("{}").is_err());
-    }
-
-    #[test]
-    fn stage_counters_round_trip_through_the_emitter() {
-        let report = run_pipeline(&PAPER_SUITE[0], 0.05);
-        let comb_evals = report.comb.metrics.counters.gate_evals;
-        let json = bench_json(&[report], 0.05, 1, 256);
-        let parsed = parse_stage_counters(&json).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let stages: Vec<&str> = parsed[0].1.iter().map(|(s, _)| s.as_str()).collect();
-        assert_eq!(
-            stages,
-            vec!["classify", "alternating", "comb", "compact", "seq"]
+    fn peak_factor_bounds_every_circuit() {
+        let base = snapshot(
+            "total_mem",
+            "peak_bytes",
+            &[("a", 1000), ("b", 0), ("c", 1000)],
         );
-        assert_eq!(
-            stage_counter_totals(&parsed, "comb", "gate_evals"),
-            vec![("s1196".to_string(), comb_evals)]
+        let cur = snapshot(
+            "total_mem",
+            "peak_bytes",
+            &[("a", 1999), ("b", 5000), ("c", 2001)],
         );
-        // Per-stage parsing must not leak the total_counters block in as
-        // a phantom stage.
-        for (_, counters) in &parsed[0].1 {
-            assert_eq!(counters.len(), fscan_sim::WorkCounters::ZERO.fields().len());
-        }
-    }
-
-    #[test]
-    fn total_mem_round_trips_through_the_emitter() {
-        let report = run_pipeline(&PAPER_SUITE[0], 0.05);
-        let total_faults = report.total_faults as u64;
-        let arena = report.total_mem().arena_bytes;
-        let json = bench_json(&[report], 0.05, 1, 256);
-        let parsed = parse_total_mem(&json).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(
-            counter_totals(&parsed, "arena_bytes"),
-            vec![("s1196".to_string(), arena)]
+        let gate = "cur.json mem.peak_bytes <= 2*base.json";
+        let failure = check(gate, &[("base.json", &base), ("cur.json", &cur)]).unwrap_err();
+        // `a` is under 2x; a zero baseline is compared like any other.
+        assert!(
+            failure.ends_with(": b 5000 is not <= 0, c 2001 is not <= 2000"),
+            "{failure}"
         );
-        assert!(arena > 0, "pipeline must report a nonzero arena footprint");
-        // The classify stage records one cone per fault.
-        assert_eq!(
-            counter_totals(&parsed, "cone_total"),
-            vec![("s1196".to_string(), total_faults)]
-        );
-        // Old snapshots without mem blocks fail loudly, not silently.
-        assert!(parse_total_mem("{\"circuits\": [{\"name\": \"x\"}]}").is_err());
-    }
-
-    #[test]
-    fn max_factor_skips_zero_baselines() {
-        let base = pairs(&[("a", 1000), ("b", 0), ("c", 1000)]);
-        let cur = pairs(&[("a", 1999), ("b", 5000), ("c", 2001)]);
-        let failures = check_max_factor(&base, &cur, "peak_bytes", 2.0);
-        // `a` is under 2x, `b` has no baseline signal, `c` is over.
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("c:"), "{failures:?}");
     }
 
     #[test]
     fn min_total_gates_on_the_sum() {
-        let cur = pairs(&[("a", 30), ("b", 12)]);
-        assert!(check_min_total(&cur, "faults_dropped", 42).is_empty());
-        let failures = check_min_total(&cur, "faults_dropped", 43);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("faults_dropped"), "{failures:?}");
+        let cur = totals("faults_dropped", &[("a", 30), ("b", 12)]);
+        assert!(check(
+            "cur.json sum(total.faults_dropped) >= 42",
+            &[("cur.json", &cur)]
+        )
+        .is_ok());
+        let failure = check(
+            "cur.json sum(total.faults_dropped) >= 43",
+            &[("cur.json", &cur)],
+        )
+        .unwrap_err();
+        assert!(failure.contains("faults_dropped"), "{failure}");
+        assert!(failure.ends_with(": sum 42 is not >= 43"), "{failure}");
+        // A counter no circuit carries sums to nothing, and fails.
+        let failure = check(
+            "cur.json sum(total.verdicts_reused) >= 0",
+            &[("cur.json", &cur)],
+        )
+        .unwrap_err();
+        assert!(failure.contains("compares nothing"), "{failure}");
+    }
+
+    #[test]
+    fn improvement_requires_the_factor_per_circuit() {
+        let base = totals("gate_evals", &[("a", 1000), ("b", 1000), ("c", 1000)]);
+        let cur = totals("gate_evals", &[("a", 500), ("b", 501), ("d", 9999)]);
+        let gate = "cur.json total.gate_evals*2 <= base.json";
+        let failure = check(gate, &[("base.json", &base), ("cur.json", &cur)]).unwrap_err();
+        // `a` hits exactly 2x, `b` falls short, `c`/`d` are unmatched.
+        assert!(failure.ends_with(": b 1002 is not <= 1000"), "{failure}");
+    }
+
+    #[test]
+    fn a_gate_that_compares_nothing_fails() {
+        // The s9234 baseline's gates pointed at the stress snapshot: no
+        // circuit is on both sides, so every gate fails and names its
+        // line.
+        let repo = |name: &str| {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(name);
+            let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
+            fscan::json::parse(&text).map_err(|e| e.to_string())
+        };
+        let file = "\
+            BENCH_stress_ci.json total.gate_evals <= 1.05*BENCH_baseline.json\n\
+            BENCH_stress_ci.json total.topology_builds == BENCH_baseline.json\n\
+            BENCH_stress_ci.json mem.arena_bytes == BENCH_baseline.json\n\
+            BENCH_stress_ci.json mem.cone_total == BENCH_baseline.json\n\
+            BENCH_stress_ci.json mem.peak_bytes <= 2*BENCH_baseline.json\n\
+            BENCH_stress_ci.json comb.gate_evals*2 <= BENCH_baseline_pre_atpg.json\n\
+            BENCH_stress_ci.json classify.gate_evals*1.5 <= BENCH_baseline_w64.json\n\
+            BENCH_stress_ci.json classify.implication_words*2 <= BENCH_baseline_w64.json\n";
+        let gates = parse_gates(file).unwrap();
+        assert_eq!(gates.len(), 8);
+        for (i, gate) in gates.iter().enumerate() {
+            let failure = gate.check(repo).unwrap_err();
+            assert!(
+                failure.starts_with(&format!("line {} ", i + 1))
+                    && failure.contains("compares nothing"),
+                "{failure}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_gate_lines() {
+        let good = "cur.json total.gate_evals <= 1.05*base.json";
+        for (bad, why) in [
+            (
+                "cur.json totals.gate_evals <= base.json",
+                "unknown block `totals`",
+            ),
+            (
+                "cur.json total.gate_evals =< base.json",
+                "unknown operator `=<`",
+            ),
+            (
+                "cur.json total.gate_evals < base.json",
+                "unknown operator `<`",
+            ),
+            (
+                "cur.json total.gate_evals <= x*base.json",
+                "non-numeric factor",
+            ),
+            (
+                "cur.json total.gate_evals*fast <= base.json",
+                "non-numeric factor",
+            ),
+            (
+                "cur.json total.gate_evals <= 1.05*",
+                "bound names no snapshot",
+            ),
+            (
+                "cur.json total.gate_evals <=",
+                "expected FRESH SELECTOR OP BOUND",
+            ),
+            (
+                "cur.json gate_evals <= base.json",
+                "selector is not BLOCK.COUNTER",
+            ),
+            (
+                "cur.json sum(total.gate_evals) >= base.json",
+                "numeric bound",
+            ),
+        ] {
+            let err = parse_gates(&format!("# header\n{good}\n{bad}\n")).unwrap_err();
+            assert!(
+                err.starts_with("line 3 ") && err.contains(why),
+                "{bad}: {err}"
+            );
+        }
+        assert!(parse_gates("# only comments\n\n").is_err());
+        // A snapshot the gate names but nobody wrote fails the gate.
+        let cur = totals("gate_evals", &[("a", 1)]);
+        let err = check(good, &[("cur.json", &cur)]).unwrap_err();
+        assert!(
+            err.starts_with("line 1 ") && err.contains("cannot read base.json"),
+            "{err}"
+        );
+        assert!(parse_total_counters("{}").is_err());
     }
 
     #[test]
@@ -737,15 +805,5 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn improvement_requires_the_factor_per_circuit() {
-        let base = pairs(&[("a", 1000), ("b", 1000), ("c", 1000)]);
-        let cur = pairs(&[("a", 500), ("b", 501), ("d", 9999)]);
-        let failures = check_improvement(&base, &cur, "gate_evals", 2.0);
-        // `a` hits exactly 2x, `b` falls short, `c`/`d` are unmatched.
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("b:"), "{failures:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! reproduce stress [--gates N] [--fault-sample N] [--chains N] [--seed S] [--threads N] [--lanes 64|256] [--json [PATH]]
 //! reproduce eco [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]
 //! reproduce history [PATH] [--limit N]
-//! reproduce check-baseline BASELINE.json CURRENT.json [--tolerance PCT]
+//! reproduce check-baseline GATES [--history PATH]
 //! ```
 //!
 //! `--scale` shrinks every suite circuit proportionally (default 0.125,
@@ -47,36 +47,16 @@
 //! summed across that record's circuits; `--limit N` keeps only the
 //! newest `N` rows.
 //!
-//! `check-baseline` compares the per-circuit total `gate_evals` of a
-//! fresh snapshot against a committed baseline and fails if any circuit
-//! regressed beyond the tolerance (default 5%); the structural
-//! `topology_builds` counter must additionally match the baseline
-//! exactly (one compilation per pipeline run). Optional gates guard the
-//! fault-parallel fast paths: `--min-faults-dropped N` requires the
-//! fresh snapshot's summed `faults_dropped` to reach `N` (global fault
-//! dropping actually firing); `--comb-reference REF.json
-//! [--min-comb-speedup R]` requires every circuit's *comb-stage*
-//! `gate_evals` to sit at least `R`× (default 2×) below the committed
-//! pre-optimization reference snapshot; `--wide-reference REF.json
-//! [--min-classify-speedup R]` requires the *classify-stage*
-//! `gate_evals` to sit at least `R`× (default 1.5×) below the committed
-//! 64-lane reference snapshot and its `implication_words` at least 2×
-//! below — the wide-rail win in work items, not wall-clock;
-//! `--min-verdicts-reused N` requires the snapshot's summed
-//! `verdicts_reused` to reach `N` (an ECO snapshot that stopped
-//! carrying verdicts forward fails even if it stayed cheap);
-//! `--eco-reference REF.json [--min-eco-speedup R]` requires every
-//! circuit's *total* `gate_evals` to sit at least `R`× (default 4×,
-//! i.e. ≤ 25% of cold) below the committed cold-run reference.
-//! `--history PATH` appends a one-line JSON record (git revision, rail width,
-//! every circuit's total counters) to `PATH` after a passing check,
-//! building the committed per-PR counter trace `BENCH_history.jsonl`.
-//! When both snapshots carry `total_mem` blocks, the memory gates ride
-//! along automatically: `arena_bytes` and the cone totals must match
-//! exactly (they are deterministic), and the allocator-observed
-//! `peak_bytes` must stay within `--max-peak-factor` (default 2×) of
-//! the baseline; snapshots from before the memory accounting simply
-//! skip these gates.
+//! `check-baseline` evaluates every gate of a gate file (CI's is the
+//! committed `BENCH_gates.txt`): one line per bound, such as
+//! `bench_t1.json total.gate_evals <= 1.05*BENCH_baseline.json`, over
+//! the snapshots it names relative to the working directory (grammar in
+//! [`fscan_bench::baseline`]). It prints one line per gate and fails if
+//! any gate fails or compares nothing. After a passing check,
+//! `--history PATH` appends one one-line JSON record (git revision,
+//! rail width, every circuit's total counters) per fresh snapshot, in
+//! the order the gate file first names them, building the committed
+//! per-PR counter trace `BENCH_history.jsonl`.
 
 use std::env;
 use std::process::ExitCode;
@@ -475,8 +455,8 @@ fn stress(args: &[String]) -> ExitCode {
 /// carry. The island's cone touches no prior fault, so every prior
 /// verdict carries forward and the rerun's `gate_evals` collapse to the
 /// new faults alone. With `--json` the rerun's counters are snapshotted
-/// (default `BENCH_eco.json`) so `check-baseline` can gate
-/// `--min-verdicts-reused` and `--eco-reference` on the committed copy.
+/// (default `BENCH_eco.json`) so `check-baseline` can gate its reuse
+/// and its work against the cold run.
 fn eco(args: &[String]) -> ExitCode {
     let usage = "usage: reproduce eco [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]";
     let mut scale = 0.05f64;
@@ -631,301 +611,62 @@ fn history_view(args: &[String]) -> ExitCode {
     }
 }
 
-/// `check-baseline BASELINE CURRENT [--tolerance PCT]
-/// [--min-faults-dropped N] [--comb-reference REF.json]
-/// [--min-comb-speedup R] [--wide-reference REF.json]
-/// [--min-classify-speedup R] [--min-verdicts-reused N]
-/// [--eco-reference REF.json] [--min-eco-speedup R] [--history PATH]`:
-/// compares the per-circuit total `gate_evals` of two `bench_json`
-/// snapshots, plus the optional fault-dropping, comb-stage,
-/// wide-classification and incremental-ECO gates; on success,
-/// `--history` appends a one-line counter record to the per-PR trace
-/// file.
+/// `check-baseline GATES [--history PATH]`: evaluates every gate of the
+/// gate file; on success, `--history` appends one counter record per
+/// fresh snapshot to the per-PR trace file.
 fn check_baseline(args: &[String]) -> ExitCode {
-    let usage = "usage: reproduce check-baseline BASELINE.json CURRENT.json [--tolerance PCT] [--min-faults-dropped N] [--comb-reference REF.json] [--min-comb-speedup R] [--wide-reference REF.json] [--min-classify-speedup R] [--max-peak-factor R] [--min-verdicts-reused N] [--eco-reference REF.json] [--min-eco-speedup R] [--history PATH]";
-    let mut files = Vec::new();
-    let mut tolerance = 5.0f64;
-    let mut max_peak_factor = 2.0f64;
-    let mut min_faults_dropped: Option<u64> = None;
-    let mut comb_reference: Option<String> = None;
-    let mut min_comb_speedup = 2.0f64;
-    let mut wide_reference: Option<String> = None;
-    let mut min_classify_speedup = 1.5f64;
-    let mut min_verdicts_reused: Option<u64> = None;
-    let mut eco_reference: Option<String> = None;
-    let mut min_eco_speedup = 4.0f64;
-    let mut history: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --tolerance needs a numeric value");
-                    return ExitCode::FAILURE;
-                };
-                tolerance = v;
-            }
-            "--min-faults-dropped" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --min-faults-dropped needs an integer value");
-                    return ExitCode::FAILURE;
-                };
-                min_faults_dropped = Some(v);
-            }
-            "--comb-reference" => {
-                let Some(v) = it.next() else {
-                    eprintln!("error: --comb-reference needs a snapshot path");
-                    return ExitCode::FAILURE;
-                };
-                comb_reference = Some(v.clone());
-            }
-            "--min-comb-speedup" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --min-comb-speedup needs a numeric value");
-                    return ExitCode::FAILURE;
-                };
-                min_comb_speedup = v;
-            }
-            "--wide-reference" => {
-                let Some(v) = it.next() else {
-                    eprintln!("error: --wide-reference needs a snapshot path");
-                    return ExitCode::FAILURE;
-                };
-                wide_reference = Some(v.clone());
-            }
-            "--min-classify-speedup" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --min-classify-speedup needs a numeric value");
-                    return ExitCode::FAILURE;
-                };
-                min_classify_speedup = v;
-            }
-            "--max-peak-factor" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --max-peak-factor needs a numeric value");
-                    return ExitCode::FAILURE;
-                };
-                max_peak_factor = v;
-            }
-            "--min-verdicts-reused" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --min-verdicts-reused needs an integer value");
-                    return ExitCode::FAILURE;
-                };
-                min_verdicts_reused = Some(v);
-            }
-            "--eco-reference" => {
-                let Some(v) = it.next() else {
-                    eprintln!("error: --eco-reference needs a snapshot path");
-                    return ExitCode::FAILURE;
-                };
-                eco_reference = Some(v.clone());
-            }
-            "--min-eco-speedup" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("error: --min-eco-speedup needs a numeric value");
-                    return ExitCode::FAILURE;
-                };
-                min_eco_speedup = v;
-            }
-            "--history" => {
-                let Some(v) = it.next() else {
-                    eprintln!("error: --history needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                history = Some(v.clone());
-            }
-            _ => files.push(arg.clone()),
-        }
-    }
-    let [base_path, cur_path] = files.as_slice() else {
-        eprintln!("{usage}");
-        return ExitCode::FAILURE;
-    };
-    let read_counters = |path: &str| -> Result<fscan_bench::baseline::CircuitCounters, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        fscan_bench::parse_total_counters(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (base_all, cur_all) = match (read_counters(base_path), read_counters(cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
+    let (gates_path, history) = match args {
+        [gates] => (gates, None),
+        [gates, flag, path] | [flag, path, gates] if flag == "--history" => (gates, Some(path)),
+        _ => {
+            eprintln!("usage: reproduce check-baseline GATES [--history PATH]");
             return ExitCode::FAILURE;
         }
     };
-    let base = fscan_bench::counter_totals(&base_all, "gate_evals");
-    let cur = fscan_bench::counter_totals(&cur_all, "gate_evals");
-    for (name, evals) in &cur {
-        match base.iter().find(|(n, _)| n == name) {
-            Some((_, b)) => println!(
-                "{name}: gate_evals {evals} vs baseline {b} ({:+.1}%)",
-                100.0 * (*evals as f64 / (*b).max(1) as f64 - 1.0)
-            ),
-            None => println!("{name}: gate_evals {evals} (no baseline entry)"),
+    let gates = match std::fs::read_to_string(gates_path)
+        .map_err(|e| format!("cannot read it: {e}"))
+        .and_then(|text| fscan_bench::parse_gates(&text))
+    {
+        Ok(gates) => gates,
+        Err(e) => {
+            eprintln!("error: {gates_path}: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let mut failures = fscan_bench::check_regression(&base, &cur, tolerance);
-    // Structural counters must not move at all: one topology compilation
-    // per pipeline run, whatever the thread count. (Baselines from
-    // before the counter existed simply have no entries to compare.)
-    failures.extend(fscan_bench::check_exact(
-        &fscan_bench::counter_totals(&base_all, "topology_builds"),
-        &fscan_bench::counter_totals(&cur_all, "topology_builds"),
-        "topology_builds",
-    ));
-    // Memory gates ride along automatically when both snapshots carry
-    // total_mem blocks (older snapshots predate the accounting and are
-    // skipped). Arena footprints and cone totals are deterministic and
-    // must match exactly; the allocator-observed peak is machine- and
-    // thread-sensitive and only bounded loosely.
-    let read_mem = |path: &str| -> Option<fscan_bench::baseline::CircuitCounters> {
-        let text = std::fs::read_to_string(path).ok()?;
-        fscan_bench::parse_total_mem(&text).ok()
     };
-    if let (Some(base_mem), Some(cur_mem)) = (read_mem(base_path), read_mem(cur_path)) {
-        for key in ["arena_bytes", "cone_total"] {
-            failures.extend(fscan_bench::check_exact(
-                &fscan_bench::counter_totals(&base_mem, key),
-                &fscan_bench::counter_totals(&cur_mem, key),
-                key,
-            ));
-        }
-        failures.extend(fscan_bench::check_max_factor(
-            &fscan_bench::counter_totals(&base_mem, "peak_bytes"),
-            &fscan_bench::counter_totals(&cur_mem, "peak_bytes"),
-            "peak_bytes",
-            max_peak_factor,
-        ));
-        println!(
-            "memory gates: arena_bytes/cone_total exact, peak_bytes <= {max_peak_factor}x baseline"
-        );
-    }
-    // Verdict-reuse gate: an ECO snapshot must actually carry verdicts
-    // forward, not merely recompute cheaply.
-    if let Some(min) = min_verdicts_reused {
-        let reused = fscan_bench::counter_totals(&cur_all, "verdicts_reused");
-        let total: u64 = reused.iter().map(|(_, v)| *v).sum();
-        println!("verdicts_reused total {total} (required >= {min})");
-        failures.extend(fscan_bench::check_min_total(
-            &reused,
-            "verdicts_reused",
-            min,
-        ));
-    }
-    // ECO gate: the incremental rerun's *total* gate_evals must sit at
-    // least `R`x below the committed cold-run reference of the same
-    // circuit — the ISSUE's "eco work <= 25% of cold" bar at the
-    // default 4x.
-    if let Some(ref_path) = &eco_reference {
-        match read_counters(ref_path) {
-            Ok(reference) => {
-                let ref_evals = fscan_bench::counter_totals(&reference, "gate_evals");
-                for (name, value) in &cur {
-                    if let Some((_, r)) = ref_evals.iter().find(|(n, _)| n == name) {
-                        println!(
-                            "{name}: eco gate_evals {value} vs cold reference {r} ({:.2}x)",
-                            *r as f64 / (*value).max(1) as f64
-                        );
-                    }
-                }
-                failures.extend(fscan_bench::check_improvement(
-                    &ref_evals,
-                    &cur,
-                    "eco gate_evals",
-                    min_eco_speedup,
-                ));
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Fault-dropping gate: the fresh run must actually retire targets
-    // through globally simulated vectors, not just stay cheap.
-    if let Some(min) = min_faults_dropped {
-        let dropped = fscan_bench::counter_totals(&cur_all, "faults_dropped");
-        let total: u64 = dropped.iter().map(|(_, v)| *v).sum();
-        println!("faults_dropped total {total} (required >= {min})");
-        failures.extend(fscan_bench::check_min_total(
-            &dropped,
-            "faults_dropped",
-            min,
-        ));
-    }
-    // Per-stage speedup gates compare the fresh snapshot against
-    // *separate* committed reference files — the regular baseline is
-    // regenerated and would trivially match itself.
-    let read_stage = |path: &str, stage: &str, key: &str| -> Result<Vec<(String, u64)>, String> {
+    let load = |path: &str| {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let stages =
-            fscan_bench::parse_stage_counters(&text).map_err(|e| format!("{path}: {e}"))?;
-        Ok(fscan_bench::stage_counter_totals(&stages, stage, key))
+        fscan::json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let mut stage_gate =
-        |ref_path: &str, stage: &str, key: &str, factor: f64| -> Result<(), String> {
-            let reference = read_stage(ref_path, stage, key)?;
-            let current = read_stage(cur_path, stage, key)?;
-            for (name, value) in &current {
-                if let Some((_, r)) = reference.iter().find(|(n, _)| n == name) {
-                    println!(
-                        "{name}: {stage} {key} {value} vs reference {r} ({:.2}x)",
-                        *r as f64 / (*value).max(1) as f64
-                    );
-                }
+    let mut failed = 0;
+    for gate in &gates {
+        match gate.check(load) {
+            Ok(compared) => println!("ok   {gates_path} {compared}"),
+            Err(failure) => {
+                eprintln!("FAIL {gates_path} {failure}");
+                failed += 1;
             }
-            failures.extend(fscan_bench::check_improvement(
-                &reference,
-                &current,
-                &format!("{stage} {key}"),
-                factor,
-            ));
-            Ok(())
-        };
-    // Comb-stage gate: event-driven PODEM resimulation plus global
-    // fault dropping against the committed pre-ATPG reference.
-    let comb_gate = comb_reference
-        .iter()
-        .try_for_each(|p| stage_gate(p, "comb", "gate_evals", min_comb_speedup));
-    // Wide-classification gate: the 256-lane rail must keep amortizing
-    // union-cone walks against the committed 64-lane reference. The
-    // gate_evals floor is capped by cone overlap between merged words
-    // (the no-overlap ideal is 4x); implication_words — words actually
-    // pushed through the kernel — must improve at least 2x.
-    let wide_gate = wide_reference.iter().try_for_each(|p| {
-        stage_gate(p, "classify", "gate_evals", min_classify_speedup)?;
-        stage_gate(p, "classify", "implication_words", 2.0)
-    });
-    if let Err(e) = comb_gate.and(wide_gate) {
-        eprintln!("error: {e}");
+        }
+    }
+    if failed > 0 {
+        eprintln!("{failed} of {} gates failed", gates.len());
         return ExitCode::FAILURE;
     }
-    if failures.is_empty() {
-        println!("baseline check passed (tolerance {tolerance}%, topology_builds exact)");
-        if let Some(path) = &history {
-            return append_history(path, cur_path, &cur_all);
-        }
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("REGRESSION {f}");
-        }
-        ExitCode::FAILURE
+    println!("baseline check passed ({} gates)", gates.len());
+    match history {
+        Some(path) => append_history(path, &gates),
+        None => ExitCode::SUCCESS,
     }
 }
 
-/// Appends one [`fscan_bench::history_record`] line for the current
-/// snapshot to the per-PR counter trace (`BENCH_history.jsonl`). The
-/// git revision comes from `git rev-parse`; outside a repository (or
-/// without git on PATH) it degrades to `unknown` rather than failing
-/// the gate. The rail width is read back from the snapshot's own
-/// `"lanes"` header (snapshots from before the header existed record
-/// the 64-lane width they were generated at).
-fn append_history(
-    path: &str,
-    cur_path: &str,
-    circuits: &fscan_bench::baseline::CircuitCounters,
-) -> ExitCode {
+/// Appends one [`fscan_bench::history_record`] line per fresh snapshot
+/// of the gates, in the order the gate file first names them, to the
+/// per-PR counter trace (`BENCH_history.jsonl`). The git revision comes
+/// from `git rev-parse`; outside a repository (or without git on PATH)
+/// it degrades to `unknown` rather than failing the gate. The rail
+/// width is read back from each snapshot's own `"lanes"` header
+/// (snapshots from before the header existed record the 64-lane width
+/// they were generated at).
+fn append_history(path: &str, gates: &[fscan_bench::Gate]) -> ExitCode {
     use std::io::Write;
 
     let rev = std::process::Command::new("git")
@@ -937,24 +678,44 @@ fn append_history(
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
-    let lanes = std::fs::read_to_string(cur_path)
-        .ok()
-        .and_then(|text| fscan::json::parse(&text).ok())
-        .and_then(|doc| doc.get("lanes").and_then(|v| v.as_u64()))
-        .unwrap_or(64);
-    let line = fscan_bench::history_record(&rev, lanes, circuits);
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| writeln!(f, "{line}"));
+    let mut fresh: Vec<&str> = Vec::new();
+    for gate in gates {
+        if !fresh.contains(&gate.fresh.as_str()) {
+            fresh.push(&gate.fresh);
+        }
+    }
+    let records: Result<Vec<String>, String> = fresh
+        .iter()
+        .map(|snapshot| {
+            let text = std::fs::read_to_string(snapshot)
+                .map_err(|e| format!("cannot read {snapshot}: {e}"))?;
+            let circuits =
+                fscan_bench::parse_total_counters(&text).map_err(|e| format!("{snapshot}: {e}"))?;
+            let lanes = fscan::json::parse(&text)
+                .ok()
+                .and_then(|doc| doc.get("lanes").and_then(|v| v.as_u64()))
+                .unwrap_or(64);
+            Ok(fscan_bench::history_record(&rev, lanes, &circuits))
+        })
+        .collect();
+    let appended = records.and_then(|records| {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .and_then(|mut f| records.iter().try_for_each(|line| writeln!(f, "{line}")))
+            .map_err(|e| format!("cannot append to {path}: {e}"))
+    });
     match appended {
         Ok(()) => {
-            println!("appended counter record for {rev} to {path}");
+            println!(
+                "appended {} counter records for {rev} to {path}",
+                fresh.len()
+            );
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: cannot append to {path}: {e}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -974,7 +735,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: reproduce [table1|table2|table3|figure5|timing|all] [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce stress [--gates N] [--fault-sample N] [--chains N] [--seed S] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce eco [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce history [PATH] [--limit N]\n       reproduce check-baseline BASELINE.json CURRENT.json [--tolerance PCT]"
+                "usage: reproduce [table1|table2|table3|figure5|timing|all] [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce stress [--gates N] [--fault-sample N] [--chains N] [--seed S] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce eco [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]\n       reproduce history [PATH] [--limit N]\n       reproduce check-baseline GATES [--history PATH]"
             );
             return ExitCode::FAILURE;
         }

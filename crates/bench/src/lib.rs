@@ -28,9 +28,7 @@ pub mod suite;
 pub mod tables;
 
 pub use baseline::{
-    check_exact, check_improvement, check_max_factor, check_min_total, check_regression,
-    counter_totals, history_record, parse_gate_evals, parse_history, parse_stage_counters,
-    parse_total_counters, parse_total_mem, stage_counter_totals, HistoryPoint,
+    history_record, parse_gates, parse_history, parse_total_counters, Gate, HistoryPoint,
 };
 pub use bench_json::bench_json;
 pub use stress::{run_stress, sample_faults, StressConfig, StressReport};

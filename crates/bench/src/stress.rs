@@ -13,8 +13,8 @@
 //! histogram) are exact and thread-invariant, so a committed stress
 //! snapshot gates them the same way `BENCH_baseline.json` gates work
 //! counters. The allocator-observed `peak_bytes` is machine- and
-//! thread-sensitive; [`check_max_factor`](crate::check_max_factor)
-//! bounds it loosely instead of pinning it.
+//! thread-sensitive, so its [gate](crate::baseline) bounds it loosely
+//! (`mem.peak_bytes <= 2*BENCH_stress_ci.json`) instead of pinning it.
 
 use fscan::{PipelineConfig, PipelineReport, PipelineSession};
 use fscan_fault::{all_faults, collapse, Fault};

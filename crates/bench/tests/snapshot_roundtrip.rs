@@ -23,6 +23,8 @@ fn committed_baselines_rerender_byte_identically() {
         "BENCH_baseline.json",
         "BENCH_baseline_w64.json",
         "BENCH_baseline_pre_atpg.json",
+        "BENCH_eco_ci.json",
+        "BENCH_stress_ci.json",
     ] {
         let Some(text) = repo_file(name) else {
             continue;
@@ -60,8 +62,8 @@ fn committed_history_records_rerender_byte_identically() {
 
 #[test]
 fn committed_baseline_counters_match_the_library_parsers() {
-    // The public counter parsers (used by `check-baseline`) and the raw
-    // document agree on every total.
+    // The public counter parser (the content of every history record)
+    // and the raw document agree on every total.
     let Some(text) = repo_file("BENCH_baseline.json") else {
         return;
     };

@@ -148,15 +148,16 @@ fn detects_per_test<W: Rail>(
 /// # Examples
 ///
 /// ```no_run
+/// use std::sync::Arc;
 /// use fscan::{compact_program, PipelineConfig, PipelineSession};
 /// use fscan_fault::{all_faults, collapse};
 /// use fscan_netlist::{generate, GeneratorConfig};
 /// use fscan_scan::{insert_functional_scan, TpiConfig};
 ///
 /// let circuit = generate(&GeneratorConfig::new("d", 1).gates(150).dffs(10));
-/// let design = insert_functional_scan(&circuit, &TpiConfig::default())?;
+/// let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default())?);
 /// let config = PipelineConfig::default();
-/// let report = PipelineSession::new(&design, config.clone()).run();
+/// let report = PipelineSession::shared(Arc::clone(&design), config.clone()).run();
 /// let faults = collapse(design.circuit(), &all_faults(design.circuit()));
 /// let outcome = compact_program(&design, &config, report.program, &faults);
 /// assert_eq!(outcome.report.lost, 0);
@@ -269,11 +270,12 @@ mod tests {
     use fscan_fault::{all_faults, collapse};
     use fscan_netlist::{generate, GeneratorConfig};
     use fscan_scan::{insert_functional_scan, TpiConfig};
+    use std::sync::Arc;
 
-    fn setup() -> (fscan_scan::ScanDesign, TestProgram, Vec<Fault>) {
+    fn setup() -> (Arc<ScanDesign>, TestProgram, Vec<Fault>) {
         let circuit = generate(&GeneratorConfig::new("cmp", 9).gates(120).dffs(8));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let report = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
         let faults = collapse(design.circuit(), &all_faults(design.circuit()));
         let affected: Vec<Fault> = classify_faults(&design, &faults)
             .into_iter()

@@ -133,13 +133,14 @@ impl PipelineSession {
     /// # Examples
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use fscan_netlist::{generate, DeltaNode, DeltaRef, GateKind, GeneratorConfig, NetlistDelta};
     /// use fscan_scan::{insert_functional_scan, TpiConfig};
     /// use fscan::{PipelineConfig, PipelineSession};
     ///
     /// let circuit = generate(&GeneratorConfig::new("eco", 5).gates(120).dffs(8));
-    /// let design = insert_functional_scan(&circuit, &TpiConfig::default())?;
-    /// let session = PipelineSession::new(&design, PipelineConfig::default());
+    /// let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default())?);
+    /// let session = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default());
     /// let prior = session.clone().run();
     /// // Spare-cell insertion: a constant plus a NOT gate island.
     /// let delta = NetlistDelta {

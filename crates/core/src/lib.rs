@@ -40,13 +40,14 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
 //! use fscan_netlist::{generate, GeneratorConfig};
 //! use fscan_scan::{insert_functional_scan, TpiConfig};
 //! use fscan::{PipelineConfig, PipelineSession};
 //!
 //! let circuit = generate(&GeneratorConfig::new("demo", 1).gates(100).dffs(8));
-//! let design = insert_functional_scan(&circuit, &TpiConfig::default())?;
-//! let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+//! let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default())?);
+//! let report = PipelineSession::shared(design, PipelineConfig::default()).run();
 //! assert_eq!(
 //!     report.classification.affected(),
 //!     report.classification.easy + report.classification.hard

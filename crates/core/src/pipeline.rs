@@ -545,25 +545,21 @@ impl fmt::Display for PipelineReport {
 /// The session *owns* its design as an [`Arc<ScanDesign>`], so sessions
 /// and every checkpoint are `'static + Send` — they can be handed to
 /// worker threads, stored across requests, and run concurrently against
-/// one shared design (the serving layer does all three). The borrowed
-/// constructors ([`new`](Self::new), [`with_faults`](Self::with_faults))
-/// remain as thin wrappers that clone the design once — after forcing
-/// its cached [`CompiledTopology`](fscan_netlist::CompiledTopology), so
-/// the clone shares the already-compiled plan and repeated sessions
-/// still never recompile.
+/// one shared design (the serving layer does all three).
 ///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use fscan_netlist::{generate, GeneratorConfig};
 /// use fscan_scan::{insert_functional_scan, TpiConfig};
 /// use fscan::{Category, PipelineConfig, PipelineSession};
 ///
 /// let circuit = generate(&GeneratorConfig::new("demo", 1).gates(100).dffs(8));
-/// let design = insert_functional_scan(&circuit, &TpiConfig::default())?;
+/// let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default())?);
 /// let config = PipelineConfig::builder().threads(2).build().unwrap();
 ///
-/// let mut classified = PipelineSession::new(&design, config).classify();
+/// let mut classified = PipelineSession::shared(design, config).classify();
 /// // Checkpoint: e.g. drop the category-3 faults from further analysis
 /// // (the pipeline does this anyway) or inspect the counts.
 /// let summary = classified.summary();
@@ -646,27 +642,6 @@ impl PipelineSession {
             faults,
             prior: None,
         }
-    }
-
-    /// Opens a session over a borrowed design — a thin wrapper around
-    /// [`shared`](Self::shared) that clones the design once. The clone
-    /// happens *after* the design's topology cache is forced, so it
-    /// shares the already-compiled plan: repeated sessions over the same
-    /// `&ScanDesign` still compile the circuit exactly once.
-    pub fn new(design: &ScanDesign, config: PipelineConfig) -> PipelineSession {
-        let _ = design.topology();
-        PipelineSession::shared(Arc::new(design.clone()), config)
-    }
-
-    /// Opens a session over a borrowed design and a caller-provided
-    /// fault list (see [`new`](Self::new) for the cloning contract).
-    pub fn with_faults(
-        design: &ScanDesign,
-        config: PipelineConfig,
-        faults: Vec<Fault>,
-    ) -> PipelineSession {
-        let _ = design.topology();
-        PipelineSession::shared_with_faults(Arc::new(design.clone()), config, faults)
     }
 
     /// The fault universe this session will classify.
@@ -1148,8 +1123,8 @@ mod tests {
     #[test]
     fn end_to_end_counts_are_consistent() {
         let circuit = generate(&GeneratorConfig::new("e2e", 7).gates(200).dffs(12));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let report = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
         assert_eq!(
             report.classification.total,
             fscan_fault::collapse(design.circuit(), &fscan_fault::all_faults(design.circuit()))
@@ -1198,8 +1173,8 @@ mod tests {
         let mut undetected = 0usize;
         for seed in [101u64, 103] {
             let circuit = generate(&GeneratorConfig::new("cov", seed).gates(180).dffs(10));
-            let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-            let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+            let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+            let report = PipelineSession::shared(design, PipelineConfig::default()).run();
             affected += report.classification.affected();
             undetected += report.seq.undetected;
         }
@@ -1216,8 +1191,8 @@ mod tests {
     #[test]
     fn display_renders_all_sections() {
         let circuit = generate(&GeneratorConfig::new("disp", 3).gates(100).dffs(6));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let report = PipelineSession::shared(design, PipelineConfig::default()).run();
         let s = report.to_string();
         assert!(s.contains("alternating sequence"));
         assert!(s.contains("comb ATPG"));
@@ -1269,10 +1244,10 @@ mod tests {
     #[test]
     fn staged_session_matches_monolithic_run() {
         let circuit = generate(&GeneratorConfig::new("staged", 11).gates(180).dffs(10));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
         let config = PipelineConfig::default();
-        let monolithic = PipelineSession::new(&design, config.clone()).run();
-        let staged = PipelineSession::new(&design, config)
+        let monolithic = PipelineSession::shared(Arc::clone(&design), config.clone()).run();
+        let staged = PipelineSession::shared(Arc::clone(&design), config)
             .classify()
             .alternating()
             .comb()
@@ -1294,8 +1269,8 @@ mod tests {
     #[test]
     fn full_run_reports_exactly_one_topology_build() {
         let circuit = generate(&GeneratorConfig::new("once", 21).gates(160).dffs(10));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let report = PipelineSession::shared(design, PipelineConfig::default()).run();
         // The session books its single base-circuit compilation against
         // the classify stage; no other stage may add one. (The global
         // build-counter delta is asserted in `tests/topology_once.rs`,
@@ -1326,44 +1301,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_matches_borrowed_session() {
+    fn concurrent_sessions_match_one_session() {
         let circuit = generate(&GeneratorConfig::new("own", 17).gates(160).dffs(10));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let borrowed = PipelineSession::new(&design, PipelineConfig::default()).run();
-        let shared = Arc::new(design);
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let alone = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
         // Two concurrent sessions over one Arc — both 'static + Send.
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                let s = PipelineSession::shared(Arc::clone(&shared), PipelineConfig::default());
+                let s = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default());
                 std::thread::spawn(move || s.run())
             })
             .collect();
         for h in handles {
             let report = h.join().unwrap();
-            assert_eq!(report.classification.total, borrowed.classification.total);
-            assert_eq!(report.seq.detected, borrowed.seq.detected);
-            assert_eq!(report.undetected_faults, borrowed.undetected_faults);
-            assert_eq!(report.total_counters(), borrowed.total_counters());
+            assert_eq!(report.classification.total, alone.classification.total);
+            assert_eq!(report.seq.detected, alone.seq.detected);
+            assert_eq!(report.undetected_faults, alone.undetected_faults);
+            assert_eq!(report.total_counters(), alone.total_counters());
         }
-    }
-
-    #[test]
-    fn borrowed_constructor_shares_the_compiled_topology() {
-        let circuit = generate(&GeneratorConfig::new("share", 19).gates(140).dffs(8));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let first = PipelineSession::new(&design, PipelineConfig::default());
-        let second = PipelineSession::new(&design, PipelineConfig::default());
-        // Both clones must share the topology already cached on `design`
-        // (forced before cloning), not recompile their own.
-        assert!(Arc::ptr_eq(&design.topology(), &first.design().topology()));
-        assert!(Arc::ptr_eq(&design.topology(), &second.design().topology()));
     }
 
     #[test]
     fn checkpoint_edits_flow_into_later_stages() {
         let circuit = generate(&GeneratorConfig::new("edit", 13).gates(150).dffs(8));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
-        let mut classified = PipelineSession::new(&design, PipelineConfig::default()).classify();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
+        let mut classified = PipelineSession::shared(design, PipelineConfig::default()).classify();
         // Drop every hard fault at the checkpoint: step 2 must see an
         // empty target set.
         classified
@@ -1385,7 +1347,7 @@ mod tests {
     #[test]
     fn stages_run_alone_match_the_session() {
         let circuit = generate(&GeneratorConfig::new("d", 83).gates(200).dffs(12));
-        let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
+        let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
         let max_len = design.max_chain_len();
         // Both default frame budgets sit below the longest chain plus 4,
         // so the scaling decides them.
@@ -1397,7 +1359,7 @@ mod tests {
                     lane_width,
                     ..PipelineConfig::default()
                 };
-                let after_comb = PipelineSession::new(&design, config.clone())
+                let after_comb = PipelineSession::shared(Arc::clone(&design), config.clone())
                     .classify()
                     .alternating()
                     .comb();

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use fscan_fault::{Fault, FaultSite};
 use fscan_netlist::{Circuit, CompiledTopology, NodeId};
 
-use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
 use crate::event::TopoQueue;
 use crate::kernel::{self, Rail};
@@ -47,12 +46,6 @@ pub struct ImplicationEngine {
 }
 
 impl ImplicationEngine {
-    /// Builds an engine sharing the evaluator's compiled topology.
-    pub fn new(circuit: &Circuit, eval: &CombEvaluator) -> ImplicationEngine {
-        debug_assert_eq!(circuit.num_nodes(), eval.topology().num_nodes());
-        ImplicationEngine::with_topology(eval.topology().clone())
-    }
-
     /// Builds an engine over an already-compiled topology.
     pub fn with_topology(topo: Arc<CompiledTopology>) -> ImplicationEngine {
         let n = topo.num_nodes();
@@ -79,7 +72,7 @@ impl ImplicationEngine {
 
     /// Computes the forward implication cone of `fault` given the
     /// fault-free steady values `good` (produced by a prior
-    /// [`CombEvaluator::eval`]).
+    /// [`CombEvaluator::eval`](crate::CombEvaluator::eval)).
     ///
     /// Returns every net whose value changes, in topological order. The
     /// propagation is purely combinational: flip-flops block it (their
@@ -94,6 +87,7 @@ impl ImplicationEngine {
     /// # Examples
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use fscan_netlist::{Circuit, GateKind};
     /// use fscan_fault::Fault;
     /// use fscan_sim::{CombEvaluator, ImplicationEngine, V3};
@@ -107,7 +101,7 @@ impl ImplicationEngine {
     /// let mut good = vec![V3::X; c.num_nodes()];
     /// good[pi.index()] = V3::One; // scan-mode PI assignment
     /// eval.eval(&c, &mut good);
-    /// let mut engine = ImplicationEngine::new(&c, &eval);
+    /// let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
     /// let changes = engine.run(&c, &good, Fault::stem(pi, false));
     /// // PI 1→0 and the AND output X→0 both change.
     /// assert_eq!(changes.len(), 2);
@@ -288,12 +282,6 @@ pub struct PackedImplicationEngine<W: Rail = u64> {
 }
 
 impl<W: Rail> PackedImplicationEngine<W> {
-    /// Builds an engine sharing the evaluator's compiled topology.
-    pub fn new(circuit: &Circuit, eval: &CombEvaluator) -> PackedImplicationEngine<W> {
-        debug_assert_eq!(circuit.num_nodes(), eval.topology().num_nodes());
-        PackedImplicationEngine::with_topology(eval.topology().clone())
-    }
-
     /// Builds an engine over an already-compiled topology.
     pub fn with_topology(topo: Arc<CompiledTopology>) -> PackedImplicationEngine<W> {
         let n = topo.num_nodes();
@@ -583,10 +571,11 @@ impl<W: Rail> PackedImplicationEngine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comb::CombEvaluator;
     use fscan_netlist::{Circuit, GateKind};
 
     fn imply(c: &Circuit, eval: &CombEvaluator, good: &[V3], f: Fault) -> Vec<NetChange> {
-        ImplicationEngine::new(c, eval).run(c, good, f)
+        ImplicationEngine::with_topology(Arc::clone(eval.topology())).run(c, good, f)
     }
 
     /// Builds the circuit of the paper's Figure 3:
@@ -694,7 +683,7 @@ mod tests {
     fn counters_track_events_and_cone_sizes() {
         let (c, [pi, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut engine = ImplicationEngine::new(&c, &eval);
+        let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         let r = engine.run(&c, &good, Fault::stem(pi, false));
         let counters = engine.take_counters();
         assert_eq!(counters.cone_nets, r.len() as u64);
@@ -707,7 +696,7 @@ mod tests {
     fn engine_reuse_is_consistent() {
         let (c, [pi, a, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut engine = ImplicationEngine::new(&c, &eval);
+        let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         let r1 = engine.run(&c, &good, Fault::stem(pi, false));
         let r2 = engine.run(&c, &good, Fault::stem(a, true));
         let r3 = engine.run(&c, &good, Fault::stem(pi, false));
@@ -723,8 +712,8 @@ mod tests {
             faults.push(Fault::stem(n, false));
             faults.push(Fault::stem(n, true));
         }
-        let mut scalar = ImplicationEngine::new(&c, &eval);
-        let mut packed = PackedImplicationEngine::<W>::new(&c, &eval);
+        let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
+        let mut packed = PackedImplicationEngine::<W>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &faults);
         for (lane, &f) in faults.iter().enumerate() {
             let expect = scalar.run(&c, &good, f);
@@ -757,7 +746,7 @@ mod tests {
     fn lane_changes_is_width_checked() {
         let (c, [pi, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &[Fault::stem(pi, false)]);
         // A hard (release-mode) check: the old debug_assert let the
         // mask wrap to lane % 64 and report the wrong lane's changes.
@@ -783,10 +772,10 @@ mod tests {
         good[pi.index()] = V3::One;
         eval.eval(&c, &mut good);
         let faults = [Fault::branch(ff, 0, false), Fault::stem(pi, false)];
-        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &faults);
         assert_eq!(packed.lane_changes(0).count(), 0);
-        let mut scalar = ImplicationEngine::new(&c, &eval);
+        let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         let expect = scalar.run(&c, &good, faults[1]);
         let got: Vec<NetChange> = packed.lane_changes(1).collect();
         assert_eq!(got, expect);
@@ -796,7 +785,7 @@ mod tests {
     fn packed_engine_reuse_is_consistent() {
         let (c, [pi, a, ..], good) = figure3();
         let eval = CombEvaluator::new(&c);
-        let mut packed = PackedImplicationEngine::<u64>::new(&c, &eval);
+        let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         let r1: Vec<PackedChange> = packed.run_word(&good, &[Fault::stem(pi, false)]).to_vec();
         packed.run_word(&good, &[Fault::stem(a, true), Fault::stem(pi, true)]);
         let r3: Vec<PackedChange> = packed.run_word(&good, &[Fault::stem(pi, false)]).to_vec();

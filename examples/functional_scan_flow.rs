@@ -13,6 +13,7 @@ use fscan::{Category, PipelineConfig, PipelineSession};
 use fscan_fault::{all_faults, collapse};
 use fscan_netlist::parse_bench;
 use fscan_scan::{insert_functional_scan, SegmentKind, TpiConfig};
+use std::sync::Arc;
 
 /// A small controller-style netlist in `.bench` format. Any ISCAS'89
 /// benchmark file parses the same way.
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // inspection before the later steps run.
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     let config = PipelineConfig::builder().build()?;
-    let session = PipelineSession::with_faults(&design, config, faults.clone());
+    let session = PipelineSession::shared_with_faults(Arc::new(design), config, faults.clone());
     let classified = session.classify();
     let count = |cat| {
         classified

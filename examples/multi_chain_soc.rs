@@ -12,6 +12,7 @@ use fscan::{Category, PipelineConfig, PipelineSession};
 use fscan_fault::{all_faults, collapse};
 use fscan_netlist::{generate, GeneratorConfig};
 use fscan_scan::{insert_functional_scan, insert_mux_scan, TpiConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = generate(
@@ -57,7 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the fault-parallel stages).
     let faults = collapse(tpi.circuit(), &all_faults(tpi.circuit()));
     let config = PipelineConfig::builder().threads(0).build()?;
-    let classified = PipelineSession::with_faults(&tpi, config, faults.clone()).classify();
+    let classified =
+        PipelineSession::shared_with_faults(Arc::new(tpi), config, faults.clone()).classify();
     let multi = classified
         .classified
         .iter()

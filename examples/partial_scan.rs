@@ -10,6 +10,7 @@ use fscan_netlist::{generate, GeneratorConfig};
 use fscan_scan::{
     ff_dependency_graph, insert_mux_scan, insert_partial_scan, select_scan_ffs, PartialScanConfig,
 };
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = generate(
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Same flow, reduced controllability/observability: unchained
     // flip-flops are uncontrollable X state to every step.
     let config = PipelineConfig::builder().build()?;
-    let report = PipelineSession::new(&partial, config)
+    let report = PipelineSession::shared(Arc::new(partial), config)
         .classify()
         .alternating()
         .comb()

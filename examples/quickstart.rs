@@ -7,6 +7,7 @@
 use fscan::{PipelineConfig, PipelineSession};
 use fscan_netlist::{generate, CircuitStats, GeneratorConfig};
 use fscan_scan::{insert_functional_scan, TpiConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A sequential circuit. Real designs come from `parse_bench`;
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Walk the pipeline stage by stage. Each checkpoint exposes its
     // intermediate state; calling the next method resumes the flow.
-    let classified = PipelineSession::new(&design, config).classify();
+    let classified = PipelineSession::shared(Arc::new(design), config).classify();
     let summary = classified.summary();
     println!(
         "step 1: {} faults -> {} easy / {} hard / {} unaffected",

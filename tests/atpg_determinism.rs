@@ -10,6 +10,7 @@ use fscan::{classify_faults, Category, CombPhase, LaneWidth, PipelineConfig, Pip
 use fscan_atpg::PodemConfig;
 use fscan_bench::{build_design, PAPER_SUITE};
 use fscan_fault::{all_faults, collapse, Fault};
+use std::sync::Arc;
 
 /// The comb stage's inputs for the stage-level checks: `threads`
 /// workers and the default PODEM budget.
@@ -127,12 +128,12 @@ fn comb_phase_is_byte_identical_across_lane_widths() {
 
 #[test]
 fn pipeline_report_and_program_are_byte_identical_across_thread_counts() {
-    let design = build_design(s1196(), 0.2);
+    let design = Arc::new(build_design(s1196(), 0.2));
 
     let mut reference: Option<fscan::PipelineReport> = None;
     for threads in [1usize, 2, 4] {
         let config = PipelineConfig::builder().threads(threads).build().unwrap();
-        let report = PipelineSession::new(&design, config).run();
+        let report = PipelineSession::shared(Arc::clone(&design), config).run();
         let expect = reference.get_or_insert_with(|| report.clone());
 
         // Stage reports: detection counts and every deterministic

@@ -6,6 +6,7 @@ use fscan::{classify_faults, Category, PipelineConfig, PipelineSession};
 use fscan_fault::{all_faults, collapse};
 use fscan_netlist::{parse_bench, write_bench, CircuitStats};
 use fscan_scan::{insert_functional_scan, insert_mux_scan, TpiConfig};
+use std::sync::Arc;
 
 /// The canonical ISCAS'89 s27 netlist.
 const S27: &str = "
@@ -49,7 +50,7 @@ fn s27_functional_scan_full_flow() {
     let design = insert_functional_scan(&c, &TpiConfig::default()).unwrap();
     design.verify().unwrap();
     assert_eq!(design.chains()[0].len(), 3);
-    let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+    let report = PipelineSession::shared(Arc::new(design), PipelineConfig::default()).run();
     // Everything consistent and nearly everything closed on a circuit
     // this small.
     assert_eq!(

@@ -4,6 +4,7 @@ use fscan::{classify_faults, AlternatingPhase, Category, PipelineConfig, Pipelin
 use fscan_fault::Fault;
 use fscan_netlist::{Circuit, GateKind, NodeId};
 use fscan_scan::{insert_functional_scan, insert_mux_scan, SegmentKind, TpiConfig};
+use std::sync::Arc;
 
 /// The paper's Figure 1/2 structure: a shift pipeline f0→f1→…→f4 whose
 /// last segment into f5 runs through `G = AND(f4, S)` with
@@ -87,7 +88,8 @@ fn figure2_alternating_misses_but_pipeline_catches() {
     // faulty machine degenerates to an unobservable X-state ring — the
     // same fault class behind the paper's own 11 final undetected
     // faults.
-    let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+    let design = Arc::new(design);
+    let report = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
     assert!(
         !report.undetected_faults.contains(&fault),
         "the flow must close the figure-2 fault: {report}"

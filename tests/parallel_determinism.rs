@@ -8,7 +8,7 @@
 //! the shared cache.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -20,26 +20,24 @@ use fscan_scan::{insert_functional_scan, ScanDesign, TpiConfig};
 const SEEDS: [u64; 2] = [11, 29];
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn design_for_seed(seed: u64) -> ScanDesign {
+fn design_for_seed(seed: u64) -> Arc<ScanDesign> {
     let circuit = generate(
         &GeneratorConfig::new(format!("det{seed}"), seed)
             .inputs(10)
             .gates(180)
             .dffs(12),
     );
-    insert_functional_scan(&circuit, &TpiConfig::default()).expect("scan insertion")
+    Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).expect("scan insertion"))
 }
 
-fn run_with_threads(design: &ScanDesign, threads: usize) -> PipelineReport {
+fn run_with_threads(design: &Arc<ScanDesign>, threads: usize) -> PipelineReport {
     let config = PipelineConfig::builder()
         .threads(threads)
         .build()
         .expect("valid config");
-    // Owned-session form: determinism must hold through the `Arc` path
-    // the server uses, not just the borrowed wrapper. Forcing the
-    // topology first lets every per-thread clone share one compilation.
-    design.topology();
-    PipelineSession::shared(std::sync::Arc::new(design.clone()), config).run()
+    // Every thread count runs over the same `Arc`, so all of them share
+    // the design's one compiled topology.
+    PipelineSession::shared(Arc::clone(design), config).run()
 }
 
 /// One pipeline run per `(seed, threads)` pair, shared by every test in
@@ -178,17 +176,18 @@ proptest! {
                 .gates(120)
                 .dffs(10),
         );
-        let design = insert_functional_scan(&circuit, &TpiConfig::default())
-            .expect("scan insertion");
+        let design = Arc::new(
+            insert_functional_scan(&circuit, &TpiConfig::default()).expect("scan insertion"),
+        );
         let faults = collapse(design.circuit(), &all_faults(design.circuit()));
         let mut shuffled = faults.clone();
         permute(&mut shuffled, perm_seed);
 
         let config = PipelineConfig::builder().threads(2).build().expect("valid");
-        let original = PipelineSession::with_faults(&design, config.clone(), faults)
+        let original = PipelineSession::shared_with_faults(Arc::clone(&design), config.clone(), faults)
             .classify()
             .summary();
-        let permuted = PipelineSession::with_faults(&design, config, shuffled)
+        let permuted = PipelineSession::shared_with_faults(design, config, shuffled)
             .classify()
             .summary();
         prop_assert_eq!(original.total, permuted.total);

@@ -9,6 +9,7 @@ use fscan_fault::{all_faults, collapse, Fault};
 use fscan_netlist::{generate, GeneratorConfig};
 use fscan_scan::{insert_functional_scan, TpiConfig};
 use fscan_sim::{ParallelFaultSim, V3};
+use std::sync::Arc;
 
 /// The comb stage's inputs for these tests: one thread and the default
 /// PODEM budget.
@@ -20,13 +21,13 @@ fn comb_config() -> PipelineConfig {
     }
 }
 
-fn design_for(seed: u64) -> fscan_scan::ScanDesign {
+fn design_for(seed: u64) -> Arc<fscan_scan::ScanDesign> {
     let circuit = generate(
         &GeneratorConfig::new(format!("e2e{seed}"), seed)
             .gates(220)
             .dffs(14),
     );
-    insert_functional_scan(&circuit, &TpiConfig::default()).unwrap()
+    Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap())
 }
 
 /// Faults the comb phase reports as detected must really be detected by
@@ -93,7 +94,7 @@ fn comb_phase_detections_are_real_and_cat3_is_immune() {
 #[test]
 fn pipeline_conserves_faults() {
     let design = design_for(302);
-    let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+    let report = PipelineSession::shared(design, PipelineConfig::default()).run();
     // Chain-affecting faults: detected by step 1, or routed to step 2
     // (hard − fortuitous step-1 detections), then step 3.
     let affected = report.classification.affected();
@@ -168,7 +169,7 @@ fn headline_shape_holds() {
     let mut late = 0usize;
     for seed in [304u64, 305] {
         let design = design_for(seed);
-        let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+        let report = PipelineSession::shared(design, PipelineConfig::default()).run();
         affected += report.classification.affected();
         undetected += report.seq.undetected;
         let curve = &report.comb.detection_curve;
@@ -197,7 +198,7 @@ fn headline_shape_holds() {
 #[test]
 fn program_replay_detects_everything_reported() {
     let design = design_for(306);
-    let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+    let report = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     let affected: Vec<Fault> = classify_faults(&design, &faults)
         .into_iter()
@@ -237,10 +238,10 @@ fn partial_scan_pipeline_is_consistent() {
         prev = circuit.add_dff(buf, format!("tailff{i}"));
     }
     circuit.mark_output(prev);
-    let design = insert_partial_scan(&circuit, &PartialScanConfig::default()).unwrap();
+    let design = Arc::new(insert_partial_scan(&circuit, &PartialScanConfig::default()).unwrap());
     let chained: usize = design.chains().iter().map(|c| c.len()).sum();
     assert!(chained < circuit.dffs().len(), "must really be partial");
-    let report = PipelineSession::new(&design, PipelineConfig::default()).run();
+    let report = PipelineSession::shared(Arc::clone(&design), PipelineConfig::default()).run();
     assert_eq!(
         report.comb.targeted,
         report.comb.detected + report.comb.undetectable + report.comb.undetected

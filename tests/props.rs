@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests on the core invariants.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -420,7 +421,7 @@ proptest! {
         eval.eval(&circuit, &mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
-        let mut engine = ImplicationEngine::new(&circuit, &eval);
+        let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         for fault in faults.into_iter().take(64) {
             let changes = engine.run(&circuit, &good, fault);
             // Topological order of the reported cone.
@@ -496,8 +497,8 @@ proptest! {
         eval.eval(&circuit, &mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
-        let mut scalar = ImplicationEngine::new(&circuit, &eval);
-        let mut packed = PackedImplicationEngine::<u64>::new(&circuit, &eval);
+        let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
+        let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         for word in faults.chunks(64) {
             packed.run_word(&good, word);
             for (lane, &fault) in word.iter().enumerate() {
@@ -548,8 +549,8 @@ proptest! {
         eval.eval(&circuit, &mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
-        let mut scalar = ImplicationEngine::new(&circuit, &eval);
-        let mut wide = PackedImplicationEngine::<R256>::new(&circuit, &eval);
+        let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
+        let mut wide = PackedImplicationEngine::<R256>::with_topology(Arc::clone(eval.topology()));
         for word in faults.chunks(256) {
             wide.run_word(&good, word);
             for (lane, &fault) in word.iter().enumerate() {

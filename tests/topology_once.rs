@@ -9,12 +9,13 @@
 use fscan::{PipelineConfig, PipelineSession};
 use fscan_netlist::{generate, CompiledTopology, GeneratorConfig};
 use fscan_scan::{insert_functional_scan, TpiConfig};
+use std::sync::Arc;
 
 #[test]
 fn pipeline_compiles_base_topology_exactly_once() {
     let circuit = generate(&GeneratorConfig::new("once", 31).gates(180).dffs(10));
     let before = CompiledTopology::builds();
-    let design = insert_functional_scan(&circuit, &TpiConfig::default()).unwrap();
+    let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
 
     // Scan insertion compiles plans while it mutates the circuit (one
     // per TPI steady-state refresh); the transformed design then caches
@@ -32,7 +33,7 @@ fn pipeline_compiles_base_topology_exactly_once() {
 
     // Steps 0–2 (classify, alternating, comb) all evaluate the frozen
     // base circuit: they must share the cached plan and compile nothing.
-    let after_comb = PipelineSession::new(&design, PipelineConfig::default())
+    let after_comb = PipelineSession::shared(design, PipelineConfig::default())
         .classify()
         .alternating()
         .comb();
