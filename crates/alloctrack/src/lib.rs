@@ -1,7 +1,7 @@
 //! A counting global allocator and the stage-window accounting built on
 //! it.
 //!
-//! The pipeline's per-stage [`MemMetrics`] needs two quantities only a
+//! The pipeline's per-stage `MemMetrics` needs two quantities only a
 //! real allocator can observe: the high-water mark of live heap bytes
 //! during a stage window, and how many `realloc` calls the stage
 //! issued. This crate provides both without adding any allocation-path

@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use fscan_netlist::{Circuit, GateKind};
+//! use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 //! use fscan_fault::Fault;
 //! use fscan_atpg::{AtpgOutcome, Podem, PodemConfig};
 //!
@@ -24,7 +24,7 @@
 //! let b = c.add_input("b");
 //! let g = c.add_gate(GateKind::And, vec![a, b], "g");
 //! c.mark_output(g);
-//! let podem = Podem::new(&c, vec![a, b], vec![], vec![g]);
+//! let podem = Podem::with_topology(CompiledTopology::shared(&c), vec![a, b], vec![], vec![g]);
 //! let outcome = podem.run(&[Fault::stem(g, false)], &PodemConfig::default());
 //! assert!(matches!(outcome.verdict, AtpgOutcome::Test(_)));
 //! assert!(outcome.vector().is_some());
@@ -43,4 +43,4 @@ pub use dvalue::D5;
 pub use podem::{AtpgOutcome, Podem, PodemConfig, PodemOutcome, PodemScratch};
 pub use random::random_vectors;
 pub use sequential::{SeqAtpg, SeqAtpgConfig, SeqOutcome, SeqTest};
-pub use unroll::{unroll, unroll_with_map, unroll_with_map_using, FrameMap, Unrolled};
+pub use unroll::{unroll, FrameMap, Unrolled};

@@ -42,8 +42,8 @@
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
-use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
-use fscan_sim::{CombEvaluator, TopoQueue, WorkCounters, V3};
+use fscan_netlist::{CompiledTopology, GateKind, NodeId};
+use fscan_sim::{TopoQueue, WorkCounters, V3};
 
 use crate::dvalue::D5;
 
@@ -229,8 +229,7 @@ impl XPathMemo {
 ///
 /// See the crate-level example.
 #[derive(Clone, Debug)]
-pub struct Podem<'c> {
-    circuit: &'c Circuit,
+pub struct Podem {
     topo: Arc<CompiledTopology>,
     controllable: Vec<NodeId>,
     is_controllable: Vec<bool>,
@@ -253,42 +252,20 @@ pub struct Podem<'c> {
     setup_work: WorkCounters,
 }
 
-impl<'c> Podem<'c> {
-    /// Builds a generator for the given view of `circuit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fixed node is also listed as controllable.
-    pub fn new(
-        circuit: &'c Circuit,
-        controllable: Vec<NodeId>,
-        fixed: Vec<(NodeId, bool)>,
-        observable: Vec<NodeId>,
-    ) -> Podem<'c> {
-        Podem::with_topology(
-            circuit,
-            CompiledTopology::shared(circuit),
-            controllable,
-            fixed,
-            observable,
-        )
-    }
-
-    /// [`Podem::new`] against an already-compiled topology of `circuit`,
-    /// sharing the plan instead of recompiling it.
+impl Podem {
+    /// Builds a generator for the given view of the circuit compiled
+    /// into `topo`.
     ///
     /// # Panics
     ///
     /// Panics if a fixed node is also listed as controllable.
     pub fn with_topology(
-        circuit: &'c Circuit,
         topo: Arc<CompiledTopology>,
         controllable: Vec<NodeId>,
         fixed: Vec<(NodeId, bool)>,
         observable: Vec<NodeId>,
-    ) -> Podem<'c> {
-        debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
-        let n = circuit.num_nodes();
+    ) -> Podem {
+        let n = topo.num_nodes();
         let mut is_controllable = vec![false; n];
         for &c in &controllable {
             is_controllable[c.index()] = true;
@@ -303,13 +280,12 @@ impl<'c> Podem<'c> {
         for &o in &observable {
             is_observable[o.index()] = true;
         }
-        let order = CombEvaluator::with_topology(topo.clone()).order().to_vec();
+        let order = topo.eval_order().to_vec();
         let mut order_pos = vec![usize::MAX; n];
         for (pos, &id) in order.iter().enumerate() {
             order_pos[id.index()] = pos;
         }
         let mut podem = Podem {
-            circuit,
             topo,
             controllable,
             is_controllable,
@@ -433,7 +409,7 @@ impl<'c> Podem<'c> {
             self.obs_dist[id.index()] = best;
         }
         // Inputs/FF outputs also get distances (not strictly needed).
-        for id in self.circuit.node_ids() {
+        for id in (0..self.topo.num_nodes()).map(NodeId::from_index) {
             if self.topo.kind(id).is_gate() {
                 continue;
             }
@@ -479,7 +455,7 @@ impl<'c> Podem<'c> {
     /// [`Podem::run_with_scratch`] callers that amortise allocation
     /// across many runs.
     pub fn scratch(&self) -> PodemScratch {
-        let n = self.circuit.num_nodes();
+        let n = self.topo.num_nodes();
         PodemScratch {
             values: self.base_values.clone(),
             assigned: vec![None; n],
@@ -881,7 +857,7 @@ impl<'c> Podem<'c> {
         let mut hops = 0usize;
         loop {
             hops += 1;
-            if hops > 4 * self.circuit.num_nodes() {
+            if hops > 4 * self.topo.num_nodes() {
                 return None; // safety net; cannot happen in a DAG
             }
             let kind = self.topo.kind(net);
@@ -1076,9 +1052,9 @@ impl<'c> Podem<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unroll::unroll_with_map;
+    use crate::unroll::unroll;
     use fscan_fault::all_faults;
-    use fscan_netlist::{generate, GeneratorConfig};
+    use fscan_netlist::{generate, Circuit, GeneratorConfig};
     use fscan_sim::SeqSim;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1121,8 +1097,8 @@ mod tests {
     /// Reference full resimulation (the pre-event-driven algorithm):
     /// recomputes every value from scratch under the scratch's current
     /// assignment and injections.
-    fn reference_values(podem: &Podem<'_>, s: &PodemScratch) -> Vec<D5> {
-        let n = podem.circuit.num_nodes();
+    fn reference_values(podem: &Podem, c: &Circuit, s: &PodemScratch) -> Vec<D5> {
+        let n = c.num_nodes();
         let mut values = vec![D5::X; n];
         for &c in &podem.controllable {
             values[c.index()] = match s.assigned[c.index()] {
@@ -1135,14 +1111,14 @@ mod tests {
         }
         for (i, inj) in s.stem_inj.iter().take(n).enumerate() {
             let Some(stuck) = *inj else { continue };
-            let kind = podem.circuit.node(NodeId::from_index(i)).kind();
+            let kind = c.node(NodeId::from_index(i)).kind();
             if !kind.is_gate() && !matches!(kind, GateKind::Const0 | GateKind::Const1) {
                 let v = values[i];
                 values[i] = D5::new(v.good(), V3::from_bool(stuck));
             }
         }
         for &id in &podem.order {
-            let node = podem.circuit.node(id);
+            let node = c.node(id);
             let mut out = D5::eval(
                 node.kind(),
                 node.fanin().iter().enumerate().map(|(pin, &src)| {
@@ -1169,10 +1145,8 @@ mod tests {
     // incremental search must match exactly.
 
     /// Every net swept for a fault effect, then every branch pin.
-    fn sweep_has_effect(podem: &Podem<'_>, s: &PodemScratch, faults: &[Fault]) -> bool {
-        if podem
-            .circuit
-            .node_ids()
+    fn sweep_has_effect(podem: &Podem, c: &Circuit, s: &PodemScratch, faults: &[Fault]) -> bool {
+        if c.node_ids()
             .any(|id| s.values[id.index()].is_fault_effect())
         {
             return true;
@@ -1184,7 +1158,7 @@ mod tests {
         })
     }
 
-    fn sweep_effect_at_observable(podem: &Podem<'_>, s: &PodemScratch) -> bool {
+    fn sweep_effect_at_observable(podem: &Podem, s: &PodemScratch) -> bool {
         podem
             .observable
             .iter()
@@ -1193,10 +1167,10 @@ mod tests {
 
     /// The D-frontier by a scan of the full order, stably sorted by
     /// distance to the nearest observable: the objective's search order.
-    fn d_frontier(podem: &Podem<'_>, s: &PodemScratch) -> Vec<NodeId> {
+    fn d_frontier(podem: &Podem, c: &Circuit, s: &PodemScratch) -> Vec<NodeId> {
         let mut frontier = Vec::new();
         for &id in &podem.order {
-            let node = podem.circuit.node(id);
+            let node = c.node(id);
             if !node.kind().is_gate() || !s.values[id.index()].has_x() {
                 continue;
             }
@@ -1216,11 +1190,11 @@ mod tests {
     /// X-reachability by one reverse topological sweep: a node reaches
     /// an observable through X nets iff it is observable itself, or some
     /// X-ish gate reading it does.
-    fn recompute_x_reach(podem: &Podem<'_>, s: &PodemScratch) -> Vec<bool> {
+    fn recompute_x_reach(podem: &Podem, c: &Circuit, s: &PodemScratch) -> Vec<bool> {
         let mut x_reach = podem.is_observable.clone();
         let reaches = |x_reach: &[bool], id: NodeId| {
             podem.topo.fanout_sinks(id).iter().any(|&sink| {
-                podem.circuit.node(sink).kind().is_gate()
+                c.node(sink).kind().is_gate()
                     && s.values[sink.index()].has_x()
                     && x_reach[sink.index()]
             })
@@ -1232,11 +1206,8 @@ mod tests {
             }
         }
         // Non-gate nodes (inputs, flip-flop outputs) also feed gates.
-        for id in podem.circuit.node_ids() {
-            if !x_reach[id.index()]
-                && !podem.circuit.node(id).kind().is_gate()
-                && reaches(&x_reach, id)
-            {
+        for id in c.node_ids() {
+            if !x_reach[id.index()] && !c.node(id).kind().is_gate() && reaches(&x_reach, id) {
                 x_reach[id.index()] = true;
             }
         }
@@ -1244,11 +1215,12 @@ mod tests {
     }
 
     fn sweep_objective(
-        podem: &Podem<'_>,
+        podem: &Podem,
+        c: &Circuit,
         s: &PodemScratch,
         faults: &[Fault],
     ) -> Option<(NodeId, bool)> {
-        if !sweep_has_effect(podem, s, faults) {
+        if !sweep_has_effect(podem, c, s, faults) {
             for f in faults {
                 let site = podem.site_node(f);
                 if podem.site_good(s, f) == V3::X && podem.cc(site, !f.stuck) < INF {
@@ -1257,12 +1229,12 @@ mod tests {
             }
             return None;
         }
-        let x_reach = recompute_x_reach(podem, s);
-        for g in d_frontier(podem, s) {
+        let x_reach = recompute_x_reach(podem, c, s);
+        for g in d_frontier(podem, c, s) {
             if !x_reach[g.index()] {
                 continue;
             }
-            let node = podem.circuit.node(g);
+            let node = c.node(g);
             let side_val = node.kind().transparent_side_value().unwrap_or(true);
             for &f in node.fanin() {
                 if s.values[f.index()].good() == V3::X && podem.cc(f, side_val) < INF {
@@ -1279,7 +1251,12 @@ mod tests {
     /// without evaluating, so those drains are booked into a throwaway
     /// counter: the outcome must equal the search's, `gate_evals`
     /// included.
-    fn sweep_run(podem: &Podem<'_>, faults: &[Fault], config: &PodemConfig) -> PodemOutcome {
+    fn sweep_run(
+        podem: &Podem,
+        c: &Circuit,
+        faults: &[Fault],
+        config: &PodemConfig,
+    ) -> PodemOutcome {
         let mut s = podem.scratch();
         let mut work = WorkCounters::ZERO;
         let mut retraction_work = WorkCounters::ZERO;
@@ -1297,7 +1274,7 @@ mod tests {
                 let test = stack.iter().map(|&(n, v, _)| (n, v)).collect();
                 return outcome(AtpgOutcome::Test(test), work, decisions, backtracks);
             }
-            let decision = sweep_objective(podem, &s, faults)
+            let decision = sweep_objective(podem, c, &s, faults)
                 .and_then(|(net, val)| podem.backtrace(&s, net, val));
             if let Some((pi, val)) = decision {
                 stack.push((pi, val, false));
@@ -1338,7 +1315,7 @@ mod tests {
     /// membership flags, and the on-demand X-path of every node against
     /// the sweep (all queried in one memo epoch, so memo hits are
     /// exercised too).
-    fn assert_bookkeeping(podem: &Podem<'_>, s: &mut PodemScratch, what: &str) {
+    fn assert_bookkeeping(podem: &Podem, c: &Circuit, s: &mut PodemScratch, what: &str) {
         let effects: Vec<usize> = (0..s.values.len())
             .filter(|&i| s.values[i].is_fault_effect())
             .collect();
@@ -1350,13 +1327,13 @@ mod tests {
             .iter()
             .map(|&(_, pos)| podem.order[pos])
             .collect();
-        assert_eq!(frontier, d_frontier(podem, s), "frontier {what}");
+        assert_eq!(frontier, d_frontier(podem, c, s), "frontier {what}");
         let flagged = s.in_frontier.iter().filter(|&&f| f).count();
         assert_eq!(flagged, frontier.len(), "frontier flags {what}");
         assert!(frontier.iter().all(|g| s.in_frontier[g.index()]), "{what}");
-        let x_reach = recompute_x_reach(podem, s);
+        let x_reach = recompute_x_reach(podem, c, s);
         s.x_path.forget();
-        for id in podem.circuit.node_ids() {
+        for id in c.node_ids() {
             assert_eq!(
                 podem.x_path(&s.values, &mut s.x_path, id),
                 x_reach[id.index()],
@@ -1436,7 +1413,7 @@ mod tests {
                 }
                 return case;
             }
-            let (u, map) = unroll_with_map(&base, frames);
+            let (u, map) = unroll(&base, &CompiledTopology::compile(&base), frames);
             let mut case = Case {
                 circuit: u.circuit().clone(),
                 controllable: Vec::new(),
@@ -1481,9 +1458,9 @@ mod tests {
             case
         }
 
-        fn podem(&self) -> Podem<'_> {
-            Podem::new(
-                &self.circuit,
+        fn podem(&self) -> Podem {
+            Podem::with_topology(
+                CompiledTopology::shared(&self.circuit),
                 self.controllable.clone(),
                 self.fixed.clone(),
                 self.observable.clone(),
@@ -1516,7 +1493,7 @@ mod tests {
             };
             let mut reused = podem.scratch();
             for faults in &case.fault_sets {
-                let expected = sweep_run(&podem, faults, &config);
+                let expected = sweep_run(&podem, &case.circuit, faults, &config);
                 prop_assert_eq!(&podem.run(faults, &config), &expected, "{:?}", faults);
                 prop_assert_eq!(
                     &podem.run_with_scratch(&mut reused, faults, &config),
@@ -1549,7 +1526,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xb00c);
             for faults in &case.fault_sets {
                 podem.begin(&mut s, faults, &mut work);
-                assert_bookkeeping(&podem, &mut s, "after begin");
+                assert_bookkeeping(&podem, &case.circuit, &mut s, "after begin");
                 if case.controllable.is_empty() {
                     continue;
                 }
@@ -1557,7 +1534,7 @@ mod tests {
                     let pi = case.controllable[rng.gen_range(0..case.controllable.len())];
                     let val = rng.gen_bool(0.8).then(|| rng.gen_bool(0.5));
                     podem.set_input(&mut s, pi, val, &mut work);
-                    assert_bookkeeping(&podem, &mut s, "after set_input");
+                    assert_bookkeeping(&podem, &case.circuit, &mut s, "after set_input");
                 }
                 podem.begin(&mut s, faults, &mut work);
                 podem.begin(&mut twin, faults, &mut work);
@@ -1574,7 +1551,7 @@ mod tests {
                         podem.set_input(&mut s, pi, Some(val), &mut work);
                         podem.set_input(&mut twin, pi, Some(val), &mut work);
                         prop_assert_eq!(&s.values, &twin.values);
-                        assert_bookkeeping(&podem, &mut s, "after set_input");
+                        assert_bookkeeping(&podem, &case.circuit, &mut s, "after set_input");
                         continue;
                     }
                     let keep = rng.gen_range(0..made.len());
@@ -1584,14 +1561,14 @@ mod tests {
                         podem.set_input(&mut twin, pi, None, &mut work);
                     }
                     prop_assert_eq!(s.trail.len(), floor);
-                    prop_assert_eq!(&s.values, &reference_values(&podem, &s), "undo to {}", keep);
+                    prop_assert_eq!(&s.values, &reference_values(&podem, &case.circuit, &s), "undo to {}", keep);
                     prop_assert_eq!(&s.assigned, &twin.assigned);
                     prop_assert_eq!(&s.values, &twin.values);
                     prop_assert_eq!(s.effect_nets, twin.effect_nets);
                     prop_assert_eq!(s.effect_observables, twin.effect_observables);
                     prop_assert_eq!(&s.frontier, &twin.frontier);
                     prop_assert_eq!(&s.in_frontier, &twin.in_frontier);
-                    assert_bookkeeping(&podem, &mut s, "after undo");
+                    assert_bookkeeping(&podem, &case.circuit, &mut s, "after undo");
                 }
             }
         }
@@ -1604,7 +1581,12 @@ mod tests {
         let controllable = c.inputs().to_vec();
         let observable = c.outputs().to_vec();
         for &f in &faults {
-            let podem = Podem::new(&c, controllable.clone(), vec![], observable.clone());
+            let podem = Podem::with_topology(
+                CompiledTopology::shared(&c),
+                controllable.clone(),
+                vec![],
+                observable.clone(),
+            );
             match podem.run(&[f], &PodemConfig::default()).verdict {
                 AtpgOutcome::Test(t) => {
                     assert!(verify_test(&c, f, &t), "bogus test for {f}");
@@ -1621,23 +1603,36 @@ mod tests {
         // and the maintained bookkeeping a recount from those values.
         let (c, _) = c17_like();
         let faults = fscan_fault::collapse(&c, &fscan_fault::all_faults(&c));
-        let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            c.inputs().to_vec(),
+            vec![],
+            c.outputs().to_vec(),
+        );
         let mut s = podem.scratch();
         let mut work = WorkCounters::ZERO;
         for f in &faults {
             podem.begin(&mut s, std::slice::from_ref(f), &mut work);
-            assert_eq!(s.values, reference_values(&podem, &s), "after begin {f}");
-            assert_bookkeeping(&podem, &mut s, &format!("after begin {f}"));
+            assert_eq!(
+                s.values,
+                reference_values(&podem, &c, &s),
+                "after begin {f}"
+            );
+            assert_bookkeeping(&podem, &c, &mut s, &format!("after begin {f}"));
             let inputs = c.inputs().to_vec();
             for (i, &pi) in inputs.iter().enumerate() {
                 podem.set_input(&mut s, pi, Some(i % 2 == 0), &mut work);
-                assert_eq!(s.values, reference_values(&podem, &s), "after set {f}");
-                assert_bookkeeping(&podem, &mut s, &format!("after set {f}"));
+                assert_eq!(s.values, reference_values(&podem, &c, &s), "after set {f}");
+                assert_bookkeeping(&podem, &c, &mut s, &format!("after set {f}"));
             }
             for &pi in inputs.iter().rev() {
                 podem.set_input(&mut s, pi, None, &mut work);
-                assert_eq!(s.values, reference_values(&podem, &s), "after unset {f}");
-                assert_bookkeeping(&podem, &mut s, &format!("after unset {f}"));
+                assert_eq!(
+                    s.values,
+                    reference_values(&podem, &c, &s),
+                    "after unset {f}"
+                );
+                assert_bookkeeping(&podem, &c, &mut s, &format!("after unset {f}"));
             }
         }
     }
@@ -1648,7 +1643,12 @@ mod tests {
         // outcomes and counters as fresh per-run scratches.
         let (c, _) = c17_like();
         let faults = fscan_fault::collapse(&c, &fscan_fault::all_faults(&c));
-        let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            c.inputs().to_vec(),
+            vec![],
+            c.outputs().to_vec(),
+        );
         let mut shared = podem.scratch();
         for &f in &faults {
             let fresh = podem.run(&[f], &PodemConfig::default());
@@ -1664,7 +1664,12 @@ mod tests {
         // must beat that bound on every c17 fault.
         let (c, _) = c17_like();
         let faults = fscan_fault::collapse(&c, &fscan_fault::all_faults(&c));
-        let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            c.inputs().to_vec(),
+            vec![],
+            c.outputs().to_vec(),
+        );
         let full_pass = podem.setup_work().gate_evals;
         for &f in &faults {
             let out = podem.run(&[f], &PodemConfig::default());
@@ -1687,7 +1692,7 @@ mod tests {
         let g = c.add_gate(GateKind::And, vec![a, b], "g");
         let y = c.add_gate(GateKind::Or, vec![a, g], "y");
         c.mark_output(y);
-        let podem = Podem::new(&c, vec![a, b], vec![], vec![y]);
+        let podem = Podem::with_topology(CompiledTopology::shared(&c), vec![a, b], vec![], vec![y]);
         let out = podem.run(&[Fault::stem(g, false)], &PodemConfig::default());
         assert_eq!(out.verdict, AtpgOutcome::Undetectable);
         assert!(out.vector().is_none());
@@ -1702,7 +1707,12 @@ mod tests {
         c.mark_output(g);
         // Pin b = 0: output is constantly 0, so g s-a-0 is undetectable
         // and a s-a-1 is too.
-        let podem = Podem::new(&c, vec![a], vec![(b, false)], vec![g]);
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            vec![a],
+            vec![(b, false)],
+            vec![g],
+        );
         assert_eq!(
             podem
                 .run(&[Fault::stem(g, false)], &PodemConfig::default())
@@ -1733,7 +1743,7 @@ mod tests {
         let u = c.add_input("u");
         let g = c.add_gate(GateKind::And, vec![a, u], "g");
         c.mark_output(g);
-        let podem = Podem::new(&c, vec![a], vec![], vec![g]);
+        let podem = Podem::with_topology(CompiledTopology::shared(&c), vec![a], vec![], vec![g]);
         assert_eq!(
             podem
                 .run(&[Fault::stem(a, false)], &PodemConfig::default())
@@ -1749,7 +1759,12 @@ mod tests {
         // Branch fault on g16's second pin (reading g11, which fans out).
         let g16 = n[7];
         let f = Fault::branch(g16, 1, true);
-        let podem = Podem::new(&c, c.inputs().to_vec(), vec![], c.outputs().to_vec());
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            c.inputs().to_vec(),
+            vec![],
+            c.outputs().to_vec(),
+        );
         match podem.run(&[f], &PodemConfig::default()).verdict {
             AtpgOutcome::Test(t) => assert!(verify_test(&c, f, &t)),
             other => panic!("expected test, got {other:?}"),
@@ -1764,7 +1779,8 @@ mod tests {
         let g = c.add_gate(GateKind::Xor, vec![a, b], "g");
         c.mark_output(g);
         for f in [Fault::stem(a, false), Fault::stem(a, true)] {
-            let podem = Podem::new(&c, vec![a, b], vec![], vec![g]);
+            let podem =
+                Podem::with_topology(CompiledTopology::shared(&c), vec![a, b], vec![], vec![g]);
             match podem.run(&[f], &PodemConfig::default()).verdict {
                 AtpgOutcome::Test(t) => assert!(verify_test(&c, f, &t), "{f}"),
                 other => panic!("{f}: {other:?}"),
@@ -1782,7 +1798,8 @@ mod tests {
         let g = c.add_gate(GateKind::And, vec![pi, ff], "g");
         c.set_dff_input(ff, g).unwrap();
         c.mark_output(g);
-        let podem = Podem::new(&c, vec![pi, ff], vec![], vec![g]);
+        let podem =
+            Podem::with_topology(CompiledTopology::shared(&c), vec![pi, ff], vec![], vec![g]);
         match podem
             .run(&[Fault::stem(g, false)], &PodemConfig::default())
             .verdict
@@ -1812,7 +1829,12 @@ mod tests {
         let y1 = c.add_gate(GateKind::And, vec![b, one], "y1");
         c.mark_output(y0);
         c.mark_output(y1);
-        let podem = Podem::new(&c, vec![a, b], vec![], vec![y0, y1]);
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            vec![a, b],
+            vec![],
+            vec![y0, y1],
+        );
         let faults = [Fault::stem(y0, false), Fault::stem(y1, false)];
         match podem.run(&faults, &PodemConfig::default()).verdict {
             AtpgOutcome::Test(t) => {
@@ -1846,7 +1868,12 @@ mod tests {
         }
         let root = level[0];
         c.mark_output(root);
-        let podem = Podem::new(&c, nets.clone(), vec![], vec![root]);
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&c),
+            nets.clone(),
+            vec![],
+            vec![root],
+        );
         let out = podem.run(
             &[Fault::stem(nets[7], false)],
             &PodemConfig {

@@ -7,7 +7,7 @@ use fscan_netlist::{Circuit, CompiledTopology, NodeId};
 use fscan_sim::WorkCounters;
 
 use crate::podem::{AtpgOutcome, Podem, PodemConfig};
-use crate::unroll::{unroll_with_map_using, Unrolled};
+use crate::unroll::{unroll, Unrolled};
 
 /// Tuning knobs for [`SeqAtpg`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -75,7 +75,7 @@ pub enum SeqOutcome {
 /// # Examples
 ///
 /// ```
-/// use fscan_netlist::{Circuit, GateKind};
+/// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 /// use fscan_fault::Fault;
 /// use fscan_atpg::{SeqAtpg, SeqAtpgConfig, SeqOutcome};
 ///
@@ -86,7 +86,7 @@ pub enum SeqOutcome {
 /// let buf = c.add_gate(GateKind::Buf, vec![ff1], "buf");
 /// let ff2 = c.add_dff(buf, "ff2");
 /// c.mark_output(ff2);
-/// let atpg = SeqAtpg::new(&c)
+/// let atpg = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c))
 ///     .controllable_ffs(vec![])
 ///     .observable_ffs(vec![1]);
 /// let (out, work) = atpg.run(Fault::stem(buf, false), &SeqAtpgConfig::default());
@@ -103,15 +103,11 @@ pub struct SeqAtpg<'c> {
 }
 
 impl<'c> SeqAtpg<'c> {
-    /// Creates a generator where, by default, no flip-flop is
-    /// controllable or observable and no primary input is pinned.
-    pub fn new(circuit: &'c Circuit) -> SeqAtpg<'c> {
-        SeqAtpg::with_topology(circuit, CompiledTopology::shared(circuit))
-    }
-
-    /// [`SeqAtpg::new`] against an already-compiled topology of the base
-    /// circuit: every unrolling reuses its levelized order. (The unrolled
-    /// models are distinct circuits and still compile their own plans.)
+    /// Creates a generator for `circuit`, whose compiled topology is
+    /// `topo`; every unrolling reuses its levelized order. (The unrolled
+    /// models are distinct circuits and compile their own plans.) By
+    /// default no flip-flop is controllable or observable and no primary
+    /// input is pinned.
     pub fn with_topology(circuit: &'c Circuit, topo: Arc<CompiledTopology>) -> SeqAtpg<'c> {
         debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
         SeqAtpg {
@@ -204,7 +200,7 @@ impl<'c> SeqAtpg<'c> {
         backtrack_limit: usize,
         step_limit: usize,
     ) -> (bool, (usize, usize), WorkCounters) {
-        let (u, map) = unroll_with_map_using(self.circuit, &self.topo, 1);
+        let (u, map) = unroll(self.circuit, &self.topo, 1);
         let Some(f) = u.map_fault(self.circuit, fault, 0, &map) else {
             return (false, (0, 0), WorkCounters::ZERO);
         };
@@ -214,7 +210,12 @@ impl<'c> SeqAtpg<'c> {
         let mut observable: Vec<NodeId> = u.pos(0).to_vec();
         observable.extend_from_slice(u.captures(0));
         let fixed = self.fixed_nodes(&u, 1);
-        let podem = Podem::new(u.circuit(), controllable, fixed, observable);
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(u.circuit()),
+            controllable,
+            fixed,
+            observable,
+        );
         let budget = PodemConfig {
             backtrack_limit,
             step_limit,
@@ -262,7 +263,7 @@ impl<'c> SeqAtpg<'c> {
         backtrack_limit: usize,
         step_limit: usize,
     ) -> (Option<SeqTest>, (usize, usize), WorkCounters) {
-        let (u, map) = unroll_with_map_using(self.circuit, &self.topo, frames);
+        let (u, map) = unroll(self.circuit, &self.topo, frames);
         let faults: Vec<Fault> = (0..frames)
             .filter_map(|t| u.map_fault(self.circuit, fault, t, &map))
             .collect();
@@ -278,7 +279,12 @@ impl<'c> SeqAtpg<'c> {
             }
         }
         let fixed = self.fixed_nodes(&u, frames);
-        let podem = Podem::new(u.circuit(), controllable, fixed, observable);
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(u.circuit()),
+            controllable,
+            fixed,
+            observable,
+        );
         let budget = PodemConfig {
             backtrack_limit,
             step_limit,
@@ -378,7 +384,7 @@ mod tests {
         let (c, nand, _) = pipeline();
         // No controllable state, no observable FFs: must drive from sin
         // across frames and observe at the PO after two more frames.
-        let atpg = SeqAtpg::new(&c);
+        let atpg = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c));
         let (out, work) = atpg.run(Fault::stem(nand, true), &SeqAtpgConfig::default());
         assert!(work.gate_evals > 0, "work counters must be returned");
         match out {
@@ -394,7 +400,7 @@ mod tests {
         let (c, nand, _) = pipeline();
         // With ff1 controllable and ff2's capture observable, a single
         // frame suffices.
-        let atpg = SeqAtpg::new(&c)
+        let atpg = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c))
             .controllable_ffs(vec![0, 1])
             .observable_ffs(vec![2, 3]);
         let cfg = SeqAtpgConfig {
@@ -410,7 +416,8 @@ mod tests {
         let (c, _, side) = pipeline();
         // Pin side = 1 (scan mode): side s-a-1 cannot be excited.
         let side_idx = c.inputs().iter().position(|&p| p == side).unwrap();
-        let atpg = SeqAtpg::new(&c).fixed_pis(vec![(side_idx, true)]);
+        let atpg = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c))
+            .fixed_pis(vec![(side_idx, true)]);
         let (out, _) = atpg.run(Fault::stem(side, true), &SeqAtpgConfig::default());
         assert_eq!(out, SeqOutcome::Undetectable);
     }
@@ -419,7 +426,8 @@ mod tests {
     fn decode_marks_fixed_pins() {
         let (c, nand, side) = pipeline();
         let side_idx = c.inputs().iter().position(|&p| p == side).unwrap();
-        let atpg = SeqAtpg::new(&c).fixed_pis(vec![(side_idx, true)]);
+        let atpg = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c))
+            .fixed_pis(vec![(side_idx, true)]);
         // nand s-a-1: excite by making output 0 (ff1=1, side=1), then
         // propagate. side is pinned to 1 so this works.
         let (out, _) = atpg.run(Fault::stem(nand, true), &SeqAtpgConfig::default());
@@ -444,7 +452,8 @@ mod tests {
             max_frames: 1,
             ..SeqAtpgConfig::default()
         };
-        let (out, _) = SeqAtpg::new(&c).run(Fault::stem(nand, true), &cfg);
+        let (out, _) = SeqAtpg::with_topology(&c, CompiledTopology::shared(&c))
+            .run(Fault::stem(nand, true), &cfg);
         assert_eq!(out, SeqOutcome::Aborted);
     }
 }

@@ -20,7 +20,7 @@ use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
 /// # Examples
 ///
 /// ```
-/// use fscan_netlist::{Circuit, GateKind};
+/// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 /// use fscan_atpg::unroll;
 ///
 /// let mut c = Circuit::new("toggle");
@@ -28,7 +28,7 @@ use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
 /// let n = c.add_gate(GateKind::Not, vec![ff], "n");
 /// c.set_dff_input(ff, n)?;
 /// c.mark_output(ff);
-/// let u = unroll(&c, 3);
+/// let (u, _) = unroll(&c, &CompiledTopology::compile(&c), 3);
 /// assert_eq!(u.frames(), 3);
 /// assert_eq!(u.circuit().outputs().len(), 3);
 /// # Ok::<(), fscan_netlist::NetlistError>(())
@@ -171,29 +171,14 @@ impl FrameMap {
     }
 }
 
-/// Unrolls `circuit` over `frames` time frames. See [`Unrolled`].
+/// Unrolls `circuit` over `frames` time frames against its compiled
+/// topology `topo`, returning the model (see [`Unrolled`]) and the node
+/// map used by [`Unrolled::map_fault`].
 ///
 /// # Panics
 ///
 /// Panics if `frames == 0`.
-pub fn unroll(circuit: &Circuit, frames: usize) -> Unrolled {
-    let (u, _) = unroll_with_map(circuit, frames);
-    u
-}
-
-/// Like [`unroll`] but also returns the node map used by
-/// [`Unrolled::map_fault`].
-pub fn unroll_with_map(circuit: &Circuit, frames: usize) -> (Unrolled, FrameMap) {
-    unroll_with_map_using(circuit, &CompiledTopology::compile(circuit), frames)
-}
-
-/// [`unroll_with_map`] against an already-compiled topology of
-/// `circuit`, reusing its levelized order instead of recompiling.
-pub fn unroll_with_map_using(
-    circuit: &Circuit,
-    topo: &CompiledTopology,
-    frames: usize,
-) -> (Unrolled, FrameMap) {
+pub fn unroll(circuit: &Circuit, topo: &CompiledTopology, frames: usize) -> (Unrolled, FrameMap) {
     assert!(frames > 0, "need at least one frame");
     debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
     let mut out = Circuit::new(format!("{}@x{}", circuit.name(), frames));
@@ -320,19 +305,19 @@ mod tests {
         c.set_dff_input(ff, x).unwrap();
         c.mark_output(ff);
         let frames = 4;
-        let (u, _) = unroll_with_map(&c, frames);
+        let (u, _) = unroll(&c, &CompiledTopology::compile(&c), frames);
         // Sequential run.
         let stream = [true, false, true, true];
         let vectors: Vec<Vec<V3>> = stream.iter().map(|&b| vec![V3::from(b)]).collect();
         let seq_trace = SeqSim::new(&c).run(&vectors, &[V3::Zero], None);
         // Combinational run on the unrolled model.
-        let eval = CombEvaluator::new(u.circuit());
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(u.circuit()));
         let mut values = vec![V3::X; u.circuit().num_nodes()];
         values[u.state0(0).index()] = V3::Zero;
         for (t, &b) in stream.iter().enumerate() {
             values[u.pi(t, 0).index()] = V3::from(b);
         }
-        eval.eval(u.circuit(), &mut values);
+        eval.eval(&mut values);
         for t in 0..frames {
             assert_eq!(
                 values[u.pos(t)[0].index()],
@@ -345,7 +330,7 @@ mod tests {
     #[test]
     fn toggle_unroll_structure() {
         let c = toggle();
-        let u = unroll(&c, 3);
+        let (u, _) = unroll(&c, &CompiledTopology::compile(&c), 3);
         assert_eq!(u.frames(), 3);
         assert_eq!(u.state0s().len(), 1);
         assert_eq!(u.captures(0).len(), 1);
@@ -357,7 +342,7 @@ mod tests {
     fn map_stem_fault_on_gate() {
         let c = toggle();
         let n = c.find_by_name("n").unwrap();
-        let (u, map) = unroll_with_map(&c, 2);
+        let (u, map) = unroll(&c, &CompiledTopology::compile(&c), 2);
         let f0 = u.map_fault(&c, Fault::stem(n, true), 0, &map).unwrap();
         let f1 = u.map_fault(&c, Fault::stem(n, true), 1, &map).unwrap();
         assert_ne!(f0, f1);
@@ -368,7 +353,7 @@ mod tests {
     fn map_dff_output_fault() {
         let c = toggle();
         let ff = c.dffs()[0];
-        let (u, map) = unroll_with_map(&c, 2);
+        let (u, map) = unroll(&c, &CompiledTopology::compile(&c), 2);
         let f0 = u.map_fault(&c, Fault::stem(ff, false), 0, &map).unwrap();
         assert_eq!(f0, Fault::stem(u.state0(0), false));
         let f1 = u.map_fault(&c, Fault::stem(ff, false), 1, &map).unwrap();
@@ -383,7 +368,7 @@ mod tests {
         let x = c.add_gate(GateKind::Xor, vec![ff, pi], "x");
         c.set_dff_input(ff, x).unwrap();
         c.mark_output(x);
-        let (u, map) = unroll_with_map(&c, 3);
+        let (u, map) = unroll(&c, &CompiledTopology::compile(&c), 3);
         for t in 0..3 {
             assert_eq!(map.get(t, pi), Some(u.pi(t, 0)));
             assert_eq!(map.get(t, ff), None);
@@ -400,7 +385,7 @@ mod tests {
     fn map_dff_dpin_branch_fault() {
         let c = toggle();
         let ff = c.dffs()[0];
-        let (u, map) = unroll_with_map(&c, 2);
+        let (u, map) = unroll(&c, &CompiledTopology::compile(&c), 2);
         let f = u
             .map_fault(&c, Fault::branch(ff, 0, true), 1, &map)
             .unwrap();

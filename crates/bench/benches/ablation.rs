@@ -35,14 +35,14 @@ fn ablation_classification(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("implication_classification", |b| {
         b.iter(|| {
-            let mut cls = Classifier::new(&design);
+            let mut cls = Classifier::<u64>::new_wide(&design);
             faults.iter().map(|&f| cls.classify(f)).count()
         });
     });
     group.bench_function("bruteforce_alternating_fault_sim", |b| {
         let vectors = alternating_vectors(&design);
         let init = vec![V3::X; design.circuit().dffs().len()];
-        let sim = ParallelFaultSim::new(design.circuit());
+        let sim = ParallelFaultSim::with_topology(design.topology());
         b.iter(|| sim.fault_sim(&vectors, &init, &faults));
     });
     group.finish();
@@ -133,7 +133,7 @@ fn ablation_parallel_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_fault_sim_bitparallel");
     group.sample_size(10);
     group.bench_function("parallel64", |b| {
-        let sim = ParallelFaultSim::new(design.circuit());
+        let sim = ParallelFaultSim::with_topology(design.topology());
         b.iter(|| sim.fault_sim(&vectors, &init, &faults));
     });
     group.bench_function("serial", |b| {

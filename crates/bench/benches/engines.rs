@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fscan_atpg::{Podem, PodemConfig, SeqAtpg, SeqAtpgConfig};
 use fscan_fault::{all_faults, collapse};
-use fscan_netlist::{generate, GeneratorConfig};
+use fscan_netlist::{generate, CompiledTopology, GeneratorConfig};
 use fscan_sim::{CombEvaluator, ImplicationEngine, ParallelFaultSim, SeqSim, V3};
 use std::sync::Arc;
 
@@ -15,13 +15,13 @@ fn bench_comb_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("comb_sim");
     for gates in [500usize, 2000] {
         let circuit = generate(&GeneratorConfig::new("b", 1).gates(gates).dffs(32));
-        let eval = CombEvaluator::new(&circuit);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
         let mut values = vec![V3::X; circuit.num_nodes()];
         for (i, &pi) in circuit.inputs().iter().enumerate() {
             values[pi.index()] = V3::from(i % 2 == 0);
         }
         group.bench_with_input(BenchmarkId::from_parameter(gates), &gates, |b, _| {
-            b.iter(|| eval.eval(&circuit, &mut values));
+            b.iter(|| eval.eval(&mut values));
         });
     }
     group.finish();
@@ -47,7 +47,7 @@ fn bench_fault_sim(c: &mut Criterion) {
         b.iter(|| sim.fault_sim(&vectors, &init, &faults));
     });
     group.bench_function("parallel", |b| {
-        let sim = ParallelFaultSim::new(&circuit);
+        let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&circuit));
         b.iter(|| sim.fault_sim(&vectors, &init, &faults));
     });
     group.finish();
@@ -55,12 +55,12 @@ fn bench_fault_sim(c: &mut Criterion) {
 
 fn bench_implication(c: &mut Criterion) {
     let circuit = generate(&GeneratorConfig::new("b", 3).gates(2000).dffs(64));
-    let eval = CombEvaluator::new(&circuit);
+    let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
     let mut good = vec![V3::X; circuit.num_nodes()];
     for (i, &pi) in circuit.inputs().iter().enumerate() {
         good[pi.index()] = V3::from(i % 2 == 0);
     }
-    eval.eval(&circuit, &mut good);
+    eval.eval(&mut good);
     let faults = collapse(&circuit, &all_faults(&circuit));
     c.bench_function("implication_cone_per_fault", |b| {
         let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
@@ -68,7 +68,7 @@ fn bench_implication(c: &mut Criterion) {
         b.iter(|| {
             let f = faults[idx % faults.len()];
             idx += 1;
-            engine.run(&circuit, &good, f)
+            engine.run(&good, f)
         });
     });
 }
@@ -85,7 +85,12 @@ fn bench_podem(c: &mut Criterion) {
     let mut observable: Vec<_> = circuit.outputs().to_vec();
     observable.extend(circuit.dffs().iter().map(|&ff| circuit.node(ff).fanin()[0]));
     c.bench_function("podem_per_fault_fullscan_view", |b| {
-        let podem = Podem::new(&circuit, controllable.clone(), vec![], observable.clone());
+        let podem = Podem::with_topology(
+            CompiledTopology::shared(&circuit),
+            controllable.clone(),
+            vec![],
+            observable.clone(),
+        );
         let cfg = PodemConfig::default();
         let mut idx = 0usize;
         b.iter(|| {
@@ -100,7 +105,8 @@ fn bench_seq_atpg(c: &mut Criterion) {
     let circuit = generate(&GeneratorConfig::new("b", 5).inputs(10).gates(300).dffs(10));
     let faults = collapse(&circuit, &all_faults(&circuit));
     c.bench_function("seq_atpg_4_frames", |b| {
-        let atpg = SeqAtpg::new(&circuit).observable_ffs((0..10).collect());
+        let atpg = SeqAtpg::with_topology(&circuit, CompiledTopology::shared(&circuit))
+            .observable_ffs((0..10).collect());
         let cfg = SeqAtpgConfig {
             max_frames: 4,
             backtrack_limit: 2_000,

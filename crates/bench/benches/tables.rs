@@ -45,7 +45,7 @@ fn bench_table2_classification(c: &mut Criterion) {
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     c.bench_function("table2_classify_all_faults", |b| {
         b.iter(|| {
-            let mut cls = Classifier::new(&design);
+            let mut cls = Classifier::<u64>::new_wide(&design);
             faults.iter().map(|&f| cls.classify(f)).count()
         });
     });

@@ -85,7 +85,10 @@ mod tests {
     use fscan::PipelineConfig;
 
     fn small_report(threads: usize) -> fscan::PipelineReport {
-        let config = PipelineConfig::builder().threads(threads).build().unwrap();
+        let config = PipelineConfig {
+            threads,
+            ..PipelineConfig::default()
+        };
         run_pipeline_with(&PAPER_SUITE[0], 0.05, config)
     }
 

@@ -170,11 +170,12 @@ fn print_table1(opts: &Options) {
 }
 
 fn pipeline_reports(opts: &Options) -> Vec<PipelineReport> {
-    let config = PipelineConfig::builder()
-        .threads(opts.threads)
-        .lane_width(opts.lanes)
-        .build()
-        .expect("default budgets are valid");
+    let config = PipelineConfig {
+        threads: opts.threads,
+        lane_width: opts.lanes,
+        ..PipelineConfig::default()
+    };
+    config.validate().expect("default budgets are valid");
     selected(&opts.only)
         .into_iter()
         .map(|c| {
@@ -461,8 +462,10 @@ fn eco(args: &[String]) -> ExitCode {
     let usage = "usage: reproduce eco [--scale F] [--only NAME] [--threads N] [--lanes 64|256] [--json [PATH]]";
     let mut scale = 0.05f64;
     let mut only = "s9234".to_string();
-    let mut threads = 1usize;
-    let mut lanes = LaneWidth::default();
+    let mut config = PipelineConfig {
+        threads: 1,
+        ..PipelineConfig::default()
+    };
     let mut json: Option<String> = None;
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -481,12 +484,12 @@ fn eco(args: &[String]) -> ExitCode {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| "--threads needs an integer value".to_string())
-                .map(|v| threads = v),
+                .map(|v| config.threads = v),
             "--lanes" => it
                 .next()
                 .ok_or_else(|| "--lanes needs a value (64 or 256)".to_string())
                 .and_then(|v| v.parse::<LaneWidth>().map_err(|e| e.to_string()))
-                .map(|v| lanes = v),
+                .map(|v| config.lane_width = v),
             "--json" => {
                 json = Some(match it.peek() {
                     Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
@@ -505,11 +508,8 @@ fn eco(args: &[String]) -> ExitCode {
         eprintln!("error: no suite circuit named '{only}'");
         return ExitCode::FAILURE;
     };
-    let config = PipelineConfig::builder()
-        .threads(threads)
-        .lane_width(lanes)
-        .build()
-        .expect("default budgets are valid");
+    config.validate().expect("default budgets are valid");
+    let (threads, lanes) = (config.threads, config.lane_width);
     eprintln!(
         "eco scenario on {only} (scale {scale}, threads {}, {lanes}): cold base run...",
         if threads == 0 {

@@ -153,11 +153,11 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let faults_total = faults.len();
     let sampled = sample_faults(&faults, cfg.fault_sample);
     let faults_run = sampled.len();
-    let pipeline = PipelineConfig::builder()
-        .threads(cfg.threads)
-        .lane_width(cfg.lanes)
-        .build()
-        .expect("default budgets are valid");
+    let pipeline = PipelineConfig {
+        threads: cfg.threads,
+        lane_width: cfg.lanes,
+        ..PipelineConfig::default()
+    };
     let report = PipelineSession::shared_with_faults(Arc::new(design), pipeline, sampled).run();
     StressReport {
         report,

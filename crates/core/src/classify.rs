@@ -8,8 +8,8 @@ use fscan_netlist::{GateKind, NodeId};
 use fscan_scan::ScanDesign;
 use fscan_sim::kernel::{Rail, R256};
 use fscan_sim::{
-    shard_map_counted, CombEvaluator, ConeHist, ImplicationEngine, LaneWidth, NetChange,
-    PackedImplicationEngine, ShardStats, StageMetrics, WorkCounters, V3,
+    shard_map_counted, ConeHist, ImplicationEngine, LaneWidth, NetChange, PackedImplicationEngine,
+    ShardStats, StageMetrics, WorkCounters, V3,
 };
 
 /// The paper's three fault categories.
@@ -117,7 +117,6 @@ impl fmt::Display for ClassifySummary {
 /// See [`classify_faults`].
 pub struct Classifier<'d, W: Rail = u64> {
     design: &'d ScanDesign,
-    eval: CombEvaluator,
     engine: ImplicationEngine,
     packed: PackedImplicationEngine<W>,
     steady: Vec<V3>,
@@ -133,18 +132,9 @@ pub struct Classifier<'d, W: Rail = u64> {
     cone_hist: ConeHist,
 }
 
-impl<'d> Classifier<'d> {
-    /// Builds a 64-lane classifier for `design` (the historical
-    /// default; [`Classifier::new_wide`] picks the rail width).
-    pub fn new(design: &'d ScanDesign) -> Classifier<'d> {
-        Classifier::new_wide(design)
-    }
-}
-
 impl<'d, W: Rail> Classifier<'d, W> {
     /// Builds a classifier for `design` at rail width `W`.
     pub fn new_wide(design: &'d ScanDesign) -> Classifier<'d, W> {
-        let eval = CombEvaluator::with_topology(design.topology());
         let engine = ImplicationEngine::with_topology(design.topology());
         let packed = PackedImplicationEngine::with_topology(design.topology());
         let steady = design.scan_mode_values();
@@ -179,7 +169,6 @@ impl<'d, W: Rail> Classifier<'d, W> {
         }
         Classifier {
             design,
-            eval,
             engine,
             packed,
             steady,
@@ -193,7 +182,7 @@ impl<'d, W: Rail> Classifier<'d, W> {
     /// Classifies one fault via the scalar implication engine (the
     /// reference path; the pipeline uses [`classify_word`](Self::classify_word)).
     pub fn classify(&mut self, fault: Fault) -> ClassifiedFault {
-        let changes = self.engine.run(self.design.circuit(), &self.steady, fault);
+        let changes = self.engine.run(&self.steady, fault);
         self.cone_hist.record(changes.len() as u64);
         self.assemble(fault, changes.into_iter())
     }
@@ -284,11 +273,6 @@ impl<'d, W: Rail> Classifier<'d, W> {
         }
     }
 
-    /// The shared combinational evaluator.
-    pub fn evaluator(&self) -> &CombEvaluator {
-        &self.eval
-    }
-
     /// Drains both implication engines' accumulated [`WorkCounters`].
     pub fn take_counters(&mut self) -> WorkCounters {
         self.engine.take_counters() + self.packed.take_counters()
@@ -323,7 +307,7 @@ impl<'d, W: Rail> Classifier<'d, W> {
 /// # Ok::<(), fscan_scan::ScanError>(())
 /// ```
 pub fn classify_faults(design: &ScanDesign, faults: &[Fault]) -> Vec<ClassifiedFault> {
-    let mut classifier = Classifier::new(design);
+    let mut classifier = Classifier::<u64>::new_wide(design);
     faults.iter().map(|&f| classifier.classify(f)).collect()
 }
 
@@ -445,7 +429,7 @@ mod tests {
         // unknown is impossible here, so use the branch-fault form: the
         // side net is the PI itself, and classification of PI s-a-0 must
         // be category 1 at A's location.
-        let mut cls = Classifier::new(&design);
+        let mut cls = Classifier::<u64>::new_wide(&design);
         let c1 = cls.classify(Fault::stem(side_net, false));
         assert_eq!(c1.category, Category::AlternatingDetectable);
         assert!(!c1.locations.is_empty());
@@ -455,7 +439,7 @@ mod tests {
     #[test]
     fn chain_net_fault_is_category_1() {
         let (design, _, a) = figure2();
-        let mut cls = Classifier::new(&design);
+        let mut cls = Classifier::<u64>::new_wide(&design);
         for stuck in [false, true] {
             let c = cls.classify(Fault::stem(a, stuck));
             assert_eq!(c.category, Category::AlternatingDetectable, "A s-a-{stuck}");
@@ -498,7 +482,7 @@ mod tests {
         // PI s-a-0: side1 (required 1 for g1) goes to 0 → g1 pinned
         // (category-1 effect); side2 = OR(PI, aux): with PI = 0 it
         // becomes X (aux is a flip-flop) → category-2 effect at g2.
-        let mut cls = Classifier::new(&design);
+        let mut cls = Classifier::<u64>::new_wide(&design);
         let cf = cls.classify(Fault::stem(pi, false));
         assert_eq!(cf.category, Category::Hard);
         assert!(cf.locations.len() >= 2, "{:?}", cf.locations);
@@ -518,7 +502,7 @@ mod tests {
         let iso = c.add_gate(GateKind::Not, vec![pi], "iso");
         c.mark_output(iso);
         let design2 = insert_functional_scan(&c, &TpiConfig::default()).unwrap();
-        let mut cls = Classifier::new(&design2);
+        let mut cls = Classifier::<u64>::new_wide(&design2);
         let cf = cls.classify(Fault::stem(iso, false));
         assert_eq!(cf.category, Category::Unaffected);
         assert!(cf.locations.is_empty());
@@ -530,7 +514,7 @@ mod tests {
         let (design, ..) = figure2();
         let chain = &design.chains()[0];
         let cell1 = &chain.cells[1];
-        let mut cls = Classifier::new(&design);
+        let mut cls = Classifier::<u64>::new_wide(&design);
         let cf = cls.classify(Fault::branch(cell1.ff, 0, true));
         assert_eq!(cf.category, Category::AlternatingDetectable);
         assert_eq!(cf.locations, vec![ChainLocation { chain: 0, cell: 1 }]);
@@ -562,7 +546,7 @@ mod tests {
             assert_eq!(hist, expect_hist, "cone hist must not depend on threads");
         }
         // The scalar reference path tallies the same distribution.
-        let mut cls = Classifier::new(&design);
+        let mut cls = Classifier::<u64>::new_wide(&design);
         for &f in &faults {
             cls.classify(f);
         }

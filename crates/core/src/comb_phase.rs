@@ -181,13 +181,7 @@ impl<'d> CombPhase<'d> {
         observable.extend(chained.iter().map(|&ff| circuit.node(ff).fanin()[0]));
         observable.sort();
         observable.dedup();
-        let podem = Podem::with_topology(
-            circuit,
-            self.design.topology(),
-            controllable,
-            fixed,
-            observable,
-        );
+        let podem = Podem::with_topology(self.design.topology(), controllable, fixed, observable);
 
         let max_len = self.design.max_chain_len();
         let window_len = 2 * max_len + 2;

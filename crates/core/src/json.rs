@@ -900,8 +900,8 @@ pub fn config_to_value(config: &PipelineConfig) -> Value {
 /// Decodes a [`PipelineConfig`]. Every key is optional — missing ones
 /// keep their [`PipelineConfig::default`] value, so `{"threads": 2}` is
 /// a complete request config — but unknown keys and malformed values
-/// are rejected, and the decoded configuration is validated exactly
-/// like [`PipelineConfig::builder`] output.
+/// are rejected, and the decoded configuration must pass
+/// [`PipelineConfig::validate`].
 pub fn config_from_value(value: &Value) -> Result<PipelineConfig, JsonError> {
     let mut r = ObjReader::new(value, "config")?;
     let mut config = PipelineConfig::default();
@@ -1489,16 +1489,17 @@ mod tests {
 
     #[test]
     fn config_round_trips_and_validates() {
-        let config = PipelineConfig::builder()
-            .threads(3)
-            .lane_width(LaneWidth::W64)
-            .dist(DistParams {
+        let config = PipelineConfig {
+            threads: 3,
+            lane_width: LaneWidth::W64,
+            dist: Some(DistParams {
                 large: 9,
                 med: 5,
                 dist: 2,
-            })
-            .build()
-            .unwrap();
+            }),
+            ..PipelineConfig::default()
+        };
+        assert!(config.validate().is_ok());
         let v = config_to_value(&config);
         assert_eq!(config_from_value(&v).unwrap(), config);
         // Partial configs keep defaults.

@@ -84,7 +84,7 @@ pub use error::Error;
 pub use fscan_sim::LaneWidth;
 pub use pipeline::{
     AfterAlternating, AfterComb, AfterCompact, Classified, ConfigError, PipelineConfig,
-    PipelineConfigBuilder, PipelineReport, PipelineSession,
+    PipelineReport, PipelineSession,
 };
 pub use program::{ScanTest, TestProgram};
 pub use seq_phase::{DistParams, SeqPhase, SeqPhaseReport};

@@ -284,32 +284,14 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Starts a validated builder from the default configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fscan::PipelineConfig;
-    ///
-    /// let config = PipelineConfig::builder().threads(8).build()?;
-    /// assert_eq!(config.threads, 8);
-    /// # Ok::<(), fscan::ConfigError>(())
-    /// ```
-    pub fn builder() -> PipelineConfigBuilder {
-        PipelineConfigBuilder {
-            config: PipelineConfig::default(),
-        }
-    }
-
-    /// Checks the invariants [`build`](PipelineConfigBuilder::build)
-    /// enforces, for configurations assembled outside the builder —
-    /// field-by-field construction, or decoding from JSON
-    /// ([`crate::json::config_from_value`] calls this before handing a
-    /// config to the serving layer).
+    /// Checks the configuration's invariants. Code that assembles a
+    /// configuration from outside input calls this before running it,
+    /// as [`crate::json::config_from_value`] does before handing a
+    /// config to the serving layer.
     ///
     /// # Errors
     ///
-    /// The same [`ConfigError`]s the builder reports.
+    /// The [`ConfigError`] of the first invariant broken.
     ///
     /// # Examples
     ///
@@ -340,7 +322,7 @@ impl PipelineConfig {
     }
 }
 
-/// A rejected [`PipelineConfigBuilder`] setting.
+/// A [`PipelineConfig`] setting that [`PipelineConfig::validate`] rejects.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// A sequential ATPG budget allows zero time frames — no test can
@@ -373,60 +355,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder for [`PipelineConfig`] with validation at
-/// [`build`](PipelineConfigBuilder::build).
-#[derive(Clone, Debug)]
-pub struct PipelineConfigBuilder {
-    config: PipelineConfig,
-}
-
-impl PipelineConfigBuilder {
-    /// Worker threads for the fault-parallel stages (`0` = one per
-    /// available hardware thread).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// PODEM budget for step 2.
-    pub fn podem(mut self, podem: PodemConfig) -> Self {
-        self.config.podem = podem;
-        self
-    }
-
-    /// Sequential ATPG budget for the grouped step-3 pass.
-    pub fn seq(mut self, seq: SeqAtpgConfig) -> Self {
-        self.config.seq = seq;
-        self
-    }
-
-    /// Sequential ATPG budget for the final per-fault pass.
-    pub fn final_seq(mut self, final_seq: SeqAtpgConfig) -> Self {
-        self.config.final_seq = final_seq;
-        self
-    }
-
-    /// Explicit grouping distances (default: the paper's schedule on
-    /// the longest chain).
-    pub fn dist(mut self, dist: DistParams) -> Self {
-        self.config.dist = Some(dist);
-        self
-    }
-
-    /// Packed rail width for the word-parallel stages (default
-    /// [`LaneWidth::W256`]). Verdicts are identical at every width.
-    pub fn lane_width(mut self, lane_width: LaneWidth) -> Self {
-        self.config.lane_width = lane_width;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<PipelineConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
 
 /// Everything the three-step flow produced (the paper's Tables 2 and 3
 /// plus the Figure 5 series for one circuit).
@@ -557,7 +485,10 @@ impl fmt::Display for PipelineReport {
 ///
 /// let circuit = generate(&GeneratorConfig::new("demo", 1).gates(100).dffs(8));
 /// let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default())?);
-/// let config = PipelineConfig::builder().threads(2).build().unwrap();
+/// let config = PipelineConfig {
+///     threads: 2,
+///     ..PipelineConfig::default()
+/// };
 ///
 /// let mut classified = PipelineSession::shared(design, config).classify();
 /// // Checkpoint: e.g. drop the category-3 faults from further analysis
@@ -1201,39 +1132,55 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates() {
-        assert!(PipelineConfig::builder().threads(4).build().is_ok());
-        let bad_seq = PipelineConfig::builder().seq(SeqAtpgConfig {
-            max_frames: 0,
-            ..SeqAtpgConfig::default()
-        });
+    fn config_validates() {
+        let config = PipelineConfig {
+            threads: 4,
+            ..PipelineConfig::default()
+        };
+        assert!(config.validate().is_ok());
+        let bad_seq = PipelineConfig {
+            seq: SeqAtpgConfig {
+                max_frames: 0,
+                ..SeqAtpgConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
         assert_eq!(
-            bad_seq.build().unwrap_err(),
+            bad_seq.validate().unwrap_err(),
             ConfigError::ZeroMaxFrames("seq")
         );
-        let bad_final = PipelineConfig::builder().final_seq(SeqAtpgConfig {
-            max_frames: 0,
-            ..SeqAtpgConfig::default()
-        });
+        let bad_final = PipelineConfig {
+            final_seq: SeqAtpgConfig {
+                max_frames: 0,
+                ..SeqAtpgConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
         assert_eq!(
-            bad_final.build().unwrap_err(),
+            bad_final.validate().unwrap_err(),
             ConfigError::ZeroMaxFrames("final_seq")
         );
-        let bad_podem = PipelineConfig::builder().podem(PodemConfig {
-            backtrack_limit: 0,
-            step_limit: 0,
-        });
+        let bad_podem = PipelineConfig {
+            podem: PodemConfig {
+                backtrack_limit: 0,
+                step_limit: 0,
+            },
+            ..PipelineConfig::default()
+        };
         assert_eq!(
-            bad_podem.build().unwrap_err(),
+            bad_podem.validate().unwrap_err(),
             ConfigError::EmptyPodemBudget
         );
-        let bad_dist = PipelineConfig::builder().dist(DistParams {
-            large: 5,
-            med: 10,
-            dist: 2,
-        });
+        let bad_dist = PipelineConfig {
+            dist: Some(DistParams {
+                large: 5,
+                med: 10,
+                dist: 2,
+            }),
+            ..PipelineConfig::default()
+        };
         assert!(matches!(
-            bad_dist.build().unwrap_err(),
+            bad_dist.validate().unwrap_err(),
             ConfigError::UnorderedDist(_)
         ));
         // Error values render a human-readable reason.

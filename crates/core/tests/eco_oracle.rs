@@ -173,11 +173,11 @@ fn check_one(
     lane_width: LaneWidth,
     what: &str,
 ) -> PipelineReport {
-    let config = PipelineConfig::builder()
-        .threads(threads)
-        .lane_width(lane_width)
-        .build()
-        .unwrap();
+    let config = PipelineConfig {
+        threads,
+        lane_width,
+        ..PipelineConfig::default()
+    };
     let session = PipelineSession::shared(Arc::clone(design), config.clone());
     let base = session.clone().run();
     let (rerun, patched) = session
@@ -241,7 +241,10 @@ fn chained_ecos_keep_carrying() {
     // patched design must again reuse and again match cold.
     let circuit = generate(&GeneratorConfig::new("eco_chain", 11).gates(90).dffs(6));
     let design = Arc::new(insert_functional_scan(&circuit, &TpiConfig::default()).unwrap());
-    let config = PipelineConfig::builder().threads(2).build().unwrap();
+    let config = PipelineConfig {
+        threads: 2,
+        ..PipelineConfig::default()
+    };
     let session = PipelineSession::shared(Arc::clone(&design), config.clone());
     let base = session.clone().run();
     let first = spare_cell_delta(&design);

@@ -129,8 +129,8 @@ impl DirtyInfo {
 /// adjacency, the levelized order, per-node levels, gate kinds in SoA
 /// layout and the PI/PO/DFF index tables.
 ///
-/// Built once per design (see [`fscan_scan::ScanDesign::topology`] in
-/// the scan crate) and shared by reference across every engine and
+/// Built once per design (see `ScanDesign::topology` in the
+/// `fscan-scan` crate) and shared by reference across every engine and
 /// worker thread.
 ///
 /// # Examples

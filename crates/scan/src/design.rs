@@ -324,7 +324,7 @@ impl ScanDesign {
         for &(pi, v) in &self.constraints {
             values[pi.index()] = V3::from_bool(v);
         }
-        eval.eval(&self.circuit, &mut values);
+        eval.eval(&mut values);
         values
     }
 

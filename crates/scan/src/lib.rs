@@ -44,8 +44,5 @@ mod tpi;
 pub use design::{ScanCell, ScanChain, ScanDesign, SegmentKind, SideInput};
 pub use error::ScanError;
 pub use mux::insert_mux_scan;
-pub use partial::{
-    ff_dependency_graph, ff_dependency_graph_with, insert_partial_scan, select_scan_ffs,
-    PartialScanConfig,
-};
+pub use partial::{ff_dependency_graph, insert_partial_scan, select_scan_ffs, PartialScanConfig};
 pub use tpi::{insert_functional_scan, TpiConfig};

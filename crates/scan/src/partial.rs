@@ -59,14 +59,7 @@ impl Default for PartialScanConfig {
 /// # Ok::<(), fscan_netlist::NetlistError>(())
 /// ```
 pub fn ff_dependency_graph(circuit: &Circuit) -> Vec<Vec<usize>> {
-    ff_dependency_graph_with(circuit, &CompiledTopology::compile(circuit))
-}
-
-/// [`ff_dependency_graph`] against an already-compiled topology of
-/// `circuit`, avoiding a redundant compilation when the caller shares
-/// one.
-pub fn ff_dependency_graph_with(circuit: &Circuit, topo: &CompiledTopology) -> Vec<Vec<usize>> {
-    debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
+    let topo = CompiledTopology::compile(circuit);
     let index_of: HashMap<NodeId, usize> = circuit
         .dffs()
         .iter()

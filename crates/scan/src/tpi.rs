@@ -131,7 +131,7 @@ impl<'a> Builder<'a> {
         for (&pi, &v) in &self.constraints {
             values[pi.index()] = V3::from_bool(v);
         }
-        CombEvaluator::with_topology(self.topo.clone()).eval_values(&mut values);
+        CombEvaluator::with_topology(self.topo.clone()).eval(&mut values);
         self.steady = values;
     }
 

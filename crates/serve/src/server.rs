@@ -461,25 +461,24 @@ fn parse_run_request(request: &mut Request) -> Result<RunParams, Error> {
                 .map_err(|_| json::JsonError::new(format!("query chains: not an integer: {v}")))?,
             None => 1,
         };
-        let mut builder = PipelineConfig::builder();
+        let mut config = PipelineConfig::default();
         if let Some(v) = request.query("threads") {
-            let threads = v
+            config.threads = v
                 .parse::<usize>()
                 .map_err(|_| json::JsonError::new(format!("query threads: not an integer: {v}")))?;
-            builder = builder.threads(threads);
         }
         if let Some(v) = request.query("lanes") {
-            let lanes = v
+            config.lane_width = v
                 .parse::<LaneWidth>()
                 .map_err(|e| json::JsonError::new(format!("query lanes: {e}")))?;
-            builder = builder.lane_width(lanes);
         }
+        config.validate()?;
         let stream = matches!(request.query("stream"), Some("1" | "true"));
         Ok(RunParams {
             bench,
             name,
             chains,
-            config: builder.build()?,
+            config,
             stream,
         })
     }

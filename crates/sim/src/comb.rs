@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
-use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
+use fscan_netlist::{CompiledTopology, GateKind, NodeId};
 
 use crate::kernel;
 use crate::value::V3;
@@ -23,17 +23,6 @@ pub struct CombEvaluator {
 }
 
 impl CombEvaluator {
-    /// Builds an evaluator for `circuit`, compiling a private topology.
-    /// Prefer [`CombEvaluator::with_topology`] when a compiled plan is
-    /// already available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has combinational cycles.
-    pub fn new(circuit: &Circuit) -> CombEvaluator {
-        CombEvaluator::with_topology(CompiledTopology::shared(circuit))
-    }
-
     /// Builds an evaluator over an already-compiled topology.
     pub fn with_topology(topo: Arc<CompiledTopology>) -> CombEvaluator {
         CombEvaluator { topo }
@@ -64,14 +53,7 @@ impl CombEvaluator {
     /// # Panics
     ///
     /// Panics if `values` is shorter than the node count.
-    pub fn eval(&self, circuit: &Circuit, values: &mut [V3]) {
-        debug_assert_eq!(circuit.num_nodes(), self.topo.num_nodes());
-        self.eval_inner(values, None);
-    }
-
-    /// [`CombEvaluator::eval`] against the compiled topology alone — for
-    /// callers that no longer hold the `Circuit`.
-    pub fn eval_values(&self, values: &mut [V3]) {
+    pub fn eval(&self, values: &mut [V3]) {
         self.eval_inner(values, None);
     }
 
@@ -81,8 +63,7 @@ impl CombEvaluator {
     /// entry in `values`; stem faults on gates override the gate's
     /// computed output; branch faults override the value seen by one
     /// input pin only.
-    pub fn eval_with_fault(&self, circuit: &Circuit, values: &mut [V3], fault: Fault) {
-        debug_assert_eq!(circuit.num_nodes(), self.topo.num_nodes());
+    pub fn eval_with_fault(&self, values: &mut [V3], fault: Fault) {
         self.eval_inner(values, Some(fault));
     }
 
@@ -135,14 +116,7 @@ impl CombEvaluator {
 
     /// The value a flip-flop would capture next cycle, honoring a branch
     /// fault on its D pin and stem faults on its driver.
-    pub fn dff_next(
-        &self,
-        circuit: &Circuit,
-        values: &[V3],
-        dff: NodeId,
-        fault: Option<Fault>,
-    ) -> V3 {
-        debug_assert_eq!(circuit.num_nodes(), self.topo.num_nodes());
+    pub fn dff_next(&self, values: &[V3], dff: NodeId, fault: Option<Fault>) -> V3 {
         let d = self.topo.fanin(dff)[0];
         if let Some(Fault {
             site: FaultSite::Branch { gate, pin: 0 },
@@ -160,6 +134,7 @@ impl CombEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fscan_netlist::Circuit;
 
     fn mux_circuit() -> (Circuit, [NodeId; 6]) {
         // y = (a AND s') OR (b AND s)
@@ -178,57 +153,57 @@ mod tests {
     #[test]
     fn mux_selects() {
         let (c, [a, b, s, _, _, y]) = mux_circuit();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         v[a.index()] = V3::One;
         v[b.index()] = V3::Zero;
         v[s.index()] = V3::Zero;
-        eval.eval(&c, &mut v);
+        eval.eval(&mut v);
         assert_eq!(v[y.index()], V3::One);
         v[s.index()] = V3::One;
-        eval.eval(&c, &mut v);
+        eval.eval(&mut v);
         assert_eq!(v[y.index()], V3::Zero);
     }
 
     #[test]
     fn x_propagates_only_when_needed() {
         let (c, [a, b, s, _, _, y]) = mux_circuit();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         // a == b == 1 makes the output 1 regardless of s... but a plain
         // 3-valued simulator cannot see that (X-pessimism): s=X gives X.
         v[a.index()] = V3::One;
         v[b.index()] = V3::One;
         v[s.index()] = V3::X;
-        eval.eval(&c, &mut v);
+        eval.eval(&mut v);
         assert_eq!(v[y.index()], V3::X, "3-valued sim is pessimistic by design");
         // With the select known, output is known.
         v[s.index()] = V3::One;
-        eval.eval(&c, &mut v);
+        eval.eval(&mut v);
         assert_eq!(v[y.index()], V3::One);
     }
 
     #[test]
     fn stem_fault_on_gate() {
         let (c, [a, b, s, t0, _, y]) = mux_circuit();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         v[a.index()] = V3::One;
         v[b.index()] = V3::Zero;
         v[s.index()] = V3::Zero;
-        eval.eval_with_fault(&c, &mut v, Fault::stem(t0, false));
+        eval.eval_with_fault(&mut v, Fault::stem(t0, false));
         assert_eq!(v[y.index()], V3::Zero, "t0 s-a-0 kills the selected path");
     }
 
     #[test]
     fn stem_fault_on_input() {
         let (c, [a, b, s, _, _, y]) = mux_circuit();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         v[a.index()] = V3::One;
         v[b.index()] = V3::Zero;
         v[s.index()] = V3::Zero;
-        eval.eval_with_fault(&c, &mut v, Fault::stem(a, false));
+        eval.eval_with_fault(&mut v, Fault::stem(a, false));
         assert_eq!(v[a.index()], V3::Zero, "input value overridden");
         assert_eq!(v[y.index()], V3::Zero);
     }
@@ -238,14 +213,14 @@ mod tests {
         // s fans out to NOT and t1; a branch fault on t1's s-pin must not
         // disturb the NOT gate.
         let (c, [a, b, s, _, t1, y]) = mux_circuit();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         v[a.index()] = V3::Zero;
         v[b.index()] = V3::One;
         v[s.index()] = V3::Zero;
         // Good: y = 0 (a selected, a=0). Fault: t1.pin1 (s) s-a-1 turns
         // t1 on (b AND 1 = 1) while ns still sees s=0 → y = 1.
-        eval.eval_with_fault(&c, &mut v, Fault::branch(t1, 1, true));
+        eval.eval_with_fault(&mut v, Fault::branch(t1, 1, true));
         assert_eq!(v[y.index()], V3::One);
     }
 
@@ -255,12 +230,12 @@ mod tests {
         let a = c.add_input("a");
         let ff = c.add_dff(a, "ff");
         c.mark_output(ff);
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut v = vec![V3::X; c.num_nodes()];
         v[a.index()] = V3::One;
-        eval.eval(&c, &mut v);
-        assert_eq!(eval.dff_next(&c, &v, ff, None), V3::One);
+        eval.eval(&mut v);
+        assert_eq!(eval.dff_next(&v, ff, None), V3::One);
         let f = Fault::branch(ff, 0, false);
-        assert_eq!(eval.dff_next(&c, &v, ff, Some(f)), V3::Zero);
+        assert_eq!(eval.dff_next(&v, ff, Some(f)), V3::Zero);
     }
 }

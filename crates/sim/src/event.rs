@@ -152,14 +152,14 @@ impl TopoQueue {
 /// # Examples
 ///
 /// ```
-/// use fscan_netlist::{Circuit, GateKind};
+/// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 /// use fscan_sim::{ParallelFaultSim, V3};
 ///
 /// let mut c = Circuit::new("t");
 /// let a = c.add_input("a");
 /// let g = c.add_gate(GateKind::Not, vec![a], "g");
 /// c.mark_output(g);
-/// let sim = ParallelFaultSim::new(&c);
+/// let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
 /// let trace = sim.good_trace(&[vec![V3::One], vec![V3::One]], &[]);
 /// assert_eq!(trace.outputs()[0], vec![V3::Zero]);
 /// // The second cycle is quiescent: no gate was re-evaluated.
@@ -547,10 +547,10 @@ impl<'p> Reuse<'p> {
 mod tests {
     use super::*;
     use crate::seq::SeqSim;
-    use fscan_netlist::{generate, Circuit, GateKind, GeneratorConfig};
+    use fscan_netlist::{generate, Circuit, CompiledTopology, GateKind, GeneratorConfig};
 
     fn trace_for(c: &Circuit, vectors: &[Vec<V3>], init: &[V3]) -> GoodTrace {
-        let eval = CombEvaluator::new(c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(c));
         GoodTrace::compute(&eval, vectors, init)
     }
 
@@ -614,7 +614,7 @@ mod tests {
         let trace = trace_for(&c, &vectors, &init);
         // Walk the deltas forward and compare the reconstructed net
         // values against a full levelized evaluation at every cycle.
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut now = trace.values0().to_vec();
         let mut full = vec![V3::X; c.num_nodes()];
         let mut state = init.clone();
@@ -630,7 +630,7 @@ mod tests {
             for (&ff, &v) in c.dffs().iter().zip(state.iter()) {
                 full[ff.index()] = v;
             }
-            eval.eval(&c, &mut full);
+            eval.eval(&mut full);
             assert_eq!(now, full, "cycle {t}");
             for (s, &ff) in state.iter_mut().zip(c.dffs().iter()) {
                 *s = full[c.node(ff).fanin()[0].index()];
@@ -650,7 +650,7 @@ mod tests {
         c.mark_output(g2);
         let vectors = vec![vec![V3::One, V3::Zero]; 10];
         let trace = trace_for(&c, &vectors, &[]);
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         assert_eq!(
             trace.counters().gate_evals,
             eval.order().len() as u64,
@@ -684,7 +684,7 @@ mod tests {
         let c = generate(&GeneratorConfig::new("step", 6).inputs(6).gates(90).dffs(7));
         let vectors = fscan_atpg_free_vectors(&c, 14, 6);
         let init = vec![V3::X; c.dffs().len()];
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let full = GoodTrace::compute(&eval, &vectors, &init);
         for k in 0..=vectors.len() {
             let mut machine = GoodMachine::new(&eval, None, &vectors, &init);
@@ -720,7 +720,7 @@ mod tests {
         let c = generate(&GeneratorConfig::new("r", 5).inputs(6).gates(80).dffs(6));
         let vectors = fscan_atpg_free_vectors(&c, 20, 4);
         let init = vec![V3::Zero; c.dffs().len()];
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let cold = GoodTrace::compute(&eval, &vectors, &init);
         let replayed = GoodTrace::replay_from(&eval, &cold, &vectors, &init);
         assert_same_trace(&cold, &replayed);
@@ -734,7 +734,7 @@ mod tests {
     fn replay_with_divergent_vectors_is_identical_to_compute() {
         let c = generate(&GeneratorConfig::new("rd", 8).inputs(5).gates(60).dffs(5));
         let init = vec![V3::X; c.dffs().len()];
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let prior = GoodTrace::compute(&eval, &fscan_atpg_free_vectors(&c, 12, 1), &init);
         // Different vectors, and more cycles than the prior trace has.
         let vectors = fscan_atpg_free_vectors(&c, 18, 2);
@@ -747,11 +747,11 @@ mod tests {
 
     #[test]
     fn replay_through_a_patched_topology_matches_cold_compute() {
-        use fscan_netlist::{CompiledTopology, NetlistDelta};
+        use fscan_netlist::NetlistDelta;
         let base = generate(&GeneratorConfig::new("rp", 13).inputs(6).gates(90).dffs(7));
         let vectors = fscan_atpg_free_vectors(&base, 16, 3);
         let init = vec![V3::Zero; base.dffs().len()];
-        let base_eval = CombEvaluator::new(&base);
+        let base_eval = CombEvaluator::with_topology(CompiledTopology::shared(&base));
         let prior = GoodTrace::compute(&base_eval, &vectors, &init);
 
         // Re-drive one gate, patch the topology, replay from the base

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
-use fscan_netlist::{Circuit, CompiledTopology, NodeId};
+use fscan_netlist::{CompiledTopology, NodeId};
 
 use crate::counters::WorkCounters;
 use crate::event::TopoQueue;
@@ -88,7 +88,7 @@ impl ImplicationEngine {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use fscan_netlist::{Circuit, GateKind};
+    /// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
     /// use fscan_fault::Fault;
     /// use fscan_sim::{CombEvaluator, ImplicationEngine, V3};
     ///
@@ -97,20 +97,18 @@ impl ImplicationEngine {
     /// let ff = c.add_dff_placeholder("ff");
     /// let g = c.add_gate(GateKind::And, vec![pi, ff], "g");
     /// c.set_dff_input(ff, g)?;
-    /// let eval = CombEvaluator::new(&c);
+    /// let topo = CompiledTopology::shared(&c);
     /// let mut good = vec![V3::X; c.num_nodes()];
     /// good[pi.index()] = V3::One; // scan-mode PI assignment
-    /// eval.eval(&c, &mut good);
-    /// let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
-    /// let changes = engine.run(&c, &good, Fault::stem(pi, false));
+    /// CombEvaluator::with_topology(Arc::clone(&topo)).eval(&mut good);
+    /// let mut engine = ImplicationEngine::with_topology(topo);
+    /// let changes = engine.run(&good, Fault::stem(pi, false));
     /// // PI 1→0 and the AND output X→0 both change.
     /// assert_eq!(changes.len(), 2);
     /// assert_eq!(changes[1].faulty, V3::Zero);
     /// # Ok::<(), fscan_netlist::NetlistError>(())
     /// ```
-    pub fn run(&mut self, circuit: &Circuit, good: &[V3], fault: Fault) -> Vec<NetChange> {
-        debug_assert_eq!(circuit.num_nodes(), self.topo.num_nodes());
-        let _ = circuit;
+    pub fn run(&mut self, good: &[V3], fault: Fault) -> Vec<NetChange> {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely rare wrap: reset stamps to keep correctness.
@@ -574,8 +572,8 @@ mod tests {
     use crate::comb::CombEvaluator;
     use fscan_netlist::{Circuit, GateKind};
 
-    fn imply(c: &Circuit, eval: &CombEvaluator, good: &[V3], f: Fault) -> Vec<NetChange> {
-        ImplicationEngine::with_topology(Arc::clone(eval.topology())).run(c, good, f)
+    fn imply(eval: &CombEvaluator, good: &[V3], f: Fault) -> Vec<NetChange> {
+        ImplicationEngine::with_topology(Arc::clone(eval.topology())).run(good, f)
     }
 
     /// Builds the circuit of the paper's Figure 3:
@@ -599,19 +597,19 @@ mod tests {
         c.set_dff_input(ff, b).unwrap();
         c.mark_output(e);
         c.mark_output(d);
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut good = vec![V3::X; c.num_nodes()];
         good[pi.index()] = V3::One;
         good[ff.index()] = V3::X;
-        eval.eval(&c, &mut good);
+        eval.eval(&mut good);
         (c, [pi, a, b, cn, d, e], good)
     }
 
     #[test]
     fn figure3_value_changes() {
         let (c, [pi, a, b, cn, d, e], good) = figure3();
-        let eval = CombEvaluator::new(&c);
-        let changes = imply(&c, &eval, &good, Fault::stem(pi, false));
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
+        let changes = imply(&eval, &good, Fault::stem(pi, false));
         let get = |n: NodeId| changes.iter().find(|ch| ch.node == n).copied();
         // A: 1 → 0
         let ca = get(a).expect("A changes");
@@ -636,9 +634,9 @@ mod tests {
     #[test]
     fn unexcited_fault_has_empty_cone() {
         let (c, [pi, ..], good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         // PI is already 1; s-a-1 changes nothing.
-        let changes = imply(&c, &eval, &good, Fault::stem(pi, true));
+        let changes = imply(&eval, &good, Fault::stem(pi, true));
         assert!(changes.is_empty());
     }
 
@@ -650,12 +648,12 @@ mod tests {
         let ff = c.add_dff(g, "ff");
         let h = c.add_gate(GateKind::Not, vec![ff], "h");
         c.mark_output(h);
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut good = vec![V3::X; c.num_nodes()];
         good[pi.index()] = V3::Zero;
         good[ff.index()] = V3::X;
-        eval.eval(&c, &mut good);
-        let changes = imply(&c, &eval, &good, Fault::stem(pi, true));
+        eval.eval(&mut good);
+        let changes = imply(&eval, &good, Fault::stem(pi, true));
         // pi and g change; ff's Q and h must not (combinational analysis).
         assert!(changes.iter().any(|ch| ch.node == g));
         assert!(changes.iter().all(|ch| ch.node != ff && ch.node != h));
@@ -669,11 +667,11 @@ mod tests {
         let g2 = c.add_gate(GateKind::Not, vec![pi], "g2");
         c.mark_output(g1);
         c.mark_output(g2);
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut good = vec![V3::X; c.num_nodes()];
         good[pi.index()] = V3::One;
-        eval.eval(&c, &mut good);
-        let changes = imply(&c, &eval, &good, Fault::branch(g1, 0, false));
+        eval.eval(&mut good);
+        let changes = imply(&eval, &good, Fault::branch(g1, 0, false));
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].node, g1);
         assert_eq!(changes[0].faulty, V3::Zero);
@@ -682,9 +680,9 @@ mod tests {
     #[test]
     fn counters_track_events_and_cone_sizes() {
         let (c, [pi, ..], good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
-        let r = engine.run(&c, &good, Fault::stem(pi, false));
+        let r = engine.run(&good, Fault::stem(pi, false));
         let counters = engine.take_counters();
         assert_eq!(counters.cone_nets, r.len() as u64);
         // Every change except the seeded PI stem was produced by a pop.
@@ -695,18 +693,18 @@ mod tests {
     #[test]
     fn engine_reuse_is_consistent() {
         let (c, [pi, a, ..], good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
-        let r1 = engine.run(&c, &good, Fault::stem(pi, false));
-        let r2 = engine.run(&c, &good, Fault::stem(a, true));
-        let r3 = engine.run(&c, &good, Fault::stem(pi, false));
+        let r1 = engine.run(&good, Fault::stem(pi, false));
+        let r2 = engine.run(&good, Fault::stem(a, true));
+        let r3 = engine.run(&good, Fault::stem(pi, false));
         assert_eq!(r1, r3, "engine state must not leak between runs");
         assert_ne!(r1, r2);
     }
 
     fn packed_matches_scalar_at<W: Rail>() {
         let (c, nodes, good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut faults: Vec<Fault> = Vec::new();
         for n in nodes {
             faults.push(Fault::stem(n, false));
@@ -716,7 +714,7 @@ mod tests {
         let mut packed = PackedImplicationEngine::<W>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &faults);
         for (lane, &f) in faults.iter().enumerate() {
-            let expect = scalar.run(&c, &good, f);
+            let expect = scalar.run(&good, f);
             let got: Vec<NetChange> = packed.lane_changes(lane as u32).collect();
             assert_eq!(got, expect, "{f:?}");
         }
@@ -745,7 +743,7 @@ mod tests {
     #[test]
     fn lane_changes_is_width_checked() {
         let (c, [pi, ..], good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &[Fault::stem(pi, false)]);
         // A hard (release-mode) check: the old debug_assert let the
@@ -767,16 +765,16 @@ mod tests {
         let ff = c.add_dff_placeholder("ff");
         let g = c.add_gate(GateKind::And, vec![pi, ff], "g");
         c.set_dff_input(ff, g).unwrap();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut good = vec![V3::X; c.num_nodes()];
         good[pi.index()] = V3::One;
-        eval.eval(&c, &mut good);
+        eval.eval(&mut good);
         let faults = [Fault::branch(ff, 0, false), Fault::stem(pi, false)];
         let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         packed.run_word(&good, &faults);
         assert_eq!(packed.lane_changes(0).count(), 0);
         let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
-        let expect = scalar.run(&c, &good, faults[1]);
+        let expect = scalar.run(&good, faults[1]);
         let got: Vec<NetChange> = packed.lane_changes(1).collect();
         assert_eq!(got, expect);
     }
@@ -784,7 +782,7 @@ mod tests {
     #[test]
     fn packed_engine_reuse_is_consistent() {
         let (c, [pi, a, ..], good) = figure3();
-        let eval = CombEvaluator::new(&c);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
         let mut packed = PackedImplicationEngine::<u64>::with_topology(Arc::clone(eval.topology()));
         let r1: Vec<PackedChange> = packed.run_word(&good, &[Fault::stem(pi, false)]).to_vec();
         packed.run_word(&good, &[Fault::stem(a, true), Fault::stem(pi, true)]);

@@ -39,7 +39,7 @@
 //! # Examples
 //!
 //! ```
-//! use fscan_netlist::{Circuit, GateKind};
+//! use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 //! use fscan_sim::{CombEvaluator, V3};
 //!
 //! let mut c = Circuit::new("t");
@@ -47,11 +47,11 @@
 //! let b = c.add_input("b");
 //! let g = c.add_gate(GateKind::Nand, vec![a, b], "g");
 //! c.mark_output(g);
-//! let eval = CombEvaluator::new(&c);
+//! let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
 //! let mut values = vec![V3::X; c.num_nodes()];
 //! values[a.index()] = V3::One;
 //! values[b.index()] = V3::Zero;
-//! eval.eval(&c, &mut values);
+//! eval.eval(&mut values);
 //! assert_eq!(values[g.index()], V3::One);
 //! ```
 

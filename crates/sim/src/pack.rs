@@ -269,7 +269,7 @@ mod tests {
             let topo = CompiledTopology::compile(&c);
             // Steady values with some inputs known, so that many faults
             // excite and walk their chains, and some stay X.
-            let eval = CombEvaluator::new(&c);
+            let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
             let mut good = vec![V3::X; c.num_nodes()];
             for (k, &pi) in c.inputs().iter().enumerate() {
                 good[pi.index()] = match (k as u64 + seed) % 3 {
@@ -278,7 +278,7 @@ mod tests {
                     _ => V3::X,
                 };
             }
-            eval.eval(&c, &mut good);
+            eval.eval(&mut good);
             let faults = collapse(&c, &all_faults(&c));
             let mut uncached: Vec<usize> = (0..faults.len()).collect();
             uncached.sort_unstable_by_key(pack_key(&topo, &good, &faults));

@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use fscan_fault::{Fault, FaultSite};
-use fscan_netlist::{Circuit, CompiledTopology, GateKind, NodeId};
+use fscan_netlist::{CompiledTopology, GateKind, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
@@ -42,7 +42,7 @@ use crate::value::V3;
 /// # Examples
 ///
 /// ```
-/// use fscan_netlist::{Circuit, GateKind};
+/// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 /// use fscan_fault::Fault;
 /// use fscan_sim::{ParallelFaultSim, V3};
 ///
@@ -50,7 +50,7 @@ use crate::value::V3;
 /// let a = c.add_input("a");
 /// let g = c.add_gate(GateKind::Not, vec![a], "g");
 /// c.mark_output(g);
-/// let sim = ParallelFaultSim::new(&c);
+/// let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
 /// let res = sim.fault_sim(&[vec![V3::One]], &[], &[Fault::stem(g, true)]);
 /// assert_eq!(res, vec![Some(0)]);
 /// ```
@@ -61,31 +61,15 @@ pub struct ParallelFaultSim<W: Rail = u64> {
 }
 
 impl ParallelFaultSim {
-    /// Builds a 64-lane simulator, compiling a private topology. Prefer
-    /// [`ParallelFaultSim::with_topology`] when a compiled plan is
-    /// already available; use [`ParallelFaultSim::new_wide`] /
+    /// Builds a 64-lane simulator over an already-compiled topology; use
     /// [`ParallelFaultSim::with_topology_wide`] to pick another rail
     /// width.
-    pub fn new(circuit: &Circuit) -> ParallelFaultSim {
-        ParallelFaultSim::new_wide(circuit)
-    }
-
-    /// Builds a 64-lane simulator over an already-compiled topology.
     pub fn with_topology(topo: Arc<CompiledTopology>) -> ParallelFaultSim {
         ParallelFaultSim::with_topology_wide(topo)
     }
 }
 
 impl<W: Rail> ParallelFaultSim<W> {
-    /// Builds a simulator at rail width `W`, compiling a private
-    /// topology.
-    pub fn new_wide(circuit: &Circuit) -> ParallelFaultSim<W> {
-        ParallelFaultSim {
-            eval: CombEvaluator::new(circuit),
-            _width: PhantomData,
-        }
-    }
-
     /// Builds a simulator at rail width `W` over an already-compiled
     /// topology.
     pub fn with_topology_wide(topo: Arc<CompiledTopology>) -> ParallelFaultSim<W> {
@@ -586,7 +570,8 @@ mod tests {
             let vectors = random_vectors(&mut rng, 6, 20);
             let init = vec![V3::X; 6];
             let serial = SeqSim::new(&c).fault_sim(&vectors, &init, &faults);
-            let parallel = ParallelFaultSim::new(&c).fault_sim(&vectors, &init, &faults);
+            let parallel = ParallelFaultSim::with_topology(CompiledTopology::shared(&c))
+                .fault_sim(&vectors, &init, &faults);
             assert_eq!(serial, parallel, "seed {seed}");
         }
     }
@@ -601,7 +586,8 @@ mod tests {
         let vectors = random_vectors(&mut rng, 8, 12);
         let init = vec![V3::X; 8];
         let serial = SeqSim::new(&c).fault_sim(&vectors, &init, &faults);
-        let parallel = ParallelFaultSim::new(&c).fault_sim(&vectors, &init, &faults);
+        let parallel = ParallelFaultSim::with_topology(CompiledTopology::shared(&c))
+            .fault_sim(&vectors, &init, &faults);
         assert_eq!(serial, parallel);
     }
 
@@ -617,7 +603,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let vectors = random_vectors(&mut rng, 8, 16);
         let init = vec![V3::X; 8];
-        let sim = ParallelFaultSim::new(&c);
+        let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
         let reference = sim.fault_sim(&vectors, &init, &faults);
         let mut reference_work = None;
         for threads in [1, 2, 3, 4, 0] {
@@ -641,7 +627,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let vectors = random_vectors(&mut rng, 7, 18);
         let init = vec![V3::X; 7];
-        let sim = ParallelFaultSim::new(&c);
+        let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
         let trace = sim.good_trace(&vectors, &init);
         let (via_trace, _, work) = sim.fault_sim_sharded_with_trace(&faults, &trace, 1);
         assert_eq!(via_trace, sim.fault_sim(&vectors, &init, &faults));
@@ -672,7 +658,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let vectors = random_vectors(&mut rng, 7, 14);
         let init = vec![V3::X; 6];
-        let sim = ParallelFaultSim::new(&c);
+        let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
         let trace = sim.good_trace(&vectors, &init);
         let (reference, _, ref_work) = sim.fault_sim_sharded_with_trace(&faults, &trace, 1);
         let mut scratch = sim.scratch();
@@ -700,8 +686,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let vectors = random_vectors(&mut rng, 8, 16);
         let init = vec![V3::X; 8];
-        let narrow = ParallelFaultSim::new(&c);
-        let wide = ParallelFaultSim::<R256>::new_wide(&c);
+        let topo = CompiledTopology::shared(&c);
+        let narrow = ParallelFaultSim::with_topology(Arc::clone(&topo));
+        let wide = ParallelFaultSim::<R256>::with_topology_wide(topo);
         let trace = narrow.good_trace(&vectors, &init);
         let (nres, _, nwork) = narrow.fault_sim_sharded_with_trace(&faults, &trace, 1);
         let (wres, _, wwork) = wide.fault_sim_sharded_with_trace(&faults, &trace, 1);
@@ -728,7 +715,7 @@ mod tests {
     fn empty_fault_list() {
         let cfg = GeneratorConfig::new("e", 2).gates(20).dffs(2);
         let c = generate(&cfg);
-        let sim = ParallelFaultSim::new(&c);
+        let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
         let res = sim.fault_sim(&[vec![V3::Zero; c.inputs().len()]], &[V3::X; 2], &[]);
         assert!(res.is_empty());
     }

@@ -32,7 +32,7 @@ pub(crate) const NO_ENTRY: u32 = u32::MAX;
 /// # Examples
 ///
 /// ```
-/// use fscan_netlist::{Circuit, GateKind};
+/// use fscan_netlist::{Circuit, CompiledTopology, GateKind};
 /// use fscan_fault::Fault;
 /// use fscan_sim::{ParallelFaultSim, SimScratch, V3};
 ///
@@ -40,7 +40,7 @@ pub(crate) const NO_ENTRY: u32 = u32::MAX;
 /// let a = c.add_input("a");
 /// let g = c.add_gate(GateKind::Not, vec![a], "g");
 /// c.mark_output(g);
-/// let sim = ParallelFaultSim::new(&c);
+/// let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&c));
 /// let trace = sim.good_trace(&[vec![V3::One]], &[]);
 /// let mut scratch = sim.scratch();
 /// let mut out = Vec::new();

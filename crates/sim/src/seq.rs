@@ -1,10 +1,9 @@
 //! Cycle-accurate sequential simulation and serial fault simulation.
 
 use fscan_fault::Fault;
-use fscan_netlist::Circuit;
+use fscan_netlist::{Circuit, CompiledTopology};
 
 use crate::comb::CombEvaluator;
-use crate::counters::WorkCounters;
 use crate::value::V3;
 
 /// The observable result of a sequential simulation run.
@@ -72,36 +71,12 @@ pub struct SeqSim<'c> {
 }
 
 impl<'c> SeqSim<'c> {
-    /// Builds a simulator, compiling a private topology. Prefer
-    /// [`SeqSim::with_topology`] when a compiled plan is already
-    /// available.
+    /// Builds a simulator for `circuit`, compiling a private topology.
     pub fn new(circuit: &'c Circuit) -> SeqSim<'c> {
         SeqSim {
             circuit,
-            eval: CombEvaluator::new(circuit),
+            eval: CombEvaluator::with_topology(CompiledTopology::shared(circuit)),
         }
-    }
-
-    /// Builds a simulator over an already-compiled topology of `circuit`.
-    pub fn with_topology(
-        circuit: &'c Circuit,
-        topo: std::sync::Arc<fscan_netlist::CompiledTopology>,
-    ) -> SeqSim<'c> {
-        debug_assert_eq!(circuit.num_nodes(), topo.num_nodes());
-        SeqSim {
-            circuit,
-            eval: CombEvaluator::with_topology(topo),
-        }
-    }
-
-    /// The underlying circuit.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// The combinational evaluator (shared levelization).
-    pub fn evaluator(&self) -> &CombEvaluator {
-        &self.eval
     }
 
     /// Runs `vectors.len()` cycles from the initial flip-flop state
@@ -148,15 +123,15 @@ impl<'c> SeqSim<'c> {
                 values[ff.index()] = v;
             }
             match fault {
-                Some(f) => self.eval.eval_with_fault(c, &mut values, f),
-                None => self.eval.eval(c, &mut values),
+                Some(f) => self.eval.eval_with_fault(&mut values, f),
+                None => self.eval.eval(&mut values),
             }
             for (k, &po) in c.outputs().iter().enumerate() {
                 po_buf[k] = values[po.index()];
             }
             outputs.push(po_buf.clone());
             for (s, &ff) in state.iter_mut().zip(c.dffs().iter()) {
-                *s = self.eval.dff_next(c, &values, ff, fault);
+                *s = self.eval.dff_next(&values, ff, fault);
             }
             if !on_cycle(t, &po_buf) {
                 break;
@@ -165,21 +140,6 @@ impl<'c> SeqSim<'c> {
         Trace {
             outputs,
             final_state: state,
-        }
-    }
-
-    /// Exact work performed by a run that simulated `cycles` cycles:
-    /// every ordered combinational node is evaluated once per cycle, and
-    /// a serial run covers exactly one fault lane per cycle.
-    ///
-    /// The count depends only on the circuit and the cycle count — never
-    /// on wall-clock or thread count — so it is safe to feed into the
-    /// deterministic [`WorkCounters`] aggregation.
-    pub fn work_for_cycles(&self, cycles: usize) -> WorkCounters {
-        WorkCounters {
-            gate_evals: cycles as u64 * self.eval.order().len() as u64,
-            lane_cycles: cycles as u64,
-            ..WorkCounters::ZERO
         }
     }
 
@@ -193,20 +153,8 @@ impl<'c> SeqSim<'c> {
         init: &[V3],
         faults: &[Fault],
     ) -> Vec<Option<usize>> {
-        self.fault_sim_counted(vectors, init, faults).0
-    }
-
-    /// [`SeqSim::fault_sim`] plus the exact [`WorkCounters`] of the good
-    /// run and every (early-stopping) faulty run.
-    pub fn fault_sim_counted(
-        &self,
-        vectors: &[Vec<V3>],
-        init: &[V3],
-        faults: &[Fault],
-    ) -> (Vec<Option<usize>>, WorkCounters) {
         let good = self.run(vectors, init, None);
-        let mut counters = self.work_for_cycles(good.outputs.len());
-        let detections = faults
+        faults
             .iter()
             .map(|&f| {
                 let mut hit = None;
@@ -223,15 +171,10 @@ impl<'c> SeqSim<'c> {
                         true
                     }
                 };
-                let trace = self.run_observed(vectors, init, Some(f), &mut on_cycle);
-                counters += self.work_for_cycles(trace.outputs.len());
-                if hit.is_some() && trace.outputs.len() < vectors.len() {
-                    counters.early_exits += 1;
-                }
+                self.run_observed(vectors, init, Some(f), &mut on_cycle);
                 hit
             })
-            .collect();
-        (detections, counters)
+            .collect()
     }
 }
 

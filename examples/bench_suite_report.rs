@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_undetected = 0usize;
     // The five smaller circuits keep this example quick; pass a scale
     // and edit the slice below for the full dozen.
-    let config = PipelineConfig::builder().threads(0).build()?;
+    let config = PipelineConfig {
+        threads: 0,
+        ..PipelineConfig::default()
+    };
     for suite in &PAPER_SUITE[..5] {
         // The owned session form: the design moves into an `Arc` and the
         // session is `'static + Send` (the shape a job queue would use).

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // checkpoint of the staged pipeline. The classification is open for
     // inspection before the later steps run.
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
-    let config = PipelineConfig::builder().build()?;
+    let config = PipelineConfig::default();
     let session = PipelineSession::shared_with_faults(Arc::new(design), config, faults.clone());
     let classified = session.classify();
     let count = |cat| {

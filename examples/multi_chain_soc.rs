@@ -57,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the staged pipeline (threads = 0 uses every hardware thread for
     // the fault-parallel stages).
     let faults = collapse(tpi.circuit(), &all_faults(tpi.circuit()));
-    let config = PipelineConfig::builder().threads(0).build()?;
+    let config = PipelineConfig {
+        threads: 0,
+        ..PipelineConfig::default()
+    };
     let classified =
         PipelineSession::shared_with_faults(Arc::new(tpi), config, faults.clone()).classify();
     let multi = classified

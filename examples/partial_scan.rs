@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Same flow, reduced controllability/observability: unchained
     // flip-flops are uncontrollable X state to every step.
-    let config = PipelineConfig::builder().build()?;
+    let config = PipelineConfig::default();
     let report = PipelineSession::shared(Arc::new(partial), config)
         .classify()
         .alternating()

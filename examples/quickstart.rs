@@ -36,11 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .join(", ")
     );
 
-    // 3. Test the scan chain itself. The builder validates the
-    //    configuration; `threads(0)` shards the fault-parallel stages
-    //    across every hardware thread (reports are identical for any
-    //    thread count).
-    let config = PipelineConfig::builder().threads(0).build()?;
+    // 3. Test the scan chain itself. `threads: 0` shards the
+    //    fault-parallel stages across every hardware thread (reports are
+    //    identical for any thread count).
+    let config = PipelineConfig {
+        threads: 0,
+        ..PipelineConfig::default()
+    };
 
     // Walk the pipeline stage by stage. Each checkpoint exposes its
     // intermediate state; calling the next method resumes the flow.

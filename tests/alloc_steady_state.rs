@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fscan_fault::{all_faults, collapse};
-use fscan_netlist::{generate, GeneratorConfig};
+use fscan_netlist::{generate, CompiledTopology, GeneratorConfig};
 use fscan_sim::{ParallelFaultSim, V3};
 
 /// Counts every allocator entry point that can hand out memory;
@@ -54,7 +54,7 @@ fn warm_fault_sim_word_loop_allocates_nothing() {
     let vectors = fscan_atpg::random_vectors(circuit.inputs().len(), 16, &[], 7);
     let init = vec![V3::X; circuit.dffs().len()];
 
-    let sim = ParallelFaultSim::new(&circuit);
+    let sim = ParallelFaultSim::with_topology(CompiledTopology::shared(&circuit));
     let trace = sim.good_trace(&vectors, &init);
     let mut scratch = sim.scratch();
     let mut out = Vec::new();

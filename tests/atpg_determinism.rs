@@ -132,7 +132,10 @@ fn pipeline_report_and_program_are_byte_identical_across_thread_counts() {
 
     let mut reference: Option<fscan::PipelineReport> = None;
     for threads in [1usize, 2, 4] {
-        let config = PipelineConfig::builder().threads(threads).build().unwrap();
+        let config = PipelineConfig {
+            threads,
+            ..PipelineConfig::default()
+        };
         let report = PipelineSession::shared(Arc::clone(&design), config).run();
         let expect = reference.get_or_insert_with(|| report.clone());
 

@@ -21,7 +21,7 @@ fn packed_classification_is_deterministic_and_cheaper() {
     assert!(faults.len() > 256, "need several 64-fault words");
 
     // Scalar oracle, one fault at a time.
-    let mut scalar = Classifier::new(&design);
+    let mut scalar = Classifier::<u64>::new_wide(&design);
     let serial: Vec<_> = faults.iter().map(|&f| scalar.classify(f)).collect();
     let scalar_work = scalar.take_counters();
 

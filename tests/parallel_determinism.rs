@@ -31,10 +31,10 @@ fn design_for_seed(seed: u64) -> Arc<ScanDesign> {
 }
 
 fn run_with_threads(design: &Arc<ScanDesign>, threads: usize) -> PipelineReport {
-    let config = PipelineConfig::builder()
-        .threads(threads)
-        .build()
-        .expect("valid config");
+    let config = PipelineConfig {
+        threads,
+        ..PipelineConfig::default()
+    };
     // Every thread count runs over the same `Arc`, so all of them share
     // the design's one compiled topology.
     PipelineSession::shared(Arc::clone(design), config).run()
@@ -183,7 +183,10 @@ proptest! {
         let mut shuffled = faults.clone();
         permute(&mut shuffled, perm_seed);
 
-        let config = PipelineConfig::builder().threads(2).build().expect("valid");
+        let config = PipelineConfig {
+            threads: 2,
+            ..PipelineConfig::default()
+        };
         let original = PipelineSession::shared_with_faults(Arc::clone(&design), config.clone(), faults)
             .classify()
             .summary();

@@ -148,7 +148,7 @@ fn undetectable_verdicts_survive_random_barrage() {
         }
         vectors.extend(win);
     }
-    let sim = ParallelFaultSim::new(c);
+    let sim = ParallelFaultSim::with_topology(design.topology());
     let det = sim.fault_sim(
         &vectors,
         &vec![V3::X; c.dffs().len()],
@@ -206,7 +206,7 @@ fn program_replay_detects_everything_reported() {
         .map(|c| c.fault)
         .collect();
     let vectors = report.program.concatenated();
-    let sim = ParallelFaultSim::new(design.circuit());
+    let sim = ParallelFaultSim::with_topology(design.topology());
     let init = vec![V3::X; design.circuit().dffs().len()];
     let det = sim.fault_sim(&vectors, &init, &affected);
     let replay_detected = det.iter().filter(|d| d.is_some()).count();
@@ -254,7 +254,7 @@ fn partial_scan_pipeline_is_consistent() {
         .map(|c| c.fault)
         .collect();
     let vectors = report.program.concatenated();
-    let sim = ParallelFaultSim::new(design.circuit());
+    let sim = ParallelFaultSim::with_topology(design.topology());
     let init = vec![V3::X; design.circuit().dffs().len()];
     let det = sim.fault_sim(&vectors, &init, &affected);
     let replay = det.iter().filter(|d| d.is_some()).count();

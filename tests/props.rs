@@ -168,9 +168,10 @@ proptest! {
         let vectors = fscan_atpg::random_vectors(circuit.inputs().len(), 10, &[], seed);
         let init = vec![V3::X; circuit.dffs().len()];
         let serial = SeqSim::new(&circuit).fault_sim(&vectors, &init, &faults);
-        let parallel = ParallelFaultSim::new(&circuit).fault_sim(&vectors, &init, &faults);
+        let topo = CompiledTopology::shared(&circuit);
+        let parallel = ParallelFaultSim::with_topology(Arc::clone(&topo)).fault_sim(&vectors, &init, &faults);
         prop_assert_eq!(&serial, &parallel);
-        let wide = ParallelFaultSim::<R256>::new_wide(&circuit).fault_sim(&vectors, &init, &faults);
+        let wide = ParallelFaultSim::<R256>::with_topology_wide(topo).fault_sim(&vectors, &init, &faults);
         prop_assert_eq!(&serial, &wide, "verdicts must be width-invariant");
     }
 
@@ -296,11 +297,11 @@ proptest! {
             .map(|mut v| { v.resize(n, V3::X); v })
             .collect();
         let init = vec![V3::X; circuit.dffs().len()];
-        let trace = ParallelFaultSim::new(&circuit).good_trace(&vectors, &init);
+        let trace = ParallelFaultSim::with_topology(CompiledTopology::shared(&circuit)).good_trace(&vectors, &init);
 
         // Brute force: drive, fully re-evaluate every gate, and clock —
         // no events, no deltas.
-        let eval = CombEvaluator::new(&circuit);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
         let mut reference = vec![V3::X; circuit.num_nodes()];
         for (i, &ff) in circuit.dffs().iter().enumerate() {
             reference[ff.index()] = init[i];
@@ -320,7 +321,7 @@ proptest! {
             for (k, &pi) in circuit.inputs().iter().enumerate() {
                 reference[pi.index()] = vec[k];
             }
-            eval.eval(&circuit, &mut reference);
+            eval.eval(&mut reference);
             // Reconstruct the event-driven view of this cycle from the
             // snapshot plus the recorded deltas.
             if t == 0 {
@@ -400,7 +401,7 @@ proptest! {
         circuit in arb_circuit(),
         seed in 0u64..1000,
     ) {
-        let eval = CombEvaluator::new(&circuit);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
         // Scan-mode-like steady state: random known/unknown PI values,
         // X flip-flops (deterministic xorshift, so failures replay).
         let mut state = seed.wrapping_mul(2).wrapping_add(1);
@@ -418,12 +419,12 @@ proptest! {
                 _ => V3::X,
             };
         }
-        eval.eval(&circuit, &mut good);
+        eval.eval(&mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
         let mut engine = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
         for fault in faults.into_iter().take(64) {
-            let changes = engine.run(&circuit, &good, fault);
+            let changes = engine.run(&good, fault);
             // Topological order of the reported cone.
             let order_pos: std::collections::HashMap<_, _> = eval
                 .order()
@@ -441,7 +442,7 @@ proptest! {
             // Brute force: re-evaluate the whole circuit under the fault
             // from the same preset PI/FF values.
             let mut faulty = good.clone();
-            eval.eval_with_fault(&circuit, &mut faulty, fault);
+            eval.eval_with_fault(&mut faulty, fault);
             let reported: std::collections::HashMap<_, _> = changes
                 .iter()
                 .map(|ch| (ch.node, (ch.good, ch.faulty)))
@@ -476,7 +477,7 @@ proptest! {
         circuit in arb_circuit(),
         seed in 0u64..1000,
     ) {
-        let eval = CombEvaluator::new(&circuit);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
         // Same scan-mode-like steady state as the scalar oracle above:
         // random known/unknown PI values, X flip-flops.
         let mut state = seed.wrapping_mul(2).wrapping_add(1);
@@ -494,7 +495,7 @@ proptest! {
                 _ => V3::X,
             };
         }
-        eval.eval(&circuit, &mut good);
+        eval.eval(&mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
         let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
@@ -502,7 +503,7 @@ proptest! {
         for word in faults.chunks(64) {
             packed.run_word(&good, word);
             for (lane, &fault) in word.iter().enumerate() {
-                let expect = scalar.run(&circuit, &good, fault);
+                let expect = scalar.run(&good, fault);
                 let got: Vec<NetChange> = packed.lane_changes(lane as u32).collect();
                 prop_assert_eq!(got, expect, "lane {} under {}", lane, fault);
             }
@@ -530,7 +531,7 @@ proptest! {
         circuit in arb_circuit(),
         seed in 0u64..1000,
     ) {
-        let eval = CombEvaluator::new(&circuit);
+        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&circuit));
         let mut state = seed.wrapping_mul(2).wrapping_add(1);
         let mut next = move || {
             state ^= state << 13;
@@ -546,7 +547,7 @@ proptest! {
                 _ => V3::X,
             };
         }
-        eval.eval(&circuit, &mut good);
+        eval.eval(&mut good);
 
         let faults = collapse(&circuit, &all_faults(&circuit));
         let mut scalar = ImplicationEngine::with_topology(Arc::clone(eval.topology()));
@@ -554,7 +555,7 @@ proptest! {
         for word in faults.chunks(256) {
             wide.run_word(&good, word);
             for (lane, &fault) in word.iter().enumerate() {
-                let expect = scalar.run(&circuit, &good, fault);
+                let expect = scalar.run(&good, fault);
                 let got: Vec<NetChange> = wide.lane_changes(lane as u32).collect();
                 prop_assert_eq!(got, expect, "lane {} under {}", lane, fault);
             }
@@ -660,11 +661,12 @@ proptest! {
             .map(|mut v| { v.resize(n, V3::X); v })
             .collect();
         let init = vec![V3::X; circuit.dffs().len()];
-        let eval = CombEvaluator::new(&circuit);
+        let topo = CompiledTopology::shared(&circuit);
+        let eval = CombEvaluator::with_topology(Arc::clone(&topo));
         let eager = GoodTrace::compute(&eval, &vectors, &init);
         let serial_sim = SeqSim::new(&circuit);
-        let narrow = ParallelFaultSim::new(&circuit);
-        let wide = ParallelFaultSim::<R256>::new_wide(&circuit);
+        let narrow = ParallelFaultSim::with_topology(Arc::clone(&topo));
+        let wide = ParallelFaultSim::<R256>::with_topology_wide(topo);
         // Lists longer than their pool repeat faults; every lane is
         // simulated on its own, so the reference still holds. One list
         // is drawn from the detected faults alone, so that its word is

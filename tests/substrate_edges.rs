@@ -2,8 +2,8 @@
 
 use fscan_fault::{all_faults, collapse, FaultStatus};
 use fscan_netlist::{
-    generate, parse_bench, to_dot, write_bench, Circuit, CircuitStats, GateKind, GeneratorConfig,
-    Levelization,
+    generate, parse_bench, to_dot, write_bench, Circuit, CircuitStats, CompiledTopology, GateKind,
+    GeneratorConfig, Levelization,
 };
 use fscan_scan::{
     insert_functional_scan, insert_mux_scan, insert_partial_scan, PartialScanConfig, ScanDesign,
@@ -19,9 +19,9 @@ fn constants_only_circuit_simulates() {
     let g = c.add_gate(GateKind::Xor, vec![k0, k1], "g");
     c.mark_output(g);
     c.validate().unwrap();
-    let eval = CombEvaluator::new(&c);
+    let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
     let mut v = vec![V3::X; c.num_nodes()];
-    eval.eval(&c, &mut v);
+    eval.eval(&mut v);
     assert_eq!(v[g.index()], V3::One);
 }
 
