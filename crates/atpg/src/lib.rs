@@ -36,6 +36,7 @@
 mod dvalue;
 mod podem;
 mod random;
+mod sat;
 mod sequential;
 mod unroll;
 

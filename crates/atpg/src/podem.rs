@@ -38,6 +38,18 @@
 //! bookkeeping, so after a retraction the frontier and counts are those
 //! of the restored values. The bookkeeping is not counted: only the
 //! re-evaluations book `gate_evals`.
+//!
+//! A search proves a fault undetectable in one of two ways. It exhausts
+//! its decision space, or, the first time it backtracks past
+//! `SCREEN_AFTER` times, it asks the untestability screen (`sat.rs`): a
+//! SAT solver decides the good/faulty miter of the faults over this view.
+//! The screen answers only where the view is exact for the faults (no X
+//! source in the support of their fanout cone), and there an
+//! unsatisfiable miter rules out every test, so the search stops with
+//! [`AtpgOutcome::Undetectable`]. Otherwise it continues from where it
+//! stopped, with the same verdict, vector, decisions and backtracks as a
+//! search that never asked; the screen books `sat_screens` and
+//! `sat_conflicts`.
 
 use std::sync::Arc;
 
@@ -46,8 +58,13 @@ use fscan_netlist::{CompiledTopology, GateKind, NodeId};
 use fscan_sim::{TopoQueue, WorkCounters, V3};
 
 use crate::dvalue::D5;
+use crate::sat::{self, SatResult};
 
 const INF: u32 = u32::MAX / 4;
+
+/// Backtracks a search takes before it runs the untestability screen.
+/// Searches that settle sooner never pay for a miter.
+const SCREEN_AFTER: usize = 64;
 
 /// Tuning knobs for [`Podem`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -81,8 +98,9 @@ pub enum AtpgOutcome {
     /// A test was found: assignments for the controllable inputs that
     /// were decided (inputs not listed may take any value).
     Test(Vec<(NodeId, bool)>),
-    /// The fault is proven undetectable under this view (the full
-    /// decision space was exhausted).
+    /// The fault is proven undetectable under this view: the search
+    /// exhausted its decision space, or the untestability screen found
+    /// the view exact for the faults and their miter unsatisfiable.
     Undetectable,
     /// The backtrack budget ran out before a verdict.
     Aborted,
@@ -947,9 +965,11 @@ impl Podem {
     /// Runs PODEM for the fault (or, for time-frame-expanded models, the
     /// set of per-frame copies of one fault), allocating a fresh scratch.
     ///
-    /// The verdict is [`AtpgOutcome::Undetectable`] only after
-    /// exhausting the complete decision space, making it sound for the
-    /// given view.
+    /// The verdict is [`AtpgOutcome::Undetectable`] only with a proof
+    /// for the given view: the complete decision space was exhausted, or
+    /// the untestability screen, run once when the search backtracks past
+    /// its threshold in a view exact for the faults, found no assignment
+    /// that makes an observable differ.
     pub fn run(&self, faults: &[Fault], config: &PodemConfig) -> PodemOutcome {
         let mut scratch = self.scratch();
         self.run_with_scratch(&mut scratch, faults, config)
@@ -963,6 +983,38 @@ impl Podem {
         s: &mut PodemScratch,
         faults: &[Fault],
         config: &PodemConfig,
+    ) -> PodemOutcome {
+        self.search(s, faults, config, SCREEN_AFTER)
+    }
+
+    /// Runs the untestability screen for `faults` over this view and
+    /// returns whether it proved them undetectable. It abstains, booking
+    /// nothing, when the view is not exact for them; when it runs it
+    /// books `sat_screens` and `sat_conflicts` into `work`.
+    fn screen(&self, faults: &[Fault], work: &mut WorkCounters) -> bool {
+        let view = sat::View {
+            topo: &self.topo,
+            controllable: &self.is_controllable,
+            fixed: &self.fixed,
+            observable: &self.is_observable,
+        };
+        let Some(screen) = sat::screen(&view, faults) else {
+            return false;
+        };
+        work.sat_screens += 1;
+        work.sat_conflicts += screen.conflicts;
+        screen.result == SatResult::Unsat
+    }
+
+    /// The search behind [`Podem::run_with_scratch`], screening once
+    /// when `backtracks` first exceeds `screen_after` (tests pass
+    /// `usize::MAX` for the unscreened search).
+    fn search(
+        &self,
+        s: &mut PodemScratch,
+        faults: &[Fault],
+        config: &PodemConfig,
+        screen_after: usize,
     ) -> PodemOutcome {
         let mut work = WorkCounters::ZERO;
         let mut decisions = 0usize;
@@ -1030,6 +1082,16 @@ impl Podem {
                             work.podem_aborts += 1;
                             return PodemOutcome {
                                 verdict: AtpgOutcome::Aborted,
+                                work,
+                                decisions,
+                                backtracks,
+                            };
+                        }
+                        if backtracks == screen_after.saturating_add(1)
+                            && self.screen(faults, &mut work)
+                        {
+                            return PodemOutcome {
+                                verdict: AtpgOutcome::Undetectable,
                                 work,
                                 decisions,
                                 backtracks,
@@ -1245,17 +1307,18 @@ mod tests {
         None
     }
 
-    /// [`Podem::run`] with the sweep objective, retracting by
+    /// [`Podem::search`] with the sweep objective, retracting by
     /// re-simulation. A retraction drain recomputes values the search
     /// held one step earlier, which the search restores from its trail
     /// without evaluating, so those drains are booked into a throwaway
     /// counter: the outcome must equal the search's, `gate_evals`
-    /// included.
+    /// included. The untestability screen runs at the same backtrack.
     fn sweep_run(
         podem: &Podem,
         c: &Circuit,
         faults: &[Fault],
         config: &PodemConfig,
+        screen_after: usize,
     ) -> PodemOutcome {
         let mut s = podem.scratch();
         let mut work = WorkCounters::ZERO;
@@ -1302,6 +1365,9 @@ mod tests {
                 if backtracks > config.backtrack_limit || steps > config.step_limit {
                     work.podem_aborts += 1;
                     return outcome(AtpgOutcome::Aborted, work, decisions, backtracks);
+                }
+                if backtracks == screen_after.saturating_add(1) && podem.screen(faults, &mut work) {
+                    return outcome(AtpgOutcome::Undetectable, work, decisions, backtracks);
                 }
                 stack.push((pi, !val, true));
                 podem.set_input(&mut s, pi, Some(!val), &mut work);
@@ -1473,9 +1539,11 @@ mod tests {
 
         /// The incremental search is the sweep search: on generated
         /// circuits and views, for stem, branch and multi-frame fault
-        /// sets under small budgets, `run_with_scratch` returns exactly
-        /// the sweep's verdict, vector, work, decisions and backtracks,
-        /// through a reused scratch as through a fresh one.
+        /// sets under small budgets, the search returns exactly the
+        /// sweep's verdict, vector, work, decisions and backtracks,
+        /// through a reused scratch as through a fresh one, with the
+        /// screen at the production threshold (which these budgets never
+        /// reach), at a drawn one, or never.
         #[test]
         fn search_matches_sweep_reference(
             seed in any::<u64>(),
@@ -1483,6 +1551,7 @@ mod tests {
             frames in 1usize..7,
             backtrack_limit in 0usize..40,
             step_limit in 0usize..600,
+            screen_after in 0usize..12,
         ) {
             let case = Case::generate(seed, gates, frames);
             let podem = case.podem();
@@ -1493,13 +1562,81 @@ mod tests {
             };
             let mut reused = podem.scratch();
             for faults in &case.fault_sets {
-                let expected = sweep_run(&podem, &case.circuit, faults, &config);
+                let expected = sweep_run(&podem, &case.circuit, faults, &config, SCREEN_AFTER);
                 prop_assert_eq!(&podem.run(faults, &config), &expected, "{:?}", faults);
                 prop_assert_eq!(
                     &podem.run_with_scratch(&mut reused, faults, &config),
                     &expected,
                     "reused scratch, {:?}",
                     faults
+                );
+                // Screened at a drawn threshold (every third case never).
+                let after = if screen_after >= 8 { usize::MAX } else { screen_after };
+                let expected = sweep_run(&podem, &case.circuit, faults, &config, after);
+                prop_assert_eq!(
+                    &podem.search(&mut reused, faults, &config, after),
+                    &expected,
+                    "screen after {}, {:?}",
+                    after,
+                    faults
+                );
+            }
+        }
+
+        /// The screen changes no outcome but a proof: on the generated
+        /// cases, a search screened at a drawn threshold returns the
+        /// unscreened search's outcome, apart from its screen counters,
+        /// unless the screen ended it. A screen ends a search only with
+        /// `Undetectable`, and only where the unscreened search finds no
+        /// test: it too proves the fault undetectable or runs out of
+        /// budget. A screen that ran books one screen.
+        #[test]
+        fn screen_changes_only_undetectable_verdicts(
+            seed in any::<u64>(),
+            gates in 20usize..300,
+            frames in 1usize..7,
+            backtrack_limit in 0usize..400,
+            screen_after in 0usize..4,
+        ) {
+            let case = Case::generate(seed, gates, frames);
+            let podem = case.podem();
+            let config = PodemConfig {
+                backtrack_limit,
+                step_limit: usize::MAX,
+            };
+            // One-frame cases target every fault on a gate or source.
+            let sets: Vec<Vec<Fault>> = if frames == 1 {
+                all_faults(&case.circuit)
+                    .into_iter()
+                    .filter(|f| match f.site {
+                        FaultSite::Branch { gate, .. } => case.circuit.node(gate).kind().is_gate(),
+                        FaultSite::Stem(_) => true,
+                    })
+                    .map(|f| vec![f])
+                    .collect()
+            } else {
+                case.fault_sets.clone()
+            };
+            let mut s = podem.scratch();
+            for faults in &sets {
+                let plain = podem.search(&mut s, faults, &config, usize::MAX);
+                let screened = podem.search(&mut s, faults, &config, screen_after);
+                prop_assert_eq!(plain.work.sat_screens, 0);
+                prop_assert!(screened.work.sat_screens <= 1);
+                let mut stripped = screened.clone();
+                stripped.work.sat_screens = 0;
+                stripped.work.sat_conflicts = 0;
+                if stripped == plain {
+                    continue;
+                }
+                prop_assert_eq!(&screened.verdict, &AtpgOutcome::Undetectable, "{:?}", faults);
+                prop_assert_eq!(screened.work.sat_screens, 1);
+                prop_assert_eq!(screened.backtracks, screen_after + 1);
+                prop_assert!(
+                    matches!(plain.verdict, AtpgOutcome::Undetectable | AtpgOutcome::Aborted),
+                    "screen proved {:?} untestable, the search found {:?}",
+                    faults,
+                    plain.verdict
                 );
             }
         }

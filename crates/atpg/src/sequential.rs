@@ -7,7 +7,7 @@ use fscan_netlist::{Circuit, CompiledTopology, NodeId};
 use fscan_sim::WorkCounters;
 
 use crate::podem::{AtpgOutcome, Podem, PodemConfig};
-use crate::unroll::{unroll, Unrolled};
+use crate::unroll::{unroll, FrameMap, Unrolled};
 
 /// Tuning knobs for [`SeqAtpg`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -158,7 +158,10 @@ impl<'c> SeqAtpg<'c> {
         let mut work = WorkCounters::ZERO;
         let mut budget = config.backtrack_limit;
         let mut steps = config.step_limit;
-        let (undetectable, used, w) = self.full_scan_undetectable(fault, budget, steps);
+        // The one-frame model serves both the undetectability check and
+        // the first depth of the schedule, each through its own view.
+        let one = self.model(1);
+        let (undetectable, used, w) = self.full_scan_undetectable(&one, fault, budget, steps);
         work += w;
         if undetectable {
             return (SeqOutcome::Undetectable, work);
@@ -175,8 +178,13 @@ impl<'c> SeqAtpg<'c> {
             f *= 2;
         }
         schedule.push(config.max_frames);
+        let mut one = Some(one);
         for frames in schedule {
-            let (test, used, w) = self.run_frames(fault, frames, budget, steps);
+            let model = match one.take() {
+                Some(model) if model.unrolled.frames() == frames => model,
+                _ => self.model(frames),
+            };
+            let (test, used, w) = self.run_frames(&model, fault, budget, steps);
             work += w;
             if let Some(test) = test {
                 return (SeqOutcome::Test(test), work);
@@ -190,32 +198,39 @@ impl<'c> SeqAtpg<'c> {
         (SeqOutcome::Aborted, work)
     }
 
+    /// The `frames`-frame unrolled model and its compiled plan.
+    fn model(&self, frames: usize) -> Model {
+        let (unrolled, map) = unroll(self.circuit, &self.topo, frames);
+        let topo = CompiledTopology::shared(unrolled.circuit());
+        Model {
+            unrolled,
+            map,
+            topo,
+        }
+    }
+
     /// Sound undetectability: combinationally undetectable with every
     /// flip-flop controllable and observable implies sequentially
-    /// undetectable under any access scheme. Returns the verdict and the
-    /// backtracks consumed.
+    /// undetectable under any access scheme. Searches the one-frame
+    /// `model`; returns the verdict and the backtracks consumed.
     fn full_scan_undetectable(
         &self,
+        model: &Model,
         fault: Fault,
         backtrack_limit: usize,
         step_limit: usize,
     ) -> (bool, (usize, usize), WorkCounters) {
-        let (u, map) = unroll(self.circuit, &self.topo, 1);
-        let Some(f) = u.map_fault(self.circuit, fault, 0, &map) else {
+        let u = &model.unrolled;
+        let Some(f) = u.map_fault(self.circuit, fault, 0, &model.map) else {
             return (false, (0, 0), WorkCounters::ZERO);
         };
-        let free: Vec<NodeId> = self.free_pi_nodes(&u, 1);
+        let free: Vec<NodeId> = self.free_pi_nodes(u, 1);
         let mut controllable = free;
         controllable.extend_from_slice(u.state0s());
         let mut observable: Vec<NodeId> = u.pos(0).to_vec();
         observable.extend_from_slice(u.captures(0));
-        let fixed = self.fixed_nodes(&u, 1);
-        let podem = Podem::with_topology(
-            CompiledTopology::shared(u.circuit()),
-            controllable,
-            fixed,
-            observable,
-        );
+        let fixed = self.fixed_nodes(u, 1);
+        let podem = Podem::with_topology(Arc::clone(&model.topo), controllable, fixed, observable);
         let budget = PodemConfig {
             backtrack_limit,
             step_limit,
@@ -253,21 +268,22 @@ impl<'c> SeqAtpg<'c> {
         out
     }
 
-    /// One PODEM search on the `frames`-frame model. Returns the test,
-    /// decoded against that model, when one is found; the backtracks and
-    /// steps consumed; and the work.
+    /// One PODEM search on an unrolled `model` under the restricted
+    /// view. Returns the test, decoded against that model, when one is
+    /// found; the backtracks and steps consumed; and the work.
     fn run_frames(
         &self,
+        model: &Model,
         fault: Fault,
-        frames: usize,
         backtrack_limit: usize,
         step_limit: usize,
     ) -> (Option<SeqTest>, (usize, usize), WorkCounters) {
-        let (u, map) = unroll(self.circuit, &self.topo, frames);
+        let u = &model.unrolled;
+        let frames = u.frames();
         let faults: Vec<Fault> = (0..frames)
-            .filter_map(|t| u.map_fault(self.circuit, fault, t, &map))
+            .filter_map(|t| u.map_fault(self.circuit, fault, t, &model.map))
             .collect();
-        let mut controllable = self.free_pi_nodes(&u, frames);
+        let mut controllable = self.free_pi_nodes(u, frames);
         for &k in &self.controllable_ffs {
             controllable.push(u.state0(k));
         }
@@ -278,13 +294,8 @@ impl<'c> SeqAtpg<'c> {
                 observable.push(u.capture(t, k));
             }
         }
-        let fixed = self.fixed_nodes(&u, frames);
-        let podem = Podem::with_topology(
-            CompiledTopology::shared(u.circuit()),
-            controllable,
-            fixed,
-            observable,
-        );
+        let fixed = self.fixed_nodes(u, frames);
+        let podem = Podem::with_topology(Arc::clone(&model.topo), controllable, fixed, observable);
         let budget = PodemConfig {
             backtrack_limit,
             step_limit,
@@ -294,7 +305,7 @@ impl<'c> SeqAtpg<'c> {
         let work = podem.setup_work() + out.work;
         let test = out
             .vector()
-            .map(|assignments| self.decode(&u, frames, assignments));
+            .map(|assignments| self.decode(u, frames, assignments));
         (test, used, work)
     }
 
@@ -334,6 +345,14 @@ impl<'c> SeqAtpg<'c> {
             vectors,
         }
     }
+}
+
+/// A time-frame-expanded model: the unrolled circuit, its frame map and
+/// the compiled plan every `Podem` view of it shares.
+struct Model {
+    unrolled: Unrolled,
+    map: FrameMap,
+    topo: Arc<CompiledTopology>,
 }
 
 #[cfg(test)]

@@ -117,8 +117,12 @@ impl fmt::Display for ClassifySummary {
 /// See [`classify_faults`].
 pub struct Classifier<'d, W: Rail = u64> {
     design: &'d ScanDesign,
-    engine: ImplicationEngine,
-    packed: PackedImplicationEngine<W>,
+    /// The scalar engine [`classify`](Self::classify) runs, built on its
+    /// first call.
+    engine: Option<ImplicationEngine>,
+    /// The packed engine [`classify_word`](Self::classify_word) runs,
+    /// built on its first call.
+    packed: Option<PackedImplicationEngine<W>>,
     steady: Vec<V3>,
     /// net → locations where it carries shifted chain data.
     chain_net_loc: HashMap<NodeId, Vec<ChainLocation>>,
@@ -133,10 +137,10 @@ pub struct Classifier<'d, W: Rail = u64> {
 }
 
 impl<'d, W: Rail> Classifier<'d, W> {
-    /// Builds a classifier for `design` at rail width `W`.
+    /// Builds a classifier for `design` at rail width `W`. Each
+    /// implication engine is built when its path first runs, so a
+    /// classifier allocates only the engine it uses.
     pub fn new_wide(design: &'d ScanDesign) -> Classifier<'d, W> {
-        let engine = ImplicationEngine::with_topology(design.topology());
-        let packed = PackedImplicationEngine::with_topology(design.topology());
         let steady = design.scan_mode_values();
         let mut chain_net_loc: HashMap<NodeId, Vec<ChainLocation>> = HashMap::new();
         let mut side_loc: HashMap<NodeId, Vec<(ChainLocation, bool)>> = HashMap::new();
@@ -169,8 +173,8 @@ impl<'d, W: Rail> Classifier<'d, W> {
         }
         Classifier {
             design,
-            engine,
-            packed,
+            engine: None,
+            packed: None,
             steady,
             chain_net_loc,
             side_loc,
@@ -182,7 +186,10 @@ impl<'d, W: Rail> Classifier<'d, W> {
     /// Classifies one fault via the scalar implication engine (the
     /// reference path; the pipeline uses [`classify_word`](Self::classify_word)).
     pub fn classify(&mut self, fault: Fault) -> ClassifiedFault {
-        let changes = self.engine.run(&self.steady, fault);
+        let engine = self
+            .engine
+            .get_or_insert_with(|| ImplicationEngine::with_topology(self.design.topology()));
+        let changes = engine.run(&self.steady, fault);
         self.cone_hist.record(changes.len() as u64);
         self.assemble(fault, changes.into_iter())
     }
@@ -195,7 +202,10 @@ impl<'d, W: Rail> Classifier<'d, W> {
     /// match [`classify`](Self::classify) exactly — at a fraction of the
     /// gate evaluations.
     pub fn classify_word(&mut self, faults: &[Fault]) -> Vec<ClassifiedFault> {
-        self.packed.run_word(&self.steady, faults);
+        self.packed
+            .get_or_insert_with(|| PackedImplicationEngine::with_topology(self.design.topology()))
+            .run_word(&self.steady, faults);
+        let packed = self.packed.as_ref().expect("built above");
         let mut out = Vec::with_capacity(faults.len());
         for (lane, &fault) in faults.iter().enumerate() {
             // Count the lane's cone while assembling: lane-exactness
@@ -203,7 +213,7 @@ impl<'d, W: Rail> Classifier<'d, W> {
             let mut size = 0u64;
             let cf = self.assemble(
                 fault,
-                self.packed.lane_changes(lane as u32).inspect(|_| size += 1),
+                packed.lane_changes(lane as u32).inspect(|_| size += 1),
             );
             self.cone_hist.record(size);
             out.push(cf);
@@ -273,9 +283,14 @@ impl<'d, W: Rail> Classifier<'d, W> {
         }
     }
 
-    /// Drains both implication engines' accumulated [`WorkCounters`].
+    /// Drains the implication engines' accumulated [`WorkCounters`].
     pub fn take_counters(&mut self) -> WorkCounters {
-        self.engine.take_counters() + self.packed.take_counters()
+        let scalar = self.engine.as_mut().map(ImplicationEngine::take_counters);
+        let packed = self
+            .packed
+            .as_mut()
+            .map(PackedImplicationEngine::take_counters);
+        scalar.unwrap_or_default() + packed.unwrap_or_default()
     }
 
     /// Drains the accumulated cone-size histogram.

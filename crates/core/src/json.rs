@@ -704,6 +704,8 @@ pub fn counters_from_value(value: &Value) -> Result<WorkCounters, JsonError> {
             "podem_decisions" => out.podem_decisions = v,
             "podem_backtracks" => out.podem_backtracks = v,
             "podem_aborts" => out.podem_aborts = v,
+            "sat_screens" => out.sat_screens = v,
+            "sat_conflicts" => out.sat_conflicts = v,
             "windows_formed" => out.windows_formed = v,
             "early_exits" => out.early_exits = v,
             "topology_builds" => out.topology_builds = v,
@@ -1412,11 +1414,8 @@ mod tests {
 
     #[test]
     fn counters_round_trip_every_field() {
+        // Every field a distinct value, in fields() order.
         let mut c = WorkCounters::ZERO;
-        for (i, _) in (0..16).enumerate() {
-            // Give every field a distinct value via fields() order.
-            let _ = i;
-        }
         c.gate_evals = 1;
         c.lane_cycles = 2;
         c.implication_events = 3;
@@ -1424,18 +1423,22 @@ mod tests {
         c.podem_decisions = 5;
         c.podem_backtracks = 6;
         c.podem_aborts = 7;
-        c.windows_formed = 8;
-        c.early_exits = 9;
-        c.topology_builds = 10;
-        c.scratch_reuses = 11;
-        c.implication_words = 12;
-        c.kernel_gate_evals = 13;
-        c.faults_dropped = 14;
-        c.vectors_compacted = 15;
-        c.podem_shards = 16;
-        c.cones_invalidated = 17;
-        c.verdicts_reused = 18;
-        c.trace_cycles_reused = 19;
+        c.sat_screens = 8;
+        c.sat_conflicts = 9;
+        c.windows_formed = 10;
+        c.early_exits = 11;
+        c.topology_builds = 12;
+        c.scratch_reuses = 13;
+        c.implication_words = 14;
+        c.kernel_gate_evals = 15;
+        c.faults_dropped = 16;
+        c.vectors_compacted = 17;
+        c.podem_shards = 18;
+        c.cones_invalidated = 19;
+        c.verdicts_reused = 20;
+        c.trace_cycles_reused = 21;
+        let values: Vec<u64> = c.fields().iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, (1..=21).collect::<Vec<u64>>());
         let v = counters_to_value(&c);
         assert_eq!(counters_from_value(&v).unwrap(), c);
         // Subset decodes (old snapshots), unknown keys are rejected.

@@ -264,9 +264,13 @@ impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig {
             podem: PodemConfig {
-                // Hopeless category-2 faults (e.g. the scan-enable class)
-                // would otherwise burn the full backtrack budget with
-                // expensive resimulations on large circuits.
+                // Redundant category-2 faults whose scan-mode cone reads
+                // no X state are proven by PODEM's untestability screen
+                // once a search backtracks past 64 times. The step limit
+                // bounds the rest: a search the screen cannot settle (an
+                // exhausted conflict budget, or X state under partial
+                // scan) would otherwise burn the full backtrack budget on
+                // large circuits.
                 step_limit: 100_000,
                 ..PodemConfig::default()
             },

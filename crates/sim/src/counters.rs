@@ -51,6 +51,14 @@ use crate::pool::ShardStats;
 /// * `podem_backtracks` — PODEM reversals of a previous decision.
 /// * `podem_aborts` — PODEM/SeqAtpg runs that hit a backtrack or step
 ///   budget without a verdict.
+/// * `sat_screens` — untestability screens run: a PODEM search that
+///   backtracks past its screening threshold hands a good/faulty miter
+///   of its faults to a SAT solver, once, if its view is exact for them
+///   (every source in the support of the faults' fanout cone is
+///   controllable or fixed). A search whose cone reads X state abstains
+///   and books nothing.
+/// * `sat_conflicts` — conflicts those screens' solver spent, whatever
+///   their verdict.
 /// * `windows_formed` — candidate test windows (scan-in / apply /
 ///   scan-out sequences) assembled by the core phases.
 /// * `early_exits` — short-circuits taken: a packed fault word whose
@@ -110,6 +118,10 @@ pub struct WorkCounters {
     pub podem_backtracks: u64,
     /// ATPG runs aborted on a budget.
     pub podem_aborts: u64,
+    /// Untestability screens run by PODEM searches.
+    pub sat_screens: u64,
+    /// SAT solver conflicts spent by those screens.
+    pub sat_conflicts: u64,
     /// Candidate test windows assembled.
     pub windows_formed: u64,
     /// Early exits taken (word fully detected, target already dropped).
@@ -146,6 +158,8 @@ impl WorkCounters {
         podem_decisions: 0,
         podem_backtracks: 0,
         podem_aborts: 0,
+        sat_screens: 0,
+        sat_conflicts: 0,
         windows_formed: 0,
         early_exits: 0,
         topology_builds: 0,
@@ -172,7 +186,7 @@ impl WorkCounters {
 
     /// The counters as `(name, value)` pairs in a fixed order —
     /// the single source of truth for JSON emission and display.
-    pub fn fields(&self) -> [(&'static str, u64); 19] {
+    pub fn fields(&self) -> [(&'static str, u64); 21] {
         [
             ("gate_evals", self.gate_evals),
             ("lane_cycles", self.lane_cycles),
@@ -181,6 +195,8 @@ impl WorkCounters {
             ("podem_decisions", self.podem_decisions),
             ("podem_backtracks", self.podem_backtracks),
             ("podem_aborts", self.podem_aborts),
+            ("sat_screens", self.sat_screens),
+            ("sat_conflicts", self.sat_conflicts),
             ("windows_formed", self.windows_formed),
             ("early_exits", self.early_exits),
             ("topology_builds", self.topology_builds),
@@ -243,6 +259,8 @@ impl AddAssign for WorkCounters {
         self.podem_decisions += rhs.podem_decisions;
         self.podem_backtracks += rhs.podem_backtracks;
         self.podem_aborts += rhs.podem_aborts;
+        self.sat_screens += rhs.sat_screens;
+        self.sat_conflicts += rhs.sat_conflicts;
         self.windows_formed += rhs.windows_formed;
         self.early_exits += rhs.early_exits;
         self.topology_builds += rhs.topology_builds;
@@ -332,24 +350,23 @@ mod tests {
             podem_decisions: 5,
             podem_backtracks: 6,
             podem_aborts: 7,
-            windows_formed: 8,
-            early_exits: 9,
-            topology_builds: 10,
-            scratch_reuses: 11,
-            implication_words: 12,
-            kernel_gate_evals: 13,
-            faults_dropped: 14,
-            vectors_compacted: 15,
-            podem_shards: 16,
-            cones_invalidated: 17,
-            verdicts_reused: 18,
-            trace_cycles_reused: 19,
+            sat_screens: 8,
+            sat_conflicts: 9,
+            windows_formed: 10,
+            early_exits: 11,
+            topology_builds: 12,
+            scratch_reuses: 13,
+            implication_words: 14,
+            kernel_gate_evals: 15,
+            faults_dropped: 16,
+            vectors_compacted: 17,
+            podem_shards: 18,
+            cones_invalidated: 19,
+            verdicts_reused: 20,
+            trace_cycles_reused: 21,
         };
         let vals: Vec<u64> = c.fields().iter().map(|&(_, v)| v).collect();
-        assert_eq!(
-            vals,
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
-        );
+        assert_eq!(vals, (1..=21).collect::<Vec<u64>>());
         assert!(!c.is_zero());
         assert!(WorkCounters::ZERO.is_zero());
     }

@@ -54,9 +54,16 @@ fn pipeline_compiles_base_topology_exactly_once() {
 
     // Step 3's per-attempt *unrolled* circuits are distinct circuits and
     // legitimately compile their own plans, so the global counter moves
-    // here. The report's `topology_builds` is not a count of compiles:
-    // the classify stage books the session's one shared plan as 1, and
-    // this pins that booking.
+    // here: one plan per unrolled model, the one-frame model shared by
+    // the undetectability check and the first depth of each attempt.
+    // The report's `topology_builds` is not a count of compiles: the
+    // classify stage books the session's one shared plan as 1, and this
+    // pins that booking.
     let report = after_compact.seq();
+    assert_eq!(
+        CompiledTopology::builds() - cached,
+        10,
+        "step 3 compiles one plan per unrolled model"
+    );
     assert_eq!(report.total_counters().topology_builds, 1);
 }
