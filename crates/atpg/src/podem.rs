@@ -39,17 +39,28 @@
 //! of the restored values. The bookkeeping is not counted: only the
 //! re-evaluations book `gate_evals`.
 //!
-//! A search proves a fault undetectable in one of two ways. It exhausts
-//! its decision space, or, the first time it backtracks past
-//! `SCREEN_AFTER` times, it asks the untestability screen (`sat.rs`): a
-//! SAT solver decides the good/faulty miter of the faults over this view.
-//! The screen answers only where the view is exact for the faults (no X
-//! source in the support of their fanout cone), and there an
-//! unsatisfiable miter rules out every test, so the search stops with
-//! [`AtpgOutcome::Undetectable`]. Otherwise it continues from where it
-//! stopped, with the same verdict, vector, decisions and backtracks as a
-//! search that never asked; the screen books `sat_screens` and
-//! `sat_conflicts`.
+//! A search ends [`AtpgOutcome::Undetectable`] in one of two ways. It
+//! exhausts its decision space, or, the first time it backtracks past
+//! `SCREEN_AFTER` times, the untestability screen (`sat.rs`) proves that
+//! no test exists. Where the view is exact for the faults (no X source,
+//! an input or flip-flop the view neither controls nor pins, in the
+//! support of their fanout cone), a SAT solver decides their good/faulty
+//! miter and books `sat_screens` and `sat_conflicts`. Elsewhere a linear
+//! three-valued reachability check runs and books `x_screens`. Either
+//! proof rules out every test this search could find, so the search
+//! stops. Without a proof it continues from where it stopped, with the
+//! same verdict, vector, decisions and backtracks as a search that never
+//! asked.
+//!
+//! What `Undetectable` promises depends on the view. In an exact view it
+//! is a proof: no assignment makes an observable differ. In a view with
+//! X state it proves only that no test of this search's kind exists. The
+//! search carries five values per net, and a fault effect is D or D̄:
+//! known in both machines and different. A value known in one machine
+//! and X in the other is no effect, so the D-frontier drops it, and an
+//! exhausted decision space can miss a three-valued test that needs
+//! such a value on the way. The screen's proof is stronger: no
+//! three-valued test exists at all.
 
 use std::sync::Arc;
 
@@ -58,7 +69,7 @@ use fscan_netlist::{CompiledTopology, GateKind, NodeId};
 use fscan_sim::{TopoQueue, WorkCounters, V3};
 
 use crate::dvalue::D5;
-use crate::sat::{self, SatResult};
+use crate::sat::{self, Screen};
 
 const INF: u32 = u32::MAX / 4;
 
@@ -98,9 +109,15 @@ pub enum AtpgOutcome {
     /// A test was found: assignments for the controllable inputs that
     /// were decided (inputs not listed may take any value).
     Test(Vec<(NodeId, bool)>),
-    /// The fault is proven undetectable under this view: the search
-    /// exhausted its decision space, or the untestability screen found
-    /// the view exact for the faults and their miter unsatisfiable.
+    /// The search found no test: it exhausted its decision space, or the
+    /// untestability screen proved that none exists. In a view exact for
+    /// the faults (every input or flip-flop in the support of their
+    /// fanout cone controllable or pinned), either proves the faults
+    /// undetectable under the view. In a view with X state, the screen's
+    /// proof rules out every three-valued test, but an exhausted decision
+    /// space proves only that five-valued search finds none: a test that
+    /// needs a value known in one machine and X in the other can still
+    /// exist.
     Undetectable,
     /// The backtrack budget ran out before a verdict.
     Aborted,
@@ -965,11 +982,11 @@ impl Podem {
     /// Runs PODEM for the fault (or, for time-frame-expanded models, the
     /// set of per-frame copies of one fault), allocating a fresh scratch.
     ///
-    /// The verdict is [`AtpgOutcome::Undetectable`] only with a proof
-    /// for the given view: the complete decision space was exhausted, or
-    /// the untestability screen, run once when the search backtracks past
-    /// its threshold in a view exact for the faults, found no assignment
-    /// that makes an observable differ.
+    /// The verdict is [`AtpgOutcome::Undetectable`] when the complete
+    /// decision space was exhausted, or when the untestability screen,
+    /// run once when the search backtracks past its threshold, proved
+    /// that no test exists. That is a proof for the given view only where
+    /// the view is exact for the faults; see [`AtpgOutcome::Undetectable`].
     pub fn run(&self, faults: &[Fault], config: &PodemConfig) -> PodemOutcome {
         let mut scratch = self.scratch();
         self.run_with_scratch(&mut scratch, faults, config)
@@ -988,9 +1005,10 @@ impl Podem {
     }
 
     /// Runs the untestability screen for `faults` over this view and
-    /// returns whether it proved them undetectable. It abstains, booking
-    /// nothing, when the view is not exact for them; when it runs it
-    /// books `sat_screens` and `sat_conflicts` into `work`.
+    /// returns whether it proved them undetectable. A view exact for them
+    /// runs the SAT miter and books `sat_screens` and `sat_conflicts`;
+    /// any other view runs the three-valued reachability check and books
+    /// `x_screens`.
     fn screen(&self, faults: &[Fault], work: &mut WorkCounters) -> bool {
         let view = sat::View {
             topo: &self.topo,
@@ -998,12 +1016,15 @@ impl Podem {
             fixed: &self.fixed,
             observable: &self.is_observable,
         };
-        let Some(screen) = sat::screen(&view, faults) else {
-            return false;
-        };
-        work.sat_screens += 1;
-        work.sat_conflicts += screen.conflicts;
-        screen.result == SatResult::Unsat
+        let screen = sat::screen(&view, faults);
+        match screen {
+            Screen::Miter { conflicts, .. } => {
+                work.sat_screens += 1;
+                work.sat_conflicts += conflicts;
+            }
+            Screen::Reach { .. } => work.x_screens += 1,
+        }
+        screen.proof()
     }
 
     /// The search behind [`Podem::run_with_scratch`], screening once
@@ -1534,6 +1555,85 @@ mod tests {
         }
     }
 
+    /// On a generated case, a search screened at `screen_after` returns
+    /// the unscreened search's outcome, apart from its screen counters,
+    /// unless the screen ended it. A screen ends a search only with
+    /// `Undetectable`, and only where the unscreened search finds no
+    /// test: it too proves the fault undetectable or runs out of budget.
+    /// A search books at most one screen: the miter where its view is
+    /// exact for the faults, the three-valued check otherwise. Returns
+    /// how many searches a three-valued screen ended.
+    fn screened_against_plain(
+        seed: u64,
+        gates: usize,
+        frames: usize,
+        backtrack_limit: usize,
+        screen_after: usize,
+    ) -> usize {
+        let case = Case::generate(seed, gates, frames);
+        let podem = case.podem();
+        let config = PodemConfig {
+            backtrack_limit,
+            step_limit: usize::MAX,
+        };
+        // One-frame cases target every fault on a gate or source.
+        let sets: Vec<Vec<Fault>> = if frames == 1 {
+            all_faults(&case.circuit)
+                .into_iter()
+                .filter(|f| match f.site {
+                    FaultSite::Branch { gate, .. } => case.circuit.node(gate).kind().is_gate(),
+                    FaultSite::Stem(_) => true,
+                })
+                .map(|f| vec![f])
+                .collect()
+        } else {
+            case.fault_sets.clone()
+        };
+        let mut s = podem.scratch();
+        let mut x_proofs = 0;
+        for faults in &sets {
+            let plain = podem.search(&mut s, faults, &config, usize::MAX);
+            let screened = podem.search(&mut s, faults, &config, screen_after);
+            let screens = screened.work.sat_screens + screened.work.x_screens;
+            assert_eq!(plain.work.sat_screens + plain.work.x_screens, 0);
+            assert!(screens <= 1);
+            let mut stripped = screened.clone();
+            stripped.work.sat_screens = 0;
+            stripped.work.sat_conflicts = 0;
+            stripped.work.x_screens = 0;
+            if stripped == plain {
+                continue;
+            }
+            assert_eq!(&screened.verdict, &AtpgOutcome::Undetectable, "{faults:?}");
+            assert_eq!(screens, 1);
+            assert_eq!(screened.backtracks, screen_after + 1);
+            assert!(
+                matches!(
+                    plain.verdict,
+                    AtpgOutcome::Undetectable | AtpgOutcome::Aborted
+                ),
+                "screen proved {faults:?} untestable, the search found {:?}",
+                plain.verdict
+            );
+            x_proofs += screened.work.x_screens as usize;
+        }
+        x_proofs
+    }
+
+    /// The three-valued screen does end searches in views with X state:
+    /// on fixed cases, one-frame views with X sources and unrolled views
+    /// with unloaded state, some screened search stops at the
+    /// reachability check's proof.
+    #[test]
+    fn three_valued_screen_ends_searches_in_x_views() {
+        let ended: usize = (0..24u64)
+            .map(|seed| {
+                screened_against_plain(seed, 40 + 10 * seed as usize, 1 + seed as usize % 6, 400, 0)
+            })
+            .sum();
+        assert!(ended > 0, "no search ended at a three-valued proof");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1583,13 +1683,8 @@ mod tests {
             }
         }
 
-        /// The screen changes no outcome but a proof: on the generated
-        /// cases, a search screened at a drawn threshold returns the
-        /// unscreened search's outcome, apart from its screen counters,
-        /// unless the screen ended it. A screen ends a search only with
-        /// `Undetectable`, and only where the unscreened search finds no
-        /// test: it too proves the fault undetectable or runs out of
-        /// budget. A screen that ran books one screen.
+        /// The screen changes no outcome but a proof, in exact views and in
+        /// views with X state alike (see [`screened_against_plain`]).
         #[test]
         fn screen_changes_only_undetectable_verdicts(
             seed in any::<u64>(),
@@ -1598,47 +1693,7 @@ mod tests {
             backtrack_limit in 0usize..400,
             screen_after in 0usize..4,
         ) {
-            let case = Case::generate(seed, gates, frames);
-            let podem = case.podem();
-            let config = PodemConfig {
-                backtrack_limit,
-                step_limit: usize::MAX,
-            };
-            // One-frame cases target every fault on a gate or source.
-            let sets: Vec<Vec<Fault>> = if frames == 1 {
-                all_faults(&case.circuit)
-                    .into_iter()
-                    .filter(|f| match f.site {
-                        FaultSite::Branch { gate, .. } => case.circuit.node(gate).kind().is_gate(),
-                        FaultSite::Stem(_) => true,
-                    })
-                    .map(|f| vec![f])
-                    .collect()
-            } else {
-                case.fault_sets.clone()
-            };
-            let mut s = podem.scratch();
-            for faults in &sets {
-                let plain = podem.search(&mut s, faults, &config, usize::MAX);
-                let screened = podem.search(&mut s, faults, &config, screen_after);
-                prop_assert_eq!(plain.work.sat_screens, 0);
-                prop_assert!(screened.work.sat_screens <= 1);
-                let mut stripped = screened.clone();
-                stripped.work.sat_screens = 0;
-                stripped.work.sat_conflicts = 0;
-                if stripped == plain {
-                    continue;
-                }
-                prop_assert_eq!(&screened.verdict, &AtpgOutcome::Undetectable, "{:?}", faults);
-                prop_assert_eq!(screened.work.sat_screens, 1);
-                prop_assert_eq!(screened.backtracks, screen_after + 1);
-                prop_assert!(
-                    matches!(plain.verdict, AtpgOutcome::Undetectable | AtpgOutcome::Aborted),
-                    "screen proved {:?} untestable, the search found {:?}",
-                    faults,
-                    plain.verdict
-                );
-            }
+            screened_against_plain(seed, gates, frames, backtrack_limit, screen_after);
         }
 
         /// After injection and after every assignment or retraction on a

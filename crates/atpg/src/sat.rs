@@ -1,5 +1,6 @@
 //! The untestability screen: a good/faulty miter over a PODEM view and a
-//! small CDCL SAT solver that decides it.
+//! small CDCL SAT solver that decides it, or, where the view leaves state
+//! unknown, a linear three-valued reachability check.
 //!
 //! PODEM proves a fault undetectable by exhausting its decision space,
 //! which is exponential where the search thrashes. A SAT solver settles
@@ -8,12 +9,24 @@
 //! or no conflicts. [`Podem`](crate::Podem) consults this screen once per
 //! search, the first time the search backtracks past a fixed threshold.
 //!
-//! The screen answers only in an *exact* view: every `Input`/`Dff` source
-//! in the support of the faults' fanout cone is controllable or fixed.
-//! There the miter below is satisfiable exactly when some assignment of
-//! the controllable sources makes an observable's good and faulty values
-//! differ, which is the question PODEM searches. A view with an X source
-//! in that support makes [`screen`] abstain.
+//! An *X source* is an `Input`/`Dff` source that the view neither
+//! controls nor pins. A view is *exact* for a set of faults when no X
+//! source is in the support of their fanout cone. [`screen`] answers
+//! every view with one of two checks:
+//! - In an exact view it decides the miter below. The miter is
+//!   satisfiable exactly when some assignment of the controllable sources
+//!   makes an observable's good and faulty values differ, which is the
+//!   question PODEM searches, so `Unsat` is a proof.
+//! - Otherwise it runs the three-valued reachability check. It computes
+//!   the known values each node can take over every three-valued
+//!   simulation of the view: in the good machine everywhere, and in the
+//!   faulty machine inside the fanout cone. An X source takes none. It
+//!   proves the faults undetectable when no fault can be excited, or when
+//!   no chain of nodes that can carry a known difference (known in both
+//!   machines and different) joins a fault to an observable. A PODEM
+//!   test puts D or D̄ on an observable, which is such a chain's end, so
+//!   a proof rules out every test PODEM can find. The check finds no
+//!   tests: where it proves nothing, the search goes on.
 //!
 //! The miter:
 //! - a good copy of the transitive fanin of the faults' fanout cone;
@@ -56,7 +69,7 @@ const RESTART_BASE: u64 = 100;
 /// VSIDS activity decay per conflict.
 const VAR_DECAY: f64 = 0.95;
 
-/// The PODEM view a miter is built over: which sources the search may
+/// The PODEM view a screen runs over: which sources the search may
 /// assign, which are pinned, and which nets it observes.
 pub(crate) struct View<'a> {
     pub(crate) topo: &'a CompiledTopology,
@@ -70,148 +83,341 @@ pub(crate) struct View<'a> {
 
 /// What one screen found.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Screen {
-    /// The miter's verdict: `Unsat` proves no assignment of the
-    /// controllable sources makes an observable differ.
-    pub(crate) result: SatResult,
-    /// Solver conflicts spent.
-    pub(crate) conflicts: u64,
+pub(crate) enum Screen {
+    /// The view is exact for the faults and the miter was decided:
+    /// `Unsat` proves no assignment of the controllable sources makes an
+    /// observable differ.
+    Miter {
+        result: SatResult,
+        /// Solver conflicts spent.
+        conflicts: u64,
+    },
+    /// The faults' cone reads an X source and the three-valued
+    /// reachability check ran: `proof` when no three-valued test exists.
+    Reach { proof: bool },
 }
 
-/// Builds the miter of `faults` over `view` and decides it within the
-/// conflict budget. `None` when the view is not exact for these faults.
-pub(crate) fn screen(view: &View<'_>, faults: &[Fault]) -> Option<Screen> {
-    let (mut solver, _) = miter(view, faults)?;
-    let result = solver.solve(CONFLICT_BUDGET);
-    Some(Screen {
-        result,
-        conflicts: solver.conflicts,
-    })
+impl Screen {
+    /// Whether the screen proved the faults undetectable in the view.
+    pub(crate) fn proof(self) -> bool {
+        match self {
+            Screen::Miter { result, .. } => result == SatResult::Unsat,
+            Screen::Reach { proof } => proof,
+        }
+    }
 }
 
-/// Encodes the miter of `faults` over `view` into a solver, or `None`
-/// when some source in the support of the faults' fanout cone is neither
-/// controllable nor fixed. Also returns each node's good-copy variable
+/// Screens `faults` over `view`: decides their miter within the conflict
+/// budget when the view is exact for them, and runs the three-valued
+/// reachability check otherwise.
+pub(crate) fn screen(view: &View<'_>, faults: &[Fault]) -> Screen {
+    let cone = Cone::new(view, faults);
+    if cone.exact {
+        let (mut solver, _) = miter(view, &cone);
+        let result = solver.solve(CONFLICT_BUDGET);
+        Screen::Miter {
+            result,
+            conflicts: solver.conflicts,
+        }
+    } else {
+        Screen::Reach {
+            proof: !reachable(view, &cone),
+        }
+    }
+}
+
+/// The faults' injections, fanout cone and support over a view: what
+/// both checks read.
+struct Cone {
+    /// Node index → the stuck value of its stem injection. The last stem
+    /// injection on a node wins, as in PODEM.
+    stem: Vec<Option<bool>>,
+    /// Branch injections `(gate, pin, stuck)` in fault order; the first
+    /// on a pin wins, as in PODEM.
+    branches: Vec<(NodeId, usize, bool)>,
+    /// Per fault that reaches its cone: the good site literal that
+    /// excites it, and the node where its effect starts.
+    sites: Vec<(NodeId, bool)>,
+    seeds: Vec<NodeId>,
+    /// Node index → it is in the fanout cone: its faulty value may differ.
+    in_cone: Vec<bool>,
+    /// The cone: sources (stem sites) first, then gates in evaluation
+    /// order.
+    nodes: Vec<NodeId>,
+    /// Every node the cone reads, transitively, in the same order.
+    support: Vec<NodeId>,
+    /// Node index → the value the view pins it to.
+    fixed: Vec<Option<bool>>,
+    /// No X source is in the support.
+    exact: bool,
+}
+
+impl Cone {
+    fn new(view: &View<'_>, faults: &[Fault]) -> Cone {
+        let topo = view.topo;
+        let n = topo.num_nodes();
+        let ordered = |id: NodeId| topo.order_positions()[id.index()] != u32::MAX;
+        let mut stem: Vec<Option<bool>> = vec![None; n];
+        let mut branches: Vec<(NodeId, usize, bool)> = Vec::new();
+        let mut in_cone = vec![false; n];
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut sites: Vec<(NodeId, bool)> = Vec::new();
+        let mut seeds: Vec<NodeId> = Vec::new();
+        for f in faults {
+            let seed = match f.site {
+                FaultSite::Stem(node) => {
+                    stem[node.index()] = Some(f.stuck);
+                    sites.push((node, !f.stuck));
+                    node
+                }
+                FaultSite::Branch { gate, pin } => {
+                    // A flip-flop pin is no gate pin: its effect is never
+                    // seen in the view.
+                    if !ordered(gate) {
+                        continue;
+                    }
+                    branches.push((gate, pin, f.stuck));
+                    sites.push((topo.fanin(gate)[pin], !f.stuck));
+                    gate
+                }
+            };
+            seeds.push(seed);
+            if !in_cone[seed.index()] {
+                in_cone[seed.index()] = true;
+                stack.push(seed);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            for &sink in topo.fanout_sinks(id) {
+                if ordered(sink) && !in_cone[sink.index()] {
+                    in_cone[sink.index()] = true;
+                    stack.push(sink);
+                }
+            }
+        }
+        // Sources (stem sites) first, then gates in evaluation order.
+        let by_order = |id: &NodeId| topo.order_positions()[id.index()].wrapping_add(1);
+        let mut nodes: Vec<NodeId> = (0..n)
+            .map(NodeId::from_index)
+            .filter(|id| in_cone[id.index()])
+            .collect();
+        nodes.sort_by_key(by_order);
+
+        // The support: every node the cone reads, transitively.
+        let mut in_support = vec![false; n];
+        let mut support: Vec<NodeId> = Vec::new();
+        for &root in &nodes {
+            if in_support[root.index()] {
+                continue;
+            }
+            in_support[root.index()] = true;
+            stack.push(root);
+            while let Some(id) = stack.pop() {
+                support.push(id);
+                // A flip-flop is a source here: what it captures belongs
+                // to the next frame.
+                if !ordered(id) {
+                    continue;
+                }
+                for &src in topo.fanin(id) {
+                    if !in_support[src.index()] {
+                        in_support[src.index()] = true;
+                        stack.push(src);
+                    }
+                }
+            }
+        }
+        support.sort_by_key(by_order);
+        let mut fixed: Vec<Option<bool>> = vec![None; n];
+        for &(node, value) in view.fixed {
+            fixed[node.index()] = Some(value);
+        }
+        let exact = support.iter().all(|&id| {
+            !matches!(topo.kind(id), GateKind::Input | GateKind::Dff)
+                || view.controllable[id.index()]
+                || fixed[id.index()].is_some()
+        });
+        Cone {
+            stem,
+            branches,
+            sites,
+            seeds,
+            in_cone,
+            nodes,
+            support,
+            fixed,
+            exact,
+        }
+    }
+
+    /// The stuck value injected on pin `pin` of `gate`, if any.
+    fn injected(&self, gate: NodeId, pin: usize) -> Option<bool> {
+        self.branches
+            .iter()
+            .find(|&&(g, p, _)| g == gate && p == pin)
+            .map(|&(_, _, stuck)| stuck)
+    }
+}
+
+/// The known values a node can take, as a bit set: bit 0 for 0, bit 1
+/// for 1. An empty set means the node is X in every simulation.
+type Values = u8;
+
+/// The set holding only `value`.
+fn only(value: bool) -> Values {
+    1 << u8::from(value)
+}
+
+/// Whether `set` holds `value`.
+fn holds(set: Values, value: bool) -> bool {
+    set & only(value) != 0
+}
+
+/// The set with each value negated.
+fn negated(set: Values) -> Values {
+    (set & 1) << 1 | set >> 1
+}
+
+/// The values a gate of `kind` can output when each pin can take the
+/// values of its set, independently of the others: a superset of what
+/// three-valued simulation can produce, since a known output needs known
+/// pins (a controlling one for the AND family, all of them for XOR).
+fn gate_values(kind: GateKind, mut pins: impl Iterator<Item = Values>) -> Values {
+    let out = match kind {
+        GateKind::Const0 => only(false),
+        GateKind::Const1 => only(true),
+        GateKind::Buf | GateKind::Not => pins.next().expect("one pin"),
+        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+            let ctrl = kind.controlling_value().expect("and/or family");
+            let (mut any_ctrl, mut all_non) = (false, true);
+            for p in pins {
+                any_ctrl |= holds(p, ctrl);
+                all_non &= holds(p, !ctrl);
+            }
+            let controlled = if any_ctrl { only(ctrl) } else { 0 };
+            controlled | if all_non { only(!ctrl) } else { 0 }
+        }
+        GateKind::Xor | GateKind::Xnor => pins.fold(only(false), |parity, p| {
+            let even = (holds(parity, false) && holds(p, false))
+                || (holds(parity, true) && holds(p, true));
+            let odd = (holds(parity, false) && holds(p, true))
+                || (holds(parity, true) && holds(p, false));
+            u8::from(even) | u8::from(odd) << 1
+        }),
+        GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
+    };
+    if kind.output_inverted() {
+        negated(out)
+    } else {
+        out
+    }
+}
+
+/// The three-valued reachability check: whether a chain of nodes that
+/// can carry a known difference runs from an excitable fault to an
+/// observable. `false` proves that no assignment of the controllable
+/// sources, in three-valued simulation, makes an observable known in
+/// both machines and different.
+///
+/// Soundness: every three-valued simulation of the view refines the
+/// value sets, because assigning a source only turns X into a known
+/// value. Walk back from an observable whose two values are known and
+/// different. A gate whose two outputs are known and different, and
+/// which carries no injection, has a pin whose two values are known and
+/// different: for the AND family the pin that controls one machine's
+/// output, for XOR any pin that differs. So the walk ends at an excited
+/// stem site or an excited branch pin, and every node on it passes the
+/// test below.
+fn reachable(view: &View<'_>, cone: &Cone) -> bool {
+    let topo = view.topo;
+    let n = topo.num_nodes();
+    let mut good: Vec<Values> = vec![0; n];
+    for &id in &cone.support {
+        good[id.index()] = match topo.kind(id) {
+            GateKind::Input | GateKind::Dff => match cone.fixed[id.index()] {
+                Some(value) => only(value),
+                None if view.controllable[id.index()] => only(false) | only(true),
+                None => 0,
+            },
+            kind => gate_values(kind, topo.fanin(id).iter().map(|s| good[s.index()])),
+        };
+    }
+    let mut faulty: Vec<Values> = vec![0; n];
+    // Node index → it can carry a known difference.
+    let mut differs = vec![false; n];
+    for &id in &cone.nodes {
+        let i = id.index();
+        if let Some(stuck) = cone.stem[i] {
+            faulty[i] = only(stuck);
+            differs[i] = holds(good[i], !stuck);
+        } else {
+            let fanin = topo.fanin(id);
+            let pins = fanin
+                .iter()
+                .enumerate()
+                .map(|(pin, &src)| match cone.injected(id, pin) {
+                    Some(stuck) => only(stuck),
+                    None if cone.in_cone[src.index()] => faulty[src.index()],
+                    None => good[src.index()],
+                });
+            faulty[i] = gate_values(topo.kind(id), pins);
+            let fed = fanin
+                .iter()
+                .enumerate()
+                .any(|(pin, &src)| match cone.injected(id, pin) {
+                    Some(stuck) => holds(good[src.index()], !stuck),
+                    None => differs[src.index()],
+                });
+            let (g, f) = (good[i], faulty[i]);
+            differs[i] =
+                fed && ((holds(g, false) && holds(f, true)) || (holds(g, true) && holds(f, false)));
+        }
+        if differs[i] && view.observable[i] {
+            return true;
+        }
+    }
+    false
+}
+
+/// Encodes the miter of the faults behind `cone`, over a view exact for
+/// them, into a solver. Also returns each node's good-copy variable
 /// (`u32::MAX` for a node with none: outside the support, settled, or
 /// read only by settled nodes).
-fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
+fn miter(view: &View<'_>, cone: &Cone) -> (Solver, Vec<u32>) {
+    debug_assert!(cone.exact);
     let topo = view.topo;
     let n = topo.num_nodes();
     let ordered = |id: NodeId| topo.order_positions()[id.index()] != u32::MAX;
-    // The injections, resolved as PODEM resolves them: the last stem
-    // injection on a node wins, the first branch injection on a pin.
-    let mut stem: Vec<Option<bool>> = vec![None; n];
-    let mut branches: Vec<(NodeId, usize, bool)> = Vec::new();
-    // The fanout cone: nodes whose faulty value may differ.
-    let mut in_cone = vec![false; n];
+    let Cone {
+        stem,
+        sites,
+        seeds,
+        in_cone,
+        support,
+        fixed,
+        ..
+    } = cone;
     let mut stack: Vec<NodeId> = Vec::new();
-    // Per fault that reaches its cone: the good site literal that
-    // excites it, and the node where its effect starts.
-    let mut sites: Vec<(NodeId, bool)> = Vec::new();
-    let mut seeds: Vec<NodeId> = Vec::new();
-    for f in faults {
-        let seed = match f.site {
-            FaultSite::Stem(node) => {
-                stem[node.index()] = Some(f.stuck);
-                sites.push((node, !f.stuck));
-                node
-            }
-            FaultSite::Branch { gate, pin } => {
-                // A flip-flop pin is no gate pin: its effect is never
-                // seen in the view.
-                if !ordered(gate) {
-                    continue;
-                }
-                branches.push((gate, pin, f.stuck));
-                sites.push((topo.fanin(gate)[pin], !f.stuck));
-                gate
-            }
-        };
-        seeds.push(seed);
-        if !in_cone[seed.index()] {
-            in_cone[seed.index()] = true;
-            stack.push(seed);
-        }
-    }
-    while let Some(id) = stack.pop() {
-        for &sink in topo.fanout_sinks(id) {
-            if ordered(sink) && !in_cone[sink.index()] {
-                in_cone[sink.index()] = true;
-                stack.push(sink);
-            }
-        }
-    }
-    let mut cone: Vec<NodeId> = (0..n)
-        .map(NodeId::from_index)
-        .filter(|id| in_cone[id.index()])
-        .collect();
-    // Sources (stem sites) first, then gates in evaluation order.
-    cone.sort_by_key(|&id| topo.order_positions()[id.index()].wrapping_add(1));
-
-    // The support: every node the cone reads, transitively, with each
-    // source checked against the view.
-    let mut fixed: Vec<Option<bool>> = vec![None; n];
-    for &(node, value) in view.fixed {
-        fixed[node.index()] = Some(value);
-    }
-    let mut in_support = vec![false; n];
-    let mut support: Vec<NodeId> = Vec::new();
-    for &root in &cone {
-        if in_support[root.index()] {
-            continue;
-        }
-        in_support[root.index()] = true;
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            support.push(id);
-            // A flip-flop is a source here: what it captures belongs to
-            // the next frame.
-            if !ordered(id) {
-                continue;
-            }
-            for &src in topo.fanin(id) {
-                if !in_support[src.index()] {
-                    in_support[src.index()] = true;
-                    stack.push(src);
-                }
-            }
-        }
-    }
-    let exact = support.iter().all(|&id| {
-        !matches!(topo.kind(id), GateKind::Input | GateKind::Dff)
-            || view.controllable[id.index()]
-            || fixed[id.index()].is_some()
-    });
-    if !exact {
-        return None;
-    }
-    support.sort_by_key(|&id| topo.order_positions()[id.index()].wrapping_add(1));
 
     // Three-valued values under the fixed sources alone, free sources X:
     // a node they settle is a constant of the miter, with no variable and
     // no clauses.
     let mut good_known = vec![V3::X; n];
-    for &id in &support {
+    for &id in support {
         good_known[id.index()] = match topo.kind(id) {
             GateKind::Input | GateKind::Dff => fixed[id.index()].map_or(V3::X, V3::from_bool),
             kind => eval_v3(kind, topo.fanin(id).iter().map(|s| good_known[s.index()])),
         };
     }
-    let injected = |id: NodeId, pin: usize| {
-        branches
-            .iter()
-            .find(|&&(g, p, _)| g == id && p == pin)
-            .map(|&(_, _, stuck)| stuck)
-    };
     let mut faulty_known = vec![V3::X; n];
-    for &id in &cone {
+    for &id in &cone.nodes {
         let value = match stem[id.index()] {
             Some(stuck) => V3::from_bool(stuck),
             None => {
                 let pins = topo.fanin(id).iter().enumerate();
                 eval_v3(
                     topo.kind(id),
-                    pins.map(|(pin, &src)| match injected(id, pin) {
+                    pins.map(|(pin, &src)| match cone.injected(id, pin) {
                         Some(stuck) => V3::from_bool(stuck),
                         None if in_cone[src.index()] => faulty_known[src.index()],
                         None => good_known[src.index()],
@@ -224,8 +430,8 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
     // What the encoding reads: the cone and the fault sites, and
     // transitively what their unsettled nodes read.
     let mut needed = in_cone.clone();
-    stack.extend_from_slice(&cone);
-    for &(site, _) in &sites {
+    stack.extend_from_slice(&cone.nodes);
+    for &(site, _) in sites {
         if !needed[site.index()] {
             needed[site.index()] = true;
             stack.push(site);
@@ -244,7 +450,6 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
             }
         }
     }
-
     let mut solver = Solver::new();
     let one = solver.new_var();
     solver.add_clause(&[Lit::new(one, true)]);
@@ -272,18 +477,19 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
     }
     // The faulty copy.
     let mut faulty = vec![u32::MAX; n];
-    for &id in &cone {
+    for &id in &cone.nodes {
         if !faulty_known[id.index()].is_known() {
             faulty[id.index()] = solver.new_var();
         }
     }
     for &id in cone
+        .nodes
         .iter()
         .filter(|id| !faulty_known[id.index()].is_known())
     {
         pins.clear();
         for (pin, &src) in topo.fanin(id).iter().enumerate() {
-            pins.push(match injected(id, pin) {
+            pins.push(match cone.injected(id, pin) {
                 Some(stuck) => constant(stuck),
                 None if in_cone[src.index()] => literal(&faulty, &faulty_known, src),
                 None => literal(&good, &good_known, src),
@@ -311,7 +517,7 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
     // path runs from it to an observable. A node settled to equal good
     // and faulty values is never active.
     let mut active = vec![u32::MAX; n];
-    for &id in &cone {
+    for &id in &cone.nodes {
         let (g, f) = (good_known[id.index()], faulty_known[id.index()]);
         if !g.is_known() || g != f {
             active[id.index()] = solver.new_var();
@@ -321,7 +527,11 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
         u32::MAX => constant(false),
         var => Lit::new(var, true),
     };
-    for &id in cone.iter().filter(|id| active[id.index()] != u32::MAX) {
+    for &id in cone
+        .nodes
+        .iter()
+        .filter(|id| active[id.index()] != u32::MAX)
+    {
         let a = active_lit(&active, id);
         let g = literal(&good, &good_known, id);
         let f = literal(&faulty, &faulty_known, id);
@@ -338,7 +548,7 @@ fn miter(view: &View<'_>, faults: &[Fault]) -> Option<(Solver, Vec<u32>)> {
     }
     let starts: Vec<Lit> = seeds.iter().map(|&id| active_lit(&active, id)).collect();
     solver.add_clause(&starts);
-    Some((solver, good))
+    (solver, good)
 }
 
 /// A literal: variable `var` taken positively (`2·var`) or negated
@@ -994,17 +1204,19 @@ mod tests {
             (0..n).any(|i| in_cone[i] && reads_x[i])
         }
 
-        /// Two-valued good and faulty simulation of 64 assignments at
-        /// once: `sources` gives each controllable source's value per
-        /// lane, fixed sources hold their values and X sources 0, which
-        /// no exact view reads. Returns the lanes where some observable
-        /// differs.
-        fn differing_lanes(&self, faults: &[Fault], sources: &[(NodeId, u64)]) -> u64 {
+        /// Three-valued good and faulty simulation of 64 assignments at
+        /// once, each value a `(zeros, ones)` pair of lane masks:
+        /// `sources` gives each controllable source's value per lane,
+        /// fixed sources hold their values and X sources stay X. Returns
+        /// the lanes where some observable is known in both machines and
+        /// differs: the lanes that are three-valued tests. In an exact
+        /// view no observable reads X, so these are the two-valued tests.
+        fn test_lanes(&self, faults: &[Fault], sources: &[(NodeId, u64)]) -> u64 {
             let n = self.circuit.num_nodes();
-            let word = |b: bool| if b { !0u64 } else { 0 };
-            let mut good = vec![0u64; n];
+            let word = |b: bool| if b { (0, !0u64) } else { (!0u64, 0) };
+            let mut good = vec![(0u64, 0u64); n];
             for &(src, lanes) in sources {
-                good[src.index()] = lanes;
+                good[src.index()] = (!lanes, lanes);
             }
             for &(src, v) in &self.fixed {
                 good[src.index()] = word(v);
@@ -1025,22 +1237,26 @@ mod tests {
             for &id in self.topo.eval_order() {
                 let kind = self.topo.kind(id);
                 let fanin = self.topo.fanin(id);
-                good[id.index()] = eval_word(kind, fanin.iter().map(|s| good[s.index()]));
+                good[id.index()] = eval_rails(kind, fanin.iter().map(|s| good[s.index()]));
                 let pins = fanin.iter().enumerate().map(|(pin, s)| {
                     faults
                         .iter()
                         .find(|f| f.site == FaultSite::Branch { gate: id, pin })
                         .map_or(bad[s.index()], |f| word(f.stuck))
                 });
-                bad[id.index()] = stem(id).unwrap_or_else(|| eval_word(kind, pins));
+                bad[id.index()] = stem(id).unwrap_or_else(|| eval_rails(kind, pins));
             }
-            (0..n)
-                .filter(|&i| self.observable[i])
-                .fold(0, |acc, i| acc | (good[i] ^ bad[i]))
+            (0..n).filter(|&i| self.observable[i]).fold(0, |acc, i| {
+                let ((g0, g1), (f0, f1)) = (good[i], bad[i]);
+                acc | (g0 & f1) | (g1 & f0)
+            })
         }
 
-        /// Whether any assignment of the controllable sources makes an
-        /// observable differ: every assignment, 64 per word.
+        /// Whether any assignment of the controllable sources is a
+        /// three-valued test: every two-valued assignment, 64 per word,
+        /// with X sources left X. Leaving a controllable source X too
+        /// adds no test, since simulation is monotone: a value known
+        /// under a partial assignment stays known under its completions.
         fn testable_by_enumeration(&self, faults: &[Fault]) -> bool {
             let free = self.free_sources();
             let total = 1usize << free.len();
@@ -1060,48 +1276,73 @@ mod tests {
                         (src, lanes)
                     })
                     .collect();
-                self.differing_lanes(faults, &sources) & valid != 0
+                self.test_lanes(faults, &sources) & valid != 0
             })
         }
     }
 
-    fn eval_word(kind: GateKind, mut pins: impl Iterator<Item = u64>) -> u64 {
+    /// Three-valued gate evaluation on `(zeros, ones)` lane masks.
+    fn eval_rails(kind: GateKind, mut pins: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
+        let swap = |(z, o): (u64, u64)| (o, z);
+        let and = |(z, o): (u64, u64), (pz, po): (u64, u64)| (z | pz, o & po);
+        let or = |(z, o): (u64, u64), (pz, po): (u64, u64)| (z & pz, o | po);
+        let xor = |(z, o): (u64, u64), (pz, po): (u64, u64)| (z & pz | o & po, z & po | o & pz);
         match kind {
-            GateKind::Const0 => 0,
-            GateKind::Const1 => !0,
+            GateKind::Const0 => (!0, 0),
+            GateKind::Const1 => (0, !0),
             GateKind::Buf => pins.next().expect("one pin"),
-            GateKind::Not => !pins.next().expect("one pin"),
-            GateKind::And => pins.fold(!0, |a, b| a & b),
-            GateKind::Nand => !pins.fold(!0, |a, b| a & b),
-            GateKind::Or => pins.fold(0, |a, b| a | b),
-            GateKind::Nor => !pins.fold(0, |a, b| a | b),
-            GateKind::Xor => pins.fold(0, |a, b| a ^ b),
-            GateKind::Xnor => !pins.fold(0, |a, b| a ^ b),
+            GateKind::Not => swap(pins.next().expect("one pin")),
+            GateKind::And => pins.fold((0, !0), and),
+            GateKind::Nand => swap(pins.fold((0, !0), and)),
+            GateKind::Or => pins.fold((!0, 0), or),
+            GateKind::Nor => swap(pins.fold((!0, 0), or)),
+            GateKind::Xor => pins.fold((!0, 0), xor),
+            GateKind::Xnor => swap(pins.fold((!0, 0), xor)),
             GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
         }
     }
 
-    /// Checks the screen on one fault set against exhaustive simulation:
-    /// it abstains iff the cone reads X state; otherwise it proves the set
-    /// untestable iff no assignment makes an observable differ, and a
-    /// satisfying model is such an assignment.
-    fn check(case: &Case, faults: &[Fault]) {
+    /// Fault sets whose cone reads X state, tallied by [`check`].
+    #[derive(Default)]
+    struct Tally {
+        /// Sets with no three-valued test.
+        untestable: usize,
+        /// Sets the reachability check proved.
+        proved: usize,
+    }
+
+    /// Checks the screen on one fault set against exhaustive simulation.
+    /// Where the cone reads X state, the reachability check runs and
+    /// proves only sets with no three-valued test. Otherwise the miter
+    /// runs: it proves the set untestable iff no assignment makes an
+    /// observable differ, and a satisfying model is such an assignment.
+    fn check(case: &Case, faults: &[Fault], tally: &mut Tally) {
         let view = case.view();
         let verdict = screen(&view, faults);
+        let testable = case.testable_by_enumeration(faults);
         if case.cone_reads_x(faults) {
-            assert_eq!(verdict, None, "abstain on {faults:?}");
+            let Screen::Reach { proof } = verdict else {
+                panic!("the miter ran on a view with X state: {faults:?}");
+            };
+            assert!(
+                !(proof && testable),
+                "proved {faults:?}, which has a three-valued test"
+            );
+            tally.untestable += usize::from(!testable);
+            tally.proved += usize::from(proof);
             return;
         }
-        let verdict = verdict.expect("an exact view is screened");
-        let testable = case.testable_by_enumeration(faults);
+        let Screen::Miter { result, .. } = verdict else {
+            panic!("an exact view ran the reachability check: {faults:?}");
+        };
         let expected = if testable {
             SatResult::Sat
         } else {
             SatResult::Unsat
         };
-        assert_eq!(verdict.result, expected, "{faults:?}");
+        assert_eq!(result, expected, "{faults:?}");
         if testable {
-            let (mut solver, good) = miter(&view, faults).expect("exact");
+            let (mut solver, good) = miter(&view, &Cone::new(&view, faults));
             assert_eq!(solver.solve(CONFLICT_BUDGET), SatResult::Sat);
             let sources: Vec<(NodeId, u64)> = case
                 .free_sources()
@@ -1113,9 +1354,26 @@ mod tests {
                 })
                 .collect();
             assert!(
-                case.differing_lanes(faults, &sources) != 0,
+                case.test_lanes(faults, &sources) != 0,
                 "the model of {faults:?} is no test"
             );
+        }
+    }
+
+    /// Checks every collapsed fault of `case` and eight random fault
+    /// pairs.
+    fn check_case(case: &Case, seed: u64, tally: &mut Tally) {
+        let faults = collapse(&case.circuit, &all_faults(&case.circuit));
+        for &fault in &faults {
+            check(case, &[fault], tally);
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5a7);
+        for _ in 0..8 {
+            let pair = [
+                faults[rng.gen_range(0..faults.len())],
+                faults[rng.gen_range(0..faults.len())],
+            ];
+            check(case, &pair, tally);
         }
     }
 
@@ -1123,30 +1381,44 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// On random small circuits and views, for every collapsed fault
-        /// and for random fault pairs, the screen abstains exactly when
-        /// the fanout cone reads X state, and otherwise proves the faults
-        /// untestable exactly when exhaustive two-valued simulation finds
-        /// no assignment that makes an observable differ.
+        /// and for random fault pairs: where the fanout cone reads X
+        /// state, the reachability check proves only faults that no
+        /// three-valued simulation detects; otherwise the miter proves
+        /// the faults untestable exactly when exhaustive two-valued
+        /// simulation finds no assignment that makes an observable
+        /// differ.
         #[test]
         fn screen_matches_exhaustive_simulation(
             seed in any::<u64>(),
             gates in 4usize..80,
             x_sources in any::<bool>(),
         ) {
-            let case = Case::generate(seed, gates, x_sources);
-            let faults = collapse(&case.circuit, &all_faults(&case.circuit));
-            for &fault in &faults {
-                check(&case, &[fault]);
-            }
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5a7);
-            for _ in 0..8 {
-                let pair = [
-                    faults[rng.gen_range(0..faults.len())],
-                    faults[rng.gen_range(0..faults.len())],
-                ];
-                check(&case, &pair);
-            }
+            check_case(&Case::generate(seed, gates, x_sources), seed, &mut Tally::default());
         }
+    }
+
+    /// The reachability check is not vacuous: on fixed views with X
+    /// sources it proves most fault sets that have no three-valued test,
+    /// and each proof is checked against exhaustive simulation.
+    #[test]
+    fn reachability_proves_most_x_untestable_faults() {
+        let mut tally = Tally::default();
+        for seed in 0..60u64 {
+            let gates = 4 + (seed as usize * 37) % 76;
+            check_case(&Case::generate(seed, gates, true), seed, &mut tally);
+        }
+        eprintln!("proved {} of {}", tally.proved, tally.untestable);
+        assert!(
+            tally.untestable >= 100,
+            "{} untestable sets",
+            tally.untestable
+        );
+        assert!(
+            tally.proved * 10 >= tally.untestable * 8,
+            "proved {} of {} untestable sets",
+            tally.proved,
+            tally.untestable
+        );
     }
 
     #[test]
@@ -1171,17 +1443,38 @@ mod tests {
             fixed: &[],
             observable: &observable,
         };
-        let proof = screen(&view, &[Fault::stem(g, false)]).expect("exact view");
-        assert_eq!(proof.result, SatResult::Unsat);
-        let test = screen(&view, &[Fault::stem(g, true)]).expect("exact view");
-        assert_eq!(test.result, SatResult::Sat);
-        // With b left X, the cone of g reads X state: the screen abstains.
+        let proof = screen(&view, &[Fault::stem(g, false)]);
+        assert!(matches!(
+            proof,
+            Screen::Miter {
+                result: SatResult::Unsat,
+                ..
+            }
+        ));
+        let test = screen(&view, &[Fault::stem(g, true)]);
+        assert!(matches!(
+            test,
+            Screen::Miter {
+                result: SatResult::Sat,
+                ..
+            }
+        ));
+        // With b left X, the cone of g reads X state and the reachability
+        // check runs: g can be 0 but never 1, so stuck-at-0 is never
+        // excited, and stuck-at-1 reaches y through the OR when a = 0.
         let a_only: Vec<bool> = (0..c.num_nodes()).map(|i| i == a.index()).collect();
         let view = View {
             controllable: &a_only,
             ..view
         };
-        assert_eq!(screen(&view, &[Fault::stem(g, false)]), None);
+        assert_eq!(
+            screen(&view, &[Fault::stem(g, false)]),
+            Screen::Reach { proof: true }
+        );
+        assert_eq!(
+            screen(&view, &[Fault::stem(g, true)]),
+            Screen::Reach { proof: false }
+        );
     }
 
     #[test]

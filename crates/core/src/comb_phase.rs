@@ -26,9 +26,11 @@ pub struct CombPhaseReport {
     pub targeted: usize,
     /// Really detected (confirmed by sequential fault simulation).
     pub detected: usize,
-    /// Proven undetectable (combinationally undetectable in the
-    /// scan-mode view, which soundly implies sequential
-    /// undetectability).
+    /// Proven undetectable: combinationally undetectable in the
+    /// scan-mode view. Recorded only under full scan, where that view
+    /// controls every source and the proof soundly implies sequential
+    /// undetectability; under partial scan the unchained flip-flops stay
+    /// X, and step 3 decides such faults instead.
     pub undetectable: usize,
     /// Neither detected nor proven undetectable (input to step 3).
     pub undetected: usize,
@@ -181,6 +183,12 @@ impl<'d> CombPhase<'d> {
         observable.extend(chained.iter().map(|&ff| circuit.node(ff).fanin()[0]));
         observable.sort();
         observable.dedup();
+        // A proof in this view is a proof of sequential undetectability
+        // only when the view is exact, which needs every flip-flop
+        // chained: every input is then free, a scan-in or constrained.
+        // Under partial scan an `Undetectable` search leaves its fault
+        // pending, and step 3's full-scan check decides it.
+        let full_scan = chained.len() == circuit.dffs().len();
         let podem = Podem::with_topology(self.design.topology(), controllable, fixed, observable);
 
         let max_len = self.design.max_chain_len();
@@ -251,7 +259,7 @@ impl<'d> CombPhase<'d> {
             for (k, &i) in batch.iter().enumerate() {
                 match &outcomes[k].verdict {
                     AtpgOutcome::Undetectable => {
-                        if status[i] == Status::Pending {
+                        if full_scan && status[i] == Status::Pending {
                             status[i] = Status::Undetectable;
                         }
                     }

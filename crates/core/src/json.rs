@@ -706,6 +706,7 @@ pub fn counters_from_value(value: &Value) -> Result<WorkCounters, JsonError> {
             "podem_aborts" => out.podem_aborts = v,
             "sat_screens" => out.sat_screens = v,
             "sat_conflicts" => out.sat_conflicts = v,
+            "x_screens" => out.x_screens = v,
             "windows_formed" => out.windows_formed = v,
             "early_exits" => out.early_exits = v,
             "topology_builds" => out.topology_builds = v,
@@ -1425,20 +1426,21 @@ mod tests {
         c.podem_aborts = 7;
         c.sat_screens = 8;
         c.sat_conflicts = 9;
-        c.windows_formed = 10;
-        c.early_exits = 11;
-        c.topology_builds = 12;
-        c.scratch_reuses = 13;
-        c.implication_words = 14;
-        c.kernel_gate_evals = 15;
-        c.faults_dropped = 16;
-        c.vectors_compacted = 17;
-        c.podem_shards = 18;
-        c.cones_invalidated = 19;
-        c.verdicts_reused = 20;
-        c.trace_cycles_reused = 21;
+        c.x_screens = 10;
+        c.windows_formed = 11;
+        c.early_exits = 12;
+        c.topology_builds = 13;
+        c.scratch_reuses = 14;
+        c.implication_words = 15;
+        c.kernel_gate_evals = 16;
+        c.faults_dropped = 17;
+        c.vectors_compacted = 18;
+        c.podem_shards = 19;
+        c.cones_invalidated = 20;
+        c.verdicts_reused = 21;
+        c.trace_cycles_reused = 22;
         let values: Vec<u64> = c.fields().iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, (1..=21).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=22).collect::<Vec<u64>>());
         let v = counters_to_value(&c);
         assert_eq!(counters_from_value(&v).unwrap(), c);
         // Subset decodes (old snapshots), unknown keys are rejected.

@@ -264,13 +264,15 @@ impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig {
             podem: PodemConfig {
-                // Redundant category-2 faults whose scan-mode cone reads
-                // no X state are proven by PODEM's untestability screen
-                // once a search backtracks past 64 times. The step limit
-                // bounds the rest: a search the screen cannot settle (an
-                // exhausted conflict budget, or X state under partial
-                // scan) would otherwise burn the full backtrack budget on
-                // large circuits.
+                // PODEM's untestability screen settles a search once it
+                // backtracks past 64 times: a SAT miter where the faults'
+                // cone reads no X state, a three-valued reachability
+                // check where it does (partial scan here, unloaded state
+                // in step 3's deepening views). The step limit bounds the
+                // rest: a search the screen cannot settle (an exhausted
+                // conflict budget, or a testable-looking cone that no
+                // search can complete) would otherwise burn the full
+                // backtrack budget on large circuits.
                 step_limit: 100_000,
                 ..PodemConfig::default()
             },

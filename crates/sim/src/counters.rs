@@ -51,14 +51,18 @@ use crate::pool::ShardStats;
 /// * `podem_backtracks` — PODEM reversals of a previous decision.
 /// * `podem_aborts` — PODEM/SeqAtpg runs that hit a backtrack or step
 ///   budget without a verdict.
-/// * `sat_screens` — untestability screens run: a PODEM search that
-///   backtracks past its screening threshold hands a good/faulty miter
-///   of its faults to a SAT solver, once, if its view is exact for them
-///   (every source in the support of the faults' fanout cone is
-///   controllable or fixed). A search whose cone reads X state abstains
-///   and books nothing.
+/// * `sat_screens` — SAT untestability screens run. A PODEM search that
+///   backtracks past its screening threshold screens its faults once.
+///   When its view is exact for them (every source in the support of
+///   the faults' fanout cone is controllable or fixed), it hands their
+///   good/faulty miter to a SAT solver and books one here.
 /// * `sat_conflicts` — conflicts those screens' solver spent, whatever
 ///   their verdict.
+/// * `x_screens` — three-valued screens run: the same once-per-search
+///   screen in a view where the faults' cone reads X state (an input or
+///   flip-flop the view neither controls nor pins). It runs a linear
+///   reachability check of known good/faulty differences instead of the
+///   miter. A search books one screen, here or in `sat_screens`.
 /// * `windows_formed` — candidate test windows (scan-in / apply /
 ///   scan-out sequences) assembled by the core phases.
 /// * `early_exits` — short-circuits taken: a packed fault word whose
@@ -122,6 +126,8 @@ pub struct WorkCounters {
     pub sat_screens: u64,
     /// SAT solver conflicts spent by those screens.
     pub sat_conflicts: u64,
+    /// Three-valued reachability screens run by PODEM searches.
+    pub x_screens: u64,
     /// Candidate test windows assembled.
     pub windows_formed: u64,
     /// Early exits taken (word fully detected, target already dropped).
@@ -160,6 +166,7 @@ impl WorkCounters {
         podem_aborts: 0,
         sat_screens: 0,
         sat_conflicts: 0,
+        x_screens: 0,
         windows_formed: 0,
         early_exits: 0,
         topology_builds: 0,
@@ -186,7 +193,7 @@ impl WorkCounters {
 
     /// The counters as `(name, value)` pairs in a fixed order —
     /// the single source of truth for JSON emission and display.
-    pub fn fields(&self) -> [(&'static str, u64); 21] {
+    pub fn fields(&self) -> [(&'static str, u64); 22] {
         [
             ("gate_evals", self.gate_evals),
             ("lane_cycles", self.lane_cycles),
@@ -197,6 +204,7 @@ impl WorkCounters {
             ("podem_aborts", self.podem_aborts),
             ("sat_screens", self.sat_screens),
             ("sat_conflicts", self.sat_conflicts),
+            ("x_screens", self.x_screens),
             ("windows_formed", self.windows_formed),
             ("early_exits", self.early_exits),
             ("topology_builds", self.topology_builds),
@@ -261,6 +269,7 @@ impl AddAssign for WorkCounters {
         self.podem_aborts += rhs.podem_aborts;
         self.sat_screens += rhs.sat_screens;
         self.sat_conflicts += rhs.sat_conflicts;
+        self.x_screens += rhs.x_screens;
         self.windows_formed += rhs.windows_formed;
         self.early_exits += rhs.early_exits;
         self.topology_builds += rhs.topology_builds;
@@ -352,21 +361,22 @@ mod tests {
             podem_aborts: 7,
             sat_screens: 8,
             sat_conflicts: 9,
-            windows_formed: 10,
-            early_exits: 11,
-            topology_builds: 12,
-            scratch_reuses: 13,
-            implication_words: 14,
-            kernel_gate_evals: 15,
-            faults_dropped: 16,
-            vectors_compacted: 17,
-            podem_shards: 18,
-            cones_invalidated: 19,
-            verdicts_reused: 20,
-            trace_cycles_reused: 21,
+            x_screens: 10,
+            windows_formed: 11,
+            early_exits: 12,
+            topology_builds: 13,
+            scratch_reuses: 14,
+            implication_words: 15,
+            kernel_gate_evals: 16,
+            faults_dropped: 17,
+            vectors_compacted: 18,
+            podem_shards: 19,
+            cones_invalidated: 20,
+            verdicts_reused: 21,
+            trace_cycles_reused: 22,
         };
         let vals: Vec<u64> = c.fields().iter().map(|&(_, v)| v).collect();
-        assert_eq!(vals, (1..=21).collect::<Vec<u64>>());
+        assert_eq!(vals, (1..=22).collect::<Vec<u64>>());
         assert!(!c.is_zero());
         assert!(WorkCounters::ZERO.is_zero());
     }

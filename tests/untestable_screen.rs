@@ -1,12 +1,20 @@
-//! Pins PODEM's untestability screen on a design whose step-2 proofs
-//! thrash: the `paper_suite` s38417 design at generator seed 0x3841b.
+//! Pins PODEM's untestability screen on two `paper_suite` designs whose
+//! searches thrash.
 //!
-//! No committed snapshot backtracks past the screening threshold, so this
-//! is the design that runs the screened path in tier 1 and CI. Its 13
-//! step-2 redundancies cost the exhaustive search 22,753 backtracks; the
-//! screen proves them from a SAT miter instead. Verdicts, the detection
-//! curve and the emitted program must be those of the unscreened search,
-//! at every lane width, and the counters those of every thread count.
+//! No committed snapshot backtracks past the screening threshold, so
+//! these are the designs that run the screened paths in tier 1 and CI:
+//! - s38417 at generator seed 0x3841b. Its 13 step-2 redundancies cost
+//!   the exhaustive search 22,753 backtracks; the SAT miter proves them
+//!   instead.
+//! - s1238 at generator seed 0x1238. Step 3's one target reads unloaded
+//!   flip-flop state in every deepening view. Without a screen, PODEM
+//!   searched each depth until the step budget ran out (12,018
+//!   decisions); the three-valued reachability check proves each depth
+//!   hopeless at the screening threshold.
+//!
+//! Verdicts, the detection curve and the emitted program must be those
+//! of the unscreened search, at every lane width, and the counters those
+//! of every thread count.
 
 use std::sync::Arc;
 
@@ -18,25 +26,47 @@ use fscan_scan::{insert_functional_scan, ScanDesign, TpiConfig};
 /// decision space.
 const UNSCREENED_COMB_BACKTRACKS: u64 = 22_753;
 
-/// `content_hash64` of the emitted program's compact JSON, as the
-/// unscreened search emitted it.
+/// `content_hash64` of the s38417 design's program's compact JSON, as
+/// the unscreened search emitted it.
 const PROGRAM_HASH: u64 = 0x2b322d167332d99f;
 
-/// The benchmark's s38417 design: generated, written to `.bench` text and
-/// parsed back, with functional scan on 8 chains.
-fn design() -> Arc<ScanDesign> {
-    let generated = generate(
-        &GeneratorConfig::new("s38417", 0x3841b)
-            .inputs(28)
-            .gates(665)
-            .dffs(49),
-    );
-    let circuit = parse_bench(&write_bench(&generated), "s38417").expect("written text parses");
+/// Step-3 PODEM decisions on the s1238 design when its X-state searches
+/// ran to the step budget.
+const UNSCREENED_SEQ_DECISIONS: u64 = 12_018;
+
+/// `content_hash64` of the s1238 design's program's compact JSON, as the
+/// unscreened search emitted it.
+const S1238_PROGRAM_HASH: u64 = 0x63a487766d92898b;
+
+/// A benchmark design: generated, written to `.bench` text and parsed
+/// back, with functional scan on `chains` chains.
+fn design(config: &GeneratorConfig, chains: usize) -> Arc<ScanDesign> {
+    let generated = generate(config);
+    let name = generated.name().to_string();
+    let circuit = parse_bench(&write_bench(&generated), &name).expect("written text parses");
     let tpi = TpiConfig {
-        num_chains: 8,
+        num_chains: chains,
         ..TpiConfig::default()
     };
     Arc::new(insert_functional_scan(&circuit, &tpi).expect("scan insertion"))
+}
+
+/// The benchmark's s38417 design at generator seed 0x3841b.
+fn s38417() -> Arc<ScanDesign> {
+    let config = GeneratorConfig::new("s38417", 0x3841b)
+        .inputs(28)
+        .gates(665)
+        .dffs(49);
+    design(&config, 8)
+}
+
+/// The benchmark's s1238 design at generator seed 0x1238.
+fn s1238() -> Arc<ScanDesign> {
+    let config = GeneratorConfig::new("s1238", 0x1238)
+        .inputs(14)
+        .gates(40)
+        .dffs(4);
+    design(&config, 1)
 }
 
 fn run(design: &Arc<ScanDesign>, threads: usize, lane_width: LaneWidth) -> PipelineReport {
@@ -69,7 +99,7 @@ fn verdicts(report: &PipelineReport) -> String {
 
 #[test]
 fn screen_proves_the_redundancies_and_leaves_the_outputs_alone() {
-    let report = run(&design(), 1, LaneWidth::default());
+    let report = run(&s38417(), 1, LaneWidth::default());
     let comb = &report.comb;
     assert_eq!(
         (
@@ -98,14 +128,40 @@ fn screen_proves_the_redundancies_and_leaves_the_outputs_alone() {
 }
 
 #[test]
+fn three_valued_screen_ends_step_3s_hopeless_searches() {
+    let report = run(&s1238(), 1, LaneWidth::default());
+    let seq = &report.seq;
+    assert_eq!(
+        (seq.targeted, seq.detected, seq.undetectable, seq.undetected),
+        (1, 0, 0, 1)
+    );
+    let program = json::program_to_value(&report.program).render_compact();
+    assert_eq!(
+        content_hash64(program.as_bytes()),
+        S1238_PROGRAM_HASH,
+        "the emitted program changed"
+    );
+    let counters = seq.metrics.counters;
+    assert!(
+        counters.x_screens >= 1,
+        "no three-valued screen ran: {counters}"
+    );
+    assert!(
+        counters.podem_decisions < UNSCREENED_SEQ_DECISIONS,
+        "{counters}"
+    );
+}
+
+#[test]
 fn screened_verdicts_are_width_and_thread_invariant() {
-    let design = design();
-    let wide = run(&design, 1, LaneWidth::W256);
-    let narrow = run(&design, 1, LaneWidth::W64);
-    assert_eq!(verdicts(&wide), verdicts(&narrow));
-    let threaded = run(&design, 4, LaneWidth::W256);
-    assert_eq!(verdicts(&wide), verdicts(&threaded));
-    for ((name, one), (_, four)) in wide.stages().iter().zip(threaded.stages()) {
-        assert_eq!(one.counters, four.counters, "stage {name}");
+    for design in [s38417(), s1238()] {
+        let wide = run(&design, 1, LaneWidth::W256);
+        let narrow = run(&design, 1, LaneWidth::W64);
+        assert_eq!(verdicts(&wide), verdicts(&narrow));
+        let threaded = run(&design, 4, LaneWidth::W256);
+        assert_eq!(verdicts(&wide), verdicts(&threaded));
+        for ((name, one), (_, four)) in wide.stages().iter().zip(threaded.stages()) {
+            assert_eq!(one.counters, four.counters, "stage {name}");
+        }
     }
 }
