@@ -408,12 +408,15 @@ fn stress(args: &[String]) -> ExitCode {
     let out = run_stress(&cfg);
     let wall = started.elapsed().as_secs_f64();
     println!(
-        "{}: {} topology nodes, {} collapsed faults ({} run), undetected {}, wall {wall:.1}s",
+        "{}: {} topology nodes, {} collapsed faults ({} run), undetected {}, \
+         scan insertion {:.1}s ({} compiles), wall {wall:.1}s",
         out.report.name,
         out.nodes,
         out.faults_total,
         out.faults_run,
-        out.report.undetected()
+        out.report.undetected(),
+        out.insertion.as_secs_f64(),
+        out.insertion_compiles
     );
     println!(
         "{:<12} {:>14} {:>14} {:>10} {:>10}",

@@ -18,10 +18,11 @@
 
 use fscan::{PipelineConfig, PipelineReport, PipelineSession};
 use fscan_fault::{all_faults, collapse, Fault};
-use fscan_netlist::{generate, GeneratorConfig};
+use fscan_netlist::{generate, CompiledTopology, GeneratorConfig};
 use fscan_scan::{insert_functional_scan, TpiConfig};
 use fscan_sim::LaneWidth;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Configuration of one stress run.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,6 +105,12 @@ pub struct StressReport {
     /// Faults actually run (= `faults_total` when `fault_sample` was 0
     /// or larger than the universe).
     pub faults_run: usize,
+    /// Wall-clock of functional scan insertion.
+    pub insertion: Duration,
+    /// Topology plans compiled during insertion: the process-wide
+    /// [`CompiledTopology::builds`] delta, so exact only when nothing
+    /// else compiles concurrently.
+    pub insertion_compiles: u64,
 }
 
 /// Samples `n` faults evenly across `faults` (all of them when `n` is
@@ -144,10 +151,11 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let circuit = generate(&cfg.generator());
     let tpi = TpiConfig {
         num_chains: cfg.chains,
-        ..TpiConfig::default()
     };
+    let (builds, started) = (CompiledTopology::builds(), Instant::now());
     let design =
         insert_functional_scan(&circuit, &tpi).expect("scan insertion on generated circuit");
+    let (insertion, insertion_compiles) = (started.elapsed(), CompiledTopology::builds() - builds);
     let nodes = design.topology().num_nodes();
     let faults = collapse(design.circuit(), &all_faults(design.circuit()));
     let faults_total = faults.len();
@@ -164,6 +172,8 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         nodes,
         faults_total,
         faults_run,
+        insertion,
+        insertion_compiles,
     }
 }
 

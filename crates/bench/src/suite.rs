@@ -153,7 +153,6 @@ pub fn build_design(circuit: &SuiteCircuit, scale: f64) -> ScanDesign {
     let c = build_circuit(circuit, scale);
     let cfg = TpiConfig {
         num_chains: circuit.chains,
-        ..TpiConfig::default()
     };
     insert_functional_scan(&c, &cfg).expect("scan insertion on generated circuit")
 }

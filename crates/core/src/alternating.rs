@@ -100,13 +100,6 @@ impl<'d> AlternatingPhase<'d> {
         &self.vectors
     }
 
-    /// Consumes the phase and yields the input sequence by value, so a
-    /// caller that is done simulating can keep the vectors without
-    /// cloning them.
-    pub fn into_vectors(self) -> Vec<Vec<V3>> {
-        self.vectors
-    }
-
     /// Fault-simulates the sequence; `results[i]` is the first cycle at
     /// which `faults[i]` is definitely detected.
     pub fn run(&self, faults: &[Fault]) -> (Vec<Option<usize>>, Duration) {

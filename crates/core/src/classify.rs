@@ -106,11 +106,12 @@ impl fmt::Display for ClassifySummary {
 
 /// Reusable classifier for one scan design.
 ///
-/// Precomputes the chain geometry lookups and the scan-mode steady
-/// values, then classifies faults via forward implication — one by one
-/// ([`classify`](Self::classify), the scalar reference) or `W::LANES`
-/// per packed word ([`classify_word`](Self::classify_word); 64 lanes at
-/// the default `u64` rail, 256 at `R256`).
+/// Precomputes the chain geometry lookups and borrows the design's
+/// scan-mode steady values, then classifies faults via forward
+/// implication — one by one ([`classify`](Self::classify), the scalar
+/// reference) or `W::LANES` per packed word
+/// ([`classify_word`](Self::classify_word); 64 lanes at the default
+/// `u64` rail, 256 at `R256`).
 ///
 /// # Examples
 ///
@@ -123,7 +124,7 @@ pub struct Classifier<'d, W: Rail = u64> {
     /// The packed engine [`classify_word`](Self::classify_word) runs,
     /// built on its first call.
     packed: Option<PackedImplicationEngine<W>>,
-    steady: Vec<V3>,
+    steady: &'d [V3],
     /// net → locations where it carries shifted chain data.
     chain_net_loc: HashMap<NodeId, Vec<ChainLocation>>,
     /// net → (location, required value) pairs where it is a forced side.
@@ -189,7 +190,7 @@ impl<'d, W: Rail> Classifier<'d, W> {
         let engine = self
             .engine
             .get_or_insert_with(|| ImplicationEngine::with_topology(self.design.topology()));
-        let changes = engine.run(&self.steady, fault);
+        let changes = engine.run(self.steady, fault);
         self.cone_hist.record(changes.len() as u64);
         self.assemble(fault, changes.into_iter())
     }
@@ -204,7 +205,7 @@ impl<'d, W: Rail> Classifier<'d, W> {
     pub fn classify_word(&mut self, faults: &[Fault]) -> Vec<ClassifiedFault> {
         self.packed
             .get_or_insert_with(|| PackedImplicationEngine::with_topology(self.design.topology()))
-            .run_word(&self.steady, faults);
+            .run_word(self.steady, faults);
         let packed = self.packed.as_ref().expect("built above");
         let mut out = Vec::with_capacity(faults.len());
         for (lane, &fault) in faults.iter().enumerate() {
@@ -361,7 +362,7 @@ fn classify_faults_sharded_wide<W: Rail>(
     threads: usize,
 ) -> (Vec<ClassifiedFault>, ShardStats, WorkCounters, ConeHist) {
     // The packer keys on the scan-mode steady state.
-    let order = fscan_sim::pack_order(&design.topology(), &design.scan_mode_values(), faults);
+    let order = fscan_sim::pack_order(&design.topology(), design.scan_mode_values(), faults);
     let packed: Vec<Fault> = order.iter().map(|&i| faults[i]).collect();
     let lanes = W::LANES as usize;
     let hist = std::sync::Mutex::new(ConeHist::default());
@@ -410,11 +411,7 @@ mod tests {
         let loop_back = c.add_gate(GateKind::Not, vec![ff3], "loop");
         c.set_dff_input(ff1, loop_back).unwrap();
         c.mark_output(ff3);
-        let cfg = TpiConfig {
-            max_path_len: 4,
-            ..TpiConfig::default()
-        };
-        let design = insert_functional_scan(&c, &cfg).unwrap();
+        let design = insert_functional_scan(&c, &TpiConfig::default()).unwrap();
         (design, pi, a)
     }
 
@@ -621,10 +618,7 @@ mod tests {
                 .gates(200)
                 .dffs(12),
         );
-        let cfg = TpiConfig {
-            num_chains: 2,
-            ..TpiConfig::default()
-        };
+        let cfg = TpiConfig { num_chains: 2 };
         let design = insert_functional_scan(&circuit, &cfg).unwrap();
         let faults =
             fscan_fault::collapse(design.circuit(), &fscan_fault::all_faults(design.circuit()));

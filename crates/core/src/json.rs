@@ -1329,11 +1329,6 @@ pub fn report_from_json(text: &str) -> Result<PipelineReport, JsonError> {
     report_from_value(&parse(text)?)
 }
 
-/// [`config_to_value`] rendered in the pretty format.
-pub fn config_to_json(config: &PipelineConfig) -> String {
-    config_to_value(config).render_pretty()
-}
-
 /// Parses and decodes (and validates) a config JSON document.
 pub fn config_from_json(text: &str) -> Result<PipelineConfig, JsonError> {
     config_from_value(&parse(text)?)

@@ -117,10 +117,7 @@ mod tests {
     #[test]
     fn load_vectors_realize_states_across_chains() {
         let circuit = generate(&GeneratorConfig::new("d", 77).gates(250).dffs(14));
-        let cfg = TpiConfig {
-            num_chains: 2,
-            ..TpiConfig::default()
-        };
+        let cfg = TpiConfig { num_chains: 2 };
         let design = insert_functional_scan(&circuit, &cfg).unwrap();
         let states: Vec<Vec<bool>> = design
             .chains()

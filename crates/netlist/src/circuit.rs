@@ -1,6 +1,5 @@
 //! The gate-level circuit model.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::NetlistError;
@@ -114,11 +113,6 @@ impl Circuit {
     /// The circuit's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Renames the circuit.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     fn push_node(&mut self, node: Node) -> NodeId {
@@ -287,30 +281,6 @@ impl Circuit {
         Ok(())
     }
 
-    /// Redirects every fanin reference to `old_src` (in gates, flip-flops
-    /// and output markers) to `new_src`, except inside node `exempt`.
-    ///
-    /// This is the primitive used to splice a test point onto a net: the
-    /// test-point gate keeps reading `old_src` while all other readers
-    /// see the gated copy.
-    pub fn retarget_readers(&mut self, old_src: NodeId, new_src: NodeId, exempt: NodeId) {
-        for (idx, node) in self.nodes.iter_mut().enumerate() {
-            if idx == exempt.index() {
-                continue;
-            }
-            for f in &mut node.fanin {
-                if *f == old_src {
-                    *f = new_src;
-                }
-            }
-        }
-        for out in &mut self.outputs {
-            if *out == old_src {
-                *out = new_src;
-            }
-        }
-    }
-
     /// The node with the given id.
     ///
     /// # Panics
@@ -364,13 +334,6 @@ impl Circuit {
         self.iter()
             .find(|(_, n)| n.name() == Some(name))
             .map(|(id, _)| id)
-    }
-
-    /// Builds a name → id map for all named nodes.
-    pub fn name_map(&self) -> HashMap<String, NodeId> {
-        self.iter()
-            .filter_map(|(id, n)| n.name().map(|s| (s.to_string(), id)))
-            .collect()
     }
 
     /// Checks structural invariants: fanin ids in range, arity respected,
@@ -540,21 +503,6 @@ mod tests {
         let g = c.add_gate(GateKind::Not, vec![ff], "g");
         c.set_dff_input(ff, g).unwrap();
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn retarget_readers_spares_exempt() {
-        let mut c = Circuit::new("rt");
-        let a = c.add_input("a");
-        let g1 = c.add_gate(GateKind::Buf, vec![a], "g1");
-        let g2 = c.add_gate(GateKind::Not, vec![a], "g2");
-        c.mark_output(a);
-        let tp = c.add_gate(GateKind::And, vec![a, a], "tp");
-        c.retarget_readers(a, tp, tp);
-        assert_eq!(c.node(g1).fanin(), &[tp]);
-        assert_eq!(c.node(g2).fanin(), &[tp]);
-        assert_eq!(c.node(tp).fanin(), &[a, a]);
-        assert_eq!(c.outputs(), &[tp]);
     }
 
     #[test]

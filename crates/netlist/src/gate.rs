@@ -68,11 +68,6 @@ impl GateKind {
         )
     }
 
-    /// Returns `true` if this node kind has state (only [`GateKind::Dff`]).
-    pub fn is_sequential(self) -> bool {
-        self == GateKind::Dff
-    }
-
     /// The controlling input value of the gate, if it has one.
     ///
     /// A controlling value on any input determines the output regardless

@@ -170,6 +170,8 @@ pub struct ScanDesign {
     /// Compiled topology of the (frozen) transformed circuit, built on
     /// first use and shared by every engine thereafter.
     topo: OnceLock<Arc<CompiledTopology>>,
+    /// The steady scan-mode values, evaluated on first use.
+    scan_values: OnceLock<Vec<V3>>,
 }
 
 impl ScanDesign {
@@ -189,6 +191,7 @@ impl ScanDesign {
             test_points,
             added_gates,
             topo: OnceLock::new(),
+            scan_values: OnceLock::new(),
         }
     }
 
@@ -261,6 +264,7 @@ impl ScanDesign {
             test_points: self.test_points,
             added_gates: self.added_gates,
             topo: cell,
+            scan_values: OnceLock::new(),
         };
         design.verify()?;
         Ok(design)
@@ -317,15 +321,16 @@ impl ScanDesign {
 
     /// The steady scan-mode values: constrained primary inputs at their
     /// pinned values, free inputs and flip-flop outputs at X, constants
-    /// and gates evaluated.
-    pub fn scan_mode_values(&self) -> Vec<V3> {
-        let eval = CombEvaluator::with_topology(self.topology());
-        let mut values = vec![V3::X; self.circuit.num_nodes()];
-        for &(pi, v) in &self.constraints {
-            values[pi.index()] = V3::from_bool(v);
-        }
-        eval.eval(&mut values);
-        values
+    /// and gates evaluated. Evaluated once, on first use.
+    pub fn scan_mode_values(&self) -> &[V3] {
+        self.scan_values.get_or_init(|| {
+            let mut values = vec![V3::X; self.circuit.num_nodes()];
+            for &(pi, v) in &self.constraints {
+                values[pi.index()] = V3::from_bool(v);
+            }
+            CombEvaluator::with_topology(self.topology()).eval(&mut values);
+            values
+        })
     }
 
     /// Checks that every chain is actually sensitized in scan mode:

@@ -509,7 +509,6 @@ fn build_design(params: &RunParams) -> Result<Arc<ScanDesign>, Error> {
     let circuit = parse_bench(&params.bench, &params.name)?;
     let tpi = TpiConfig {
         num_chains: params.chains.max(1),
-        ..TpiConfig::default()
     };
     let design = insert_functional_scan(&circuit, &tpi)?;
     // Compile the topology while still single-flight: every session on
@@ -833,10 +832,11 @@ fn handle_eco(
     };
     let tpi = TpiConfig {
         num_chains: params.chains.max(1),
-        ..TpiConfig::default()
     };
-    // No topology() here: on the incremental path the patched topology
-    // comes from `CompiledTopology::patch`, not a fresh compile.
+    // Insertion compiles two plans: its builder's, and the edited
+    // design's, which verification needs. The incremental path below
+    // discards the latter, since its patched topology comes from
+    // `CompiledTopology::patch`; only the cold fallback runs on it.
     let new_design = match insert_functional_scan(&circuit, &tpi) {
         Ok(d) => d,
         Err(e) => {

@@ -499,10 +499,7 @@ fn find_rewire(
 }
 
 fn one_chain() -> TpiConfig {
-    TpiConfig {
-        num_chains: 1,
-        ..TpiConfig::default()
-    }
+    TpiConfig { num_chains: 1 }
 }
 
 /// Runs the base netlist, posts `edited` as an `/eco` against it, and

@@ -24,13 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compare scan overhead: conventional MUX scan vs TPI.
     let mux = insert_mux_scan(&circuit, 4)?;
-    let tpi = insert_functional_scan(
-        &circuit,
-        &TpiConfig {
-            num_chains: 4,
-            ..TpiConfig::default()
-        },
-    )?;
+    let tpi = insert_functional_scan(&circuit, &TpiConfig { num_chains: 4 })?;
     let (mux_ded, _) = mux.segment_counts();
     let (tpi_ded, tpi_fun) = tpi.segment_counts();
     println!(

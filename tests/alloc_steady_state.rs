@@ -8,23 +8,45 @@
 //! must not touch the allocator at all. It lives in its own
 //! integration-test binary because a `#[global_allocator]` is
 //! process-wide.
+//!
+//! The assertion counts the measuring thread's allocations only: the
+//! call runs serially on the calling thread, while another thread of the
+//! test process (the harness's, say) may allocate inside the measured
+//! window. The process-wide count is printed alongside.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fscan_fault::{all_faults, collapse};
 use fscan_netlist::{generate, CompiledTopology, GeneratorConfig};
 use fscan_sim::{ParallelFaultSim, V3};
 
-/// Counts every allocator entry point that can hand out memory;
-/// `dealloc` is deliberately uncounted (freeing is not an allocation).
+/// Counts every allocator entry point that can hand out memory, per
+/// process and per thread; `dealloc` is deliberately uncounted (freeing
+/// is not an allocation).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's allocations. Const-initialized with no destructor,
+    /// so the allocator can bump it without allocating.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,12 +55,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -65,12 +87,14 @@ fn warm_fault_sim_word_loop_allocates_nothing() {
     let warm_verdicts = out.clone();
 
     // Steady state: the identical call must not allocate.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (process_before, before) = (ALLOCS.load(Ordering::Relaxed), thread_allocs());
     let counters = sim.fault_sim_into(&faults, &trace, &mut scratch, &mut out);
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
+    let process = ALLOCS.load(Ordering::Relaxed) - process_before;
     assert_eq!(
         delta, 0,
-        "steady-state fault_sim_into hit the allocator {delta} times"
+        "steady-state fault_sim_into hit the allocator {delta} times \
+         ({process} allocations process-wide)"
     );
 
     // And it is a genuine re-run, not a cached no-op.

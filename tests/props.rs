@@ -738,14 +738,7 @@ proptest! {
 #[test]
 fn multi_chain_loads_are_independent() {
     let circuit = generate(&GeneratorConfig::new("mc", 5).gates(240).dffs(18));
-    let design = insert_functional_scan(
-        &circuit,
-        &TpiConfig {
-            num_chains: 3,
-            ..TpiConfig::default()
-        },
-    )
-    .unwrap();
+    let design = insert_functional_scan(&circuit, &TpiConfig { num_chains: 3 }).unwrap();
     let states: Vec<Vec<bool>> = design
         .chains()
         .iter()

@@ -44,10 +44,7 @@ fn design(config: &GeneratorConfig, chains: usize) -> Arc<ScanDesign> {
     let generated = generate(config);
     let name = generated.name().to_string();
     let circuit = parse_bench(&write_bench(&generated), &name).expect("written text parses");
-    let tpi = TpiConfig {
-        num_chains: chains,
-        ..TpiConfig::default()
-    };
+    let tpi = TpiConfig { num_chains: chains };
     Arc::new(insert_functional_scan(&circuit, &tpi).expect("scan insertion"))
 }
 
