@@ -90,10 +90,13 @@ fn detects_per_test<W: Rail>(
     faults: &[Fault],
     order: impl Iterator<Item = usize>,
     threads: usize,
+    first: Option<&[bool]>,
 ) -> (Vec<Vec<usize>>, usize, ShardStats, WorkCounters) {
     // For each test (visited in `order`), the indices of still-undetected
     // faults it detects. Each test is self-contained (starts with a full
-    // scan load), so per-test simulation from X state is exact.
+    // scan load), so per-test simulation from X state is exact, and
+    // test 0 is not simulated when `first` already says which faults it
+    // detects.
     let sim = ParallelFaultSim::<W>::with_topology_wide(design.topology());
     let init = vec![V3::X; design.circuit().dffs().len()];
     let mut caught = vec![false; faults.len()];
@@ -105,6 +108,14 @@ fn detects_per_test<W: Rail>(
         let pending: Vec<usize> = (0..faults.len()).filter(|&i| !caught[i]).collect();
         if pending.is_empty() {
             break;
+        }
+        if let (0, Some(first)) = (t, first) {
+            per_test[0] = pending.into_iter().filter(|&i| first[i]).collect();
+            total += per_test[0].len();
+            for &i in &per_test[0] {
+                caught[i] = true;
+            }
+            continue;
         }
         let flist: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
         let (det, tstats, twork) =
@@ -170,24 +181,40 @@ pub fn compact_program(
     program: TestProgram,
     faults: &[Fault],
 ) -> CompactionOutcome {
+    compact_known(design, config, program, faults, None)
+}
+
+/// [`compact_program`], told which faults test 0 detects when the
+/// caller already knows: `first[i]` for `faults[i]`. The pipeline's
+/// compaction stage knows, because test 0 is the alternating sequence,
+/// which step 1 simulated from the same all-X state against the same
+/// faults; the pass then simulates every test but that one.
+pub(crate) fn compact_known(
+    design: &ScanDesign,
+    config: &PipelineConfig,
+    program: TestProgram,
+    faults: &[Fault],
+    first: Option<&[bool]>,
+) -> CompactionOutcome {
     let threads = config.threads;
     match config.lane_width {
-        LaneWidth::W64 => compact_wide::<u64>(design, program, faults, threads),
-        LaneWidth::W256 => compact_wide::<R256>(design, program, faults, threads),
+        LaneWidth::W64 => compact_wide::<u64>(design, program, faults, threads, first),
+        LaneWidth::W256 => compact_wide::<R256>(design, program, faults, threads, first),
     }
 }
 
-/// [`compact_program`] at rail width `W`.
+/// [`compact_known`] at rail width `W`.
 fn compact_wide<W: Rail>(
     design: &ScanDesign,
     program: TestProgram,
     faults: &[Fault],
     threads: usize,
+    first: Option<&[bool]>,
 ) -> CompactionOutcome {
     let start = Instant::now();
     let n = program.len();
     let (per_test_rev, total, shards, mut counters) =
-        detects_per_test::<W>(design, &program, faults, (0..n).rev(), threads);
+        detects_per_test::<W>(design, &program, faults, (0..n).rev(), threads, first);
     let mut keep: Vec<bool> = per_test_rev.iter().map(|d| !d.is_empty()).collect();
     if n > 0 {
         keep[0] = true; // the alternating sequence stays
@@ -236,7 +263,7 @@ pub fn truncate_to_coverage(
     let start = Instant::now();
     let n = program.len();
     let (per_test, total, shards, counters) =
-        detects_per_test::<u64>(design, program, faults, 0..n, threads);
+        detects_per_test::<u64>(design, program, faults, 0..n, threads, None);
     let target = (total as f64 * coverage).ceil() as usize;
     let mut cum = 0usize;
     let mut cut = 0usize;

@@ -54,7 +54,7 @@ use crate::classify::{
     classify_faults_sharded_at, Category, ChainLocation, ClassifiedFault, ClassifySummary,
 };
 use crate::comb_phase::{CombPhase, CombPhaseOutcome, CombPhaseReport};
-use crate::compact::{compact_program, CompactionReport};
+use crate::compact::{compact_known, CompactionReport};
 use crate::eco::{CarryParts, EcoCarry};
 use crate::program::{ScanTest, TestProgram};
 use crate::seq_phase::{DistParams, SeqPhase, SeqPhaseReport};
@@ -896,7 +896,11 @@ impl AfterComb {
     /// — and reverse-order compacts it against the chain-affecting
     /// faults in one pass. Lossless by construction: every test starts
     /// with a full scan load and is simulated alone, and every counted
-    /// detection is credited to a kept test (see [`compact_program`]).
+    /// detection is credited to a kept test (see
+    /// [`compact_program`](crate::compact_program), whose kept tests and
+    /// report this stage equals). The alternating sequence is not
+    /// simulated again: step 1 simulated the same vectors from the same
+    /// all-X state against the same faults, and its detections stand in.
     ///
     /// On a rerun the outcome carries over whole when step 2's did and
     /// the alternating sequence and chain-affecting faults are unchanged
@@ -913,6 +917,12 @@ impl AfterComb {
             .as_ref()
             .and_then(Prior::carry)
             .is_some_and(|c| c.alt_vectors == self.vectors);
+        // Test 0 is the alternating sequence: step 1 already simulated it
+        // against every affected fault.
+        let alternating: Vec<bool> = affected
+            .iter()
+            .map(|f| self.carry_parts.alt_detections[f].is_some())
+            .collect();
         let (design, config, vectors) = (&self.design, &self.config, self.vectors);
         let CombPhaseOutcome {
             report: comb_report,
@@ -931,7 +941,7 @@ impl AfterComb {
                 for t in comb_tests {
                     program.push(t);
                 }
-                compact_program(design, config, program, &affected)
+                compact_known(design, config, program, &affected, Some(&alternating))
             },
             |o| &mut o.report.metrics,
         );

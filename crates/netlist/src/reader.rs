@@ -434,8 +434,12 @@ fn parse_line(builder: &mut NetlistBuilder, raw: &str, at: SrcPos) -> Result<(),
     }
 }
 
+/// Compares bytes, so a prefix that ends inside a multi-byte character
+/// of `line` is simply no match.
 fn starts_with_ignore_case(line: &str, prefix: &str) -> bool {
-    line.len() >= prefix.len() && line[..prefix.len()].eq_ignore_ascii_case(prefix)
+    line.as_bytes()
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
 }
 
 fn paren_arg(line: &str, at: SrcPos) -> Result<&str, ParseBenchError> {

@@ -8,7 +8,7 @@
 //! |--------|-------------|----------------------------------------------------|
 //! | POST   | `/run`      | Compile (or reuse) the uploaded netlist, run the pipeline, return the full report as JSON. `stream` switches to chunked per-checkpoint metrics. |
 //! | POST   | `/eco`      | Incremental rerun: the edited netlist is diffed server-side against the cached base run named by `base` (a key from `x-fscan-key`), and verdicts outside the edit's cones carry forward. The response reports `x-fscan-eco: reused=<n> recomputed=<m>`. |
-//! | GET    | `/stats`    | Server counters: requests, runs, rejections, keep-alive reuses, cache hits/misses/evictions, server-wide `topology_builds`, process memory. |
+//! | GET    | `/stats`    | Server counters: requests, runs, errors, panics, rejections, keep-alive reuses, cache hits/misses/evictions, server-wide `topology_builds`, process memory. |
 //! | GET    | `/healthz`  | Liveness probe.                                    |
 //! | POST   | `/shutdown` | Acknowledge, then stop accepting and drain.        |
 //!
@@ -71,6 +71,14 @@
 //! scheduler. Run on the worker, a report is the same whatever the
 //! pool size.
 //!
+//! ## A panic costs one request
+//!
+//! Each request is answered under `catch_unwind`. A handler that
+//! panics gets its request a typed `500 {"error":{"kind":"internal",...}}`
+//! reply and its connection closed, and is booked in `/stats` under
+//! `errors` and `panics`. The worker goes on to its next connection, so
+//! the pool never shrinks.
+//!
 //! ## Ownership and shutdown
 //!
 //! Workers run owned [`PipelineSession`]s over `Arc<ScanDesign>`s
@@ -81,6 +89,7 @@
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -132,6 +141,8 @@ struct ServerCounters {
     requests: AtomicU64,
     runs: AtomicU64,
     errors: AtomicU64,
+    /// Requests whose handler panicked (also counted in `errors`).
+    panics: AtomicU64,
     /// Connections shed with 503 because the accept queue was full.
     rejected: AtomicU64,
     /// Requests served on an already-open keep-alive connection (i.e.
@@ -189,8 +200,17 @@ impl ServerHandle {
     }
 }
 
+/// Answers one parsed request on its connection; the last argument
+/// asks to close the connection after the reply.
+type Handler = fn(&mut TcpStream, &mut Request, &Shared, bool) -> io::Result<()>;
+
 /// Binds and spawns the server threads; returns immediately.
 pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
+    spawn_with(config, dispatch)
+}
+
+/// [`spawn`] with the workers answering requests through `handler`.
+fn spawn_with(config: &ServerConfig, handler: Handler) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
@@ -209,7 +229,7 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("fscan-serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &shared))
+                .spawn(move || worker_loop(&rx, &shared, handler))
                 .expect("spawn worker")
         })
         .collect();
@@ -271,14 +291,14 @@ fn reject_busy(mut conn: TcpStream) {
     );
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared) {
+fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, handler: Handler) {
     loop {
         let conn = {
             let guard = rx.lock().unwrap();
             guard.recv()
         };
         match conn {
-            Ok(mut stream) => handle_connection(&mut stream, shared),
+            Ok(mut stream) => handle_connection(&mut stream, shared, handler),
             Err(_) => break, // queue closed: shutdown
         }
     }
@@ -287,7 +307,7 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared) {
 /// Serves one connection until it closes: requests loop on the socket
 /// (HTTP/1.1 keep-alive) until the client asks to close, the idle
 /// timeout fires, framing breaks, or the server is shutting down.
-fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
+fn handle_connection(stream: &mut TcpStream, shared: &Shared, handler: Handler) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
     // The reader half owns the buffer for the connection's lifetime so
     // read-ahead survives across requests; writes go to `stream`.
@@ -322,7 +342,16 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         }
         served += 1;
         let close = request.wants_close();
-        let _ = dispatch(stream, &mut request, shared, close);
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            handler(stream, &mut request, shared, close)
+        }));
+        if served.is_err() {
+            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+            let message = "internal error: the request's handler panicked";
+            let _ = error_response(stream, 500, "internal", message, true);
+            return;
+        }
         if close || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -952,6 +981,10 @@ fn stats_json(shared: &Shared) -> String {
             Value::UInt(shared.counters.errors.load(Ordering::Relaxed)),
         ),
         (
+            "panics",
+            Value::UInt(shared.counters.panics.load(Ordering::Relaxed)),
+        ),
+        (
             "rejected",
             Value::UInt(shared.counters.rejected.load(Ordering::Relaxed)),
         ),
@@ -1011,4 +1044,46 @@ fn error_response(
         body.as_bytes(),
         close,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    /// Panics on `/panic`, and answers every other request as the
+    /// server does.
+    fn panicking(
+        stream: &mut TcpStream,
+        request: &mut Request,
+        shared: &Shared,
+        close: bool,
+    ) -> io::Result<()> {
+        if request.path == "/panic" {
+            panic!("a handler that panics");
+        }
+        dispatch(stream, request, shared, close)
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_request_not_the_worker() {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = spawn_with(&config, panicking).unwrap();
+        let addr = handle.addr();
+        let failed = client::post(addr, "/panic", "text/plain", b"").unwrap();
+        assert_eq!(failed.status, 500, "{}", failed.text());
+        let error = json::parse(&failed.text()).unwrap();
+        let kind = error.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(|k| k.as_str()), Some("internal"));
+        // The one worker serves the next request.
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+        let stats = json::parse(&client::get(addr, "/stats").unwrap().text()).unwrap();
+        let count = |name| stats.get(name).and_then(|v| v.as_u64());
+        assert_eq!((count("panics"), count("errors")), (Some(1), Some(1)));
+        assert_eq!(count("requests"), Some(3));
+        handle.shutdown();
+    }
 }

@@ -222,6 +222,26 @@ fn failures_map_to_structured_error_bodies() {
     handle.shutdown();
 }
 
+/// A netlist whose keyword ends inside a multi-byte character used to
+/// panic the `.bench` reader and, with it, the worker.
+#[test]
+fn a_multibyte_keyword_is_a_parse_error_and_the_worker_serves_on() {
+    let handle = spawn(&ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let bench = "INPU\u{e9}T(a)\nOUTPUT(a)\n";
+    let failed = client::post_run(addr, &RunRequest::new(bench, "utf8", 1)).unwrap();
+    assert_eq!(failed.status, 400, "{}", failed.text());
+    let error = json::parse(&failed.text()).unwrap();
+    let kind = error.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(kind.and_then(|k| k.as_str()), Some("bench_parse"));
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn distinct_netlists_occupy_distinct_cache_entries() {
     let handle = spawn(&ServerConfig::default()).unwrap();

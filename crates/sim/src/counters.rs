@@ -28,24 +28,31 @@ use crate::pool::ShardStats;
 ///   captures the logical coverage). The event-driven simulators count
 ///   only gates *actually re-evaluated* (one full seed pass at cycle
 ///   0, changed gates afterwards), so this measures incremental work,
-///   not `cycles × gates`. PODEM counts forward re-evaluations only:
-///   a retraction restores the values it undoes from the search's undo
-///   trail and books nothing.
+///   not `cycles × gates`. A fault list that fits one packed word
+///   evaluates its word only at gates a fault effect reaches (see
+///   [`fault_sim_sharded`](crate::ParallelFaultSim::fault_sim_sharded)).
+///   PODEM counts forward re-evaluations only: a retraction restores
+///   the values it undoes from the search's undo trail and books
+///   nothing.
 /// * `lane_cycles` — Σ over simulated cycles of the number of active
-///   fault lanes (a serial simulation contributes 1 per cycle). In a
-///   single-word
+///   fault lanes (a serial simulation, the good machine included,
+///   contributes 1 per cycle). In a single-word
 ///   [`fault_sim_sharded`](crate::ParallelFaultSim::fault_sim_sharded)
-///   call the good machine is stepped only as far as the word reads
-///   it, so its `gate_evals` and `lane_cycles` cover only the cycles
-///   through the word's last detection (all of them if a lane stays
-///   undetected).
+///   call the good machine is stepped together with the word and stops
+///   at the word's last detection, so its `gate_evals` and
+///   `lane_cycles` cover only the cycles through that detection (all
+///   of them if a lane stays undetected).
 /// * `implication_events` — nodes popped and re-evaluated by
 ///   [`ImplicationEngine::run`](crate::ImplicationEngine::run).
-/// * `cone_nets` — nets a fault can structurally reach: sizes of the
-///   forward-implication cones, plus the union fault-cone size of every
-///   packed fault word the parallel simulator restricted itself to
-///   (tallied per lane, so the total is identical at every rail
-///   width).
+/// * `cone_nets` — nets a fault can reach. The implication engines book
+///   the sizes of the forward-implication cones, tallied per lane, so
+///   that share is identical at every rail width. The parallel fault
+///   simulator books, per packed fault word, the union fault-cone size
+///   of a word that shares a good trace, or the nets that carried a
+///   fault effect in some cycle for a list that fits one word. That
+///   share is tallied per word, so it moves with the width: the
+///   committed s9234 compaction stage books 254 at 256 lanes and 701 at
+///   64.
 /// * `podem_decisions` — PODEM objective decisions taken (steps that
 ///   were not reversals).
 /// * `podem_backtracks` — PODEM reversals of a previous decision.
@@ -82,7 +89,8 @@ use crate::pool::ShardStats;
 /// * `kernel_gate_evals` — packed dual-rail kernel gate evaluations at
 ///   any rail width. A subset of `gate_evals`: every packed evaluation
 ///   counts once in both, so `gate_evals - kernel_gate_evals` is the
-///   scalar share.
+///   scalar share. In fault simulation the packed evaluations are the
+///   fault words' and the scalar ones the good machine's.
 /// * `faults_dropped` — pending ATPG targets resolved by the global
 ///   packed drop simulation of a vector that was generated for a
 ///   *different* target (the classic fault-dropping win; a target

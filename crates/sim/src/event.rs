@@ -17,9 +17,11 @@
 //!   vector sequence with persistent per-net values: cycle 0 is one
 //!   full levelized pass, every later cycle re-evaluates only the gates
 //!   whose inputs changed. The trace stores the cycle-0 net snapshot
-//!   plus per-cycle delta lists, so fault batches replay the good
-//!   machine read-only by walking the deltas forward instead of
-//!   re-simulating it per 64-lane pass.
+//!   plus per-cycle delta lists, so the words of a many-word fault list
+//!   replay the good machine read-only by walking the deltas forward
+//!   instead of re-simulating it per word. (A list that fits one word
+//!   steps the same schedule alongside its word instead; see
+//!   [`ParallelFaultSim`](crate::ParallelFaultSim).)
 //!
 //! Exactness: a gate whose inputs are unchanged from the previous cycle
 //! produces an unchanged output, so propagating only changes in
@@ -225,9 +227,116 @@ impl GoodTrace {
         vectors: &[Vec<V3>],
         init: &[V3],
     ) -> GoodTrace {
-        let mut machine = GoodMachine::new(eval, prior.into(), vectors, init);
-        while machine.step() {}
-        machine.trace
+        let topo = &**eval.topology();
+        assert_eq!(
+            init.len(),
+            topo.dffs().len(),
+            "init length != flip-flop count"
+        );
+        let n = topo.num_nodes();
+        let order = eval.order();
+        let pos = eval.order_positions();
+        let mut reuse = prior.into().map(|prior| Reuse::new(prior, topo));
+        // Every net's value at the end of the last simulated cycle.
+        let mut values = vec![V3::X; n];
+        let mut queue = TopoQueue::new(order.len());
+        let mut outputs = Vec::with_capacity(vectors.len());
+        let mut state = init.to_vec();
+        let mut values0 = vec![V3::X; n];
+        let mut delta_nodes = Vec::new();
+        let mut delta_values = Vec::new();
+        let mut delta_ends = Vec::with_capacity(vectors.len());
+        let mut counters = WorkCounters::ZERO;
+        let schedule = |queue: &mut TopoQueue, id: NodeId| {
+            for &sink in topo.fanout_sinks(id) {
+                if topo.kind(sink).is_gate() {
+                    let p = pos[sink.index()];
+                    // From a popped gate: its readers sit above it.
+                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
+                    queue.insert(p as usize);
+                }
+            }
+        };
+        for (t, vec_t) in vectors.iter().enumerate() {
+            assert_eq!(
+                vec_t.len(),
+                topo.inputs().len(),
+                "vector length != input count"
+            );
+            let live = reuse.as_mut().and_then(|r| r.live(t));
+            if live.is_some() {
+                counters.trace_cycles_reused += 1;
+            }
+            counters.lane_cycles += 1;
+            // A gate's value this cycle: the prior machine's when it is
+            // live and already knows the answer, the kernel's otherwise.
+            let settle = |values: &[V3], id: NodeId, counters: &mut WorkCounters| {
+                if let Some(v) = live.and_then(|r| r.copy(topo, values, id)) {
+                    return v;
+                }
+                counters.gate_evals += 1;
+                kernel::eval_v3(
+                    topo.kind(id),
+                    topo.fanin(id).iter().map(|&src| values[src.index()]),
+                )
+            };
+            if t == 0 {
+                // One levelized pass seeds the persistent values.
+                for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
+                    values[pi.index()] = v;
+                }
+                for (&ff, &v) in topo.dffs().iter().zip(state.iter()) {
+                    values[ff.index()] = v;
+                }
+                for &id in order {
+                    values[id.index()] = settle(&values, id, &mut counters);
+                }
+                values0.copy_from_slice(&values);
+            } else {
+                // Drive only the changed inputs and state bits and let
+                // the work-list propagate.
+                let driven = topo.inputs().iter().zip(vec_t.iter());
+                let clocked = topo.dffs().iter().zip(state.iter());
+                for (&id, &v) in driven.chain(clocked) {
+                    if values[id.index()] != v {
+                        values[id.index()] = v;
+                        delta_nodes.push(id.index() as u32);
+                        delta_values.push(v);
+                        schedule(&mut queue, id);
+                    }
+                }
+                while let Some(p) = queue.pop() {
+                    let id = order[p];
+                    let out = settle(&values, id, &mut counters);
+                    if values[id.index()] != out {
+                        values[id.index()] = out;
+                        delta_nodes.push(id.index() as u32);
+                        delta_values.push(out);
+                        schedule(&mut queue, id);
+                    }
+                }
+            }
+            // Cycle 0 has no deltas: it is the snapshot.
+            delta_ends.push(delta_nodes.len());
+            outputs.push(
+                topo.outputs()
+                    .iter()
+                    .map(|&po| values[po.index()])
+                    .collect(),
+            );
+            for (s, &ff) in state.iter_mut().zip(topo.dffs().iter()) {
+                *s = values[topo.fanin(ff)[0].index()];
+            }
+        }
+        GoodTrace {
+            outputs,
+            final_state: state,
+            values0,
+            delta_nodes,
+            delta_values,
+            delta_ends,
+            counters,
+        }
     }
 
     /// Cycles simulated.
@@ -271,214 +380,6 @@ impl GoodTrace {
     /// cycle, as for any serial good-machine run.
     pub fn counters(&self) -> WorkCounters {
         self.counters
-    }
-}
-
-/// The good machine of one vector sequence, simulated one cycle per
-/// [`step`](Self::step): each step appends that cycle's deltas and
-/// outputs to the trace it is building. [`GoodTrace::replay_from`]
-/// steps it to the end; a single fault word pulls each cycle just
-/// before reading it (see [`GoodCycles`]), so its good machine stops at
-/// the word's last detection.
-pub(crate) struct GoodMachine<'a> {
-    eval: &'a CombEvaluator,
-    vectors: &'a [Vec<V3>],
-    reuse: Option<Reuse<'a>>,
-    /// Every net's value at the end of the last simulated cycle.
-    values: Vec<V3>,
-    queue: TopoQueue,
-    /// The cycles simulated so far; its `final_state` is the state the
-    /// next cycle starts from.
-    trace: GoodTrace,
-}
-
-impl<'a> GoodMachine<'a> {
-    /// A machine at flip-flop state `init` that has simulated nothing,
-    /// copying from `prior` like [`GoodTrace::replay_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init`'s length differs from the flip-flop count.
-    pub(crate) fn new(
-        eval: &'a CombEvaluator,
-        prior: Option<&'a GoodTrace>,
-        vectors: &'a [Vec<V3>],
-        init: &[V3],
-    ) -> GoodMachine<'a> {
-        let topo = eval.topology();
-        assert_eq!(
-            init.len(),
-            topo.dffs().len(),
-            "init length != flip-flop count"
-        );
-        let n = topo.num_nodes();
-        GoodMachine {
-            eval,
-            vectors,
-            reuse: prior.map(|prior| Reuse::new(prior, topo)),
-            values: vec![V3::X; n],
-            queue: TopoQueue::new(eval.order().len()),
-            trace: GoodTrace {
-                outputs: Vec::with_capacity(vectors.len()),
-                final_state: init.to_vec(),
-                values0: vec![V3::X; n],
-                delta_nodes: Vec::new(),
-                delta_values: Vec::new(),
-                delta_ends: Vec::with_capacity(vectors.len()),
-                counters: WorkCounters::ZERO,
-            },
-        }
-    }
-
-    /// The cycles simulated so far.
-    pub(crate) fn trace(&self) -> &GoodTrace {
-        &self.trace
-    }
-
-    /// Simulates the next cycle and appends it to the trace; `false`,
-    /// simulating nothing, once every vector has been simulated.
-    ///
-    /// Cycle 0 is one levelized pass that seeds the persistent values;
-    /// every later cycle drives only the changed inputs and state bits
-    /// and lets the work-list propagate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cycle's vector length differs from the input count.
-    pub(crate) fn step(&mut self) -> bool {
-        let GoodMachine {
-            eval,
-            vectors,
-            reuse,
-            values,
-            queue,
-            trace,
-        } = self;
-        let t = trace.cycles();
-        let Some(vec_t) = vectors.get(t) else {
-            return false;
-        };
-        let topo = &**eval.topology();
-        let order = eval.order();
-        let pos = eval.order_positions();
-        assert_eq!(
-            vec_t.len(),
-            topo.inputs().len(),
-            "vector length != input count"
-        );
-        let live = reuse.as_mut().and_then(|r| r.live(t));
-        if live.is_some() {
-            trace.counters.trace_cycles_reused += 1;
-        }
-        trace.counters.lane_cycles += 1;
-        // A gate's value this cycle: the prior machine's when it is live
-        // and already knows the answer, the kernel's otherwise.
-        let settle = |values: &[V3], id: NodeId, counters: &mut WorkCounters| {
-            if let Some(v) = live.and_then(|r| r.copy(topo, values, id)) {
-                return v;
-            }
-            counters.gate_evals += 1;
-            kernel::eval_v3(
-                topo.kind(id),
-                topo.fanin(id).iter().map(|&src| values[src.index()]),
-            )
-        };
-        let GoodTrace {
-            outputs,
-            final_state: state,
-            values0,
-            delta_nodes,
-            delta_values,
-            delta_ends,
-            counters,
-        } = trace;
-        if t == 0 {
-            for (&pi, &v) in topo.inputs().iter().zip(vec_t.iter()) {
-                values[pi.index()] = v;
-            }
-            for (&ff, &v) in topo.dffs().iter().zip(state.iter()) {
-                values[ff.index()] = v;
-            }
-            for &id in order {
-                values[id.index()] = settle(values, id, counters);
-            }
-            values0.copy_from_slice(values);
-        } else {
-            let schedule = |queue: &mut TopoQueue, id: NodeId| {
-                for &sink in topo.fanout_sinks(id) {
-                    if topo.kind(sink).is_gate() {
-                        let p = pos[sink.index()];
-                        // From a popped gate: its readers sit above it.
-                        debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
-                        queue.insert(p as usize);
-                    }
-                }
-            };
-            let driven = topo.inputs().iter().zip(vec_t.iter());
-            let clocked = topo.dffs().iter().zip(state.iter());
-            for (&id, &v) in driven.chain(clocked) {
-                if values[id.index()] != v {
-                    values[id.index()] = v;
-                    delta_nodes.push(id.index() as u32);
-                    delta_values.push(v);
-                    schedule(queue, id);
-                }
-            }
-            while let Some(p) = queue.pop() {
-                let id = order[p];
-                let out = settle(values, id, counters);
-                if values[id.index()] != out {
-                    values[id.index()] = out;
-                    delta_nodes.push(id.index() as u32);
-                    delta_values.push(out);
-                    schedule(queue, id);
-                }
-            }
-        }
-        // Cycle 0 has no deltas: it is the snapshot.
-        delta_ends.push(delta_nodes.len());
-        outputs.push(
-            topo.outputs()
-                .iter()
-                .map(|&po| values[po.index()])
-                .collect(),
-        );
-        for (s, &ff) in state.iter_mut().zip(topo.dffs().iter()) {
-            *s = values[topo.fanin(ff)[0].index()];
-        }
-        true
-    }
-}
-
-/// The good machine a fault word reads, cycle by cycle: a finished
-/// [`GoodTrace`], or a [`GoodMachine`] that simulates each cycle the
-/// first time the word asks for it.
-pub(crate) trait GoodCycles {
-    /// Cycles in the whole vector sequence.
-    fn cycles(&self) -> usize;
-
-    /// The trace through at least cycle `t` (`t < cycles()`).
-    fn through(&mut self, t: usize) -> &GoodTrace;
-}
-
-impl GoodCycles for &GoodTrace {
-    fn cycles(&self) -> usize {
-        GoodTrace::cycles(self)
-    }
-
-    fn through(&mut self, _t: usize) -> &GoodTrace {
-        self
-    }
-}
-
-impl GoodCycles for &mut GoodMachine<'_> {
-    fn cycles(&self) -> usize {
-        self.vectors.len()
-    }
-
-    fn through(&mut self, t: usize) -> &GoodTrace {
-        while self.trace.cycles() <= t && self.step() {}
-        &self.trace
     }
 }
 
@@ -677,42 +578,6 @@ mod tests {
         assert_eq!(a.delta_nodes, b.delta_nodes);
         assert_eq!(a.delta_values, b.delta_values);
         assert_eq!(a.delta_ends, b.delta_ends);
-    }
-
-    #[test]
-    fn stepping_k_cycles_records_the_first_k_cycles() {
-        let c = generate(&GeneratorConfig::new("step", 6).inputs(6).gates(90).dffs(7));
-        let vectors = fscan_atpg_free_vectors(&c, 14, 6);
-        let init = vec![V3::X; c.dffs().len()];
-        let eval = CombEvaluator::with_topology(CompiledTopology::shared(&c));
-        let full = GoodTrace::compute(&eval, &vectors, &init);
-        for k in 0..=vectors.len() {
-            let mut machine = GoodMachine::new(&eval, None, &vectors, &init);
-            for _ in 0..k {
-                assert!(machine.step(), "cycle {k} exists");
-            }
-            let part = machine.trace();
-            // The machine knows every vector but has read only k of them:
-            // its trace is the trace of the first k, cycle for cycle.
-            let prefix = GoodTrace::compute(&eval, &vectors[..k], &init);
-            assert_same_trace(part, &prefix);
-            assert_eq!(part.counters(), prefix.counters(), "k = {k}");
-            assert_eq!(part.outputs(), &full.outputs()[..k]);
-            assert_eq!(part.delta_ends[..], full.delta_ends[..k]);
-            let deltas = part.delta_nodes.len();
-            assert_eq!(part.delta_nodes[..], full.delta_nodes[..deltas]);
-            assert_eq!(part.delta_values[..], full.delta_values[..deltas]);
-            if k > 0 {
-                assert_eq!(part.values0, full.values0);
-            }
-            // Pulling cycle t simulates up to it and no further.
-            let t = k.min(vectors.len() - 1);
-            assert_eq!((&mut machine).through(t).cycles(), t + 1);
-        }
-        let mut machine = GoodMachine::new(&eval, None, &vectors, &init);
-        while machine.step() {}
-        assert!(!machine.step(), "every vector was simulated");
-        assert_same_trace(machine.trace(), &full);
     }
 
     #[test]

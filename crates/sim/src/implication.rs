@@ -9,7 +9,7 @@ use crate::counters::WorkCounters;
 use crate::event::TopoQueue;
 use crate::kernel::{self, Rail};
 use crate::packed::Pv;
-use crate::scratch::{SimScratch, NO_ENTRY};
+use crate::scratch::SimScratch;
 use crate::value::V3;
 
 /// One net whose steady scan-mode value changes under a fault.
@@ -357,98 +357,40 @@ impl<W: Rail> PackedImplicationEngine<W> {
         counters.scratch_reuses += 1;
         changes.clear();
         let full_mask = W::low_mask(faults.len() as u32);
+        scratch.faults.load(faults);
         let SimScratch {
-            epoch,
             fval,
-            cone_stamp,
+            marks,
             stack,
             cone_order,
             cone_pis,
             buf,
-            stem_head,
-            stem_entries,
-            branch_head,
-            branch_entries,
+            faults: inject,
             ..
         } = scratch;
-        let epoch = *epoch;
+        let inject = &*inject;
         let pos = topo.order_positions();
 
-        // Injection tables (epoch-stamped per-node linked lists, as in
-        // the parallel fault simulator) plus per-gate seed masks: the
-        // scalar engine re-evaluates a stem-on-gate or branch site
-        // unconditionally, so those lanes must pop even without a fanin
-        // change.
+        // Per-gate seed masks: the scalar engine re-evaluates a
+        // stem-on-gate or branch site unconditionally, so those lanes
+        // must pop even without a fanin change. A branch behind a
+        // non-combinational reader (a flip-flop D pin, incl. the
+        // placeholder self-loop) has no combinational cone: the scalar
+        // engine's push_gate guard drops it, and funneling it into the
+        // kernel would evaluate a Dff "gate". The lane stays inert.
         for (lane, f) in faults.iter().enumerate() {
-            let mask = W::lane_bit(lane as u32);
-            match f.site {
-                FaultSite::Stem(n) => {
-                    let i = n.index();
-                    let prev = if stem_head[i].0 == epoch {
-                        stem_head[i].1
-                    } else {
-                        NO_ENTRY
-                    };
-                    stem_head[i] = (epoch, stem_entries.len() as u32);
-                    stem_entries.push((mask, f.stuck, prev));
-                    if pos[i] != u32::MAX {
-                        if seed_stamp[i] != word {
-                            seed_stamp[i] = word;
-                            seed_mask[i] = W::EMPTY;
-                        }
-                        seed_mask[i] |= mask;
-                    }
+            let i = match f.site {
+                FaultSite::Stem(n) => n.index(),
+                FaultSite::Branch { gate, .. } => gate.index(),
+            };
+            if pos[i] != u32::MAX {
+                if seed_stamp[i] != word {
+                    seed_stamp[i] = word;
+                    seed_mask[i] = W::EMPTY;
                 }
-                FaultSite::Branch { gate, pin } => {
-                    // A branch behind a non-combinational reader (a
-                    // flip-flop D pin, incl. the placeholder self-loop)
-                    // has no combinational cone: the scalar engine's
-                    // push_gate guard drops it, and funneling it into
-                    // the kernel would evaluate a Dff "gate". The lane
-                    // stays inert.
-                    let i = gate.index();
-                    if pos[i] == u32::MAX {
-                        continue;
-                    }
-                    let prev = if branch_head[i].0 == epoch {
-                        branch_head[i].1
-                    } else {
-                        NO_ENTRY
-                    };
-                    branch_head[i] = (epoch, branch_entries.len() as u32);
-                    branch_entries.push((pin as u32, mask, f.stuck, prev));
-                    if seed_stamp[i] != word {
-                        seed_stamp[i] = word;
-                        seed_mask[i] = W::EMPTY;
-                    }
-                    seed_mask[i] |= mask;
-                }
+                seed_mask[i] |= W::lane_bit(lane as u32);
             }
         }
-        let force_stem = |mut w: Pv<W>, id: NodeId| -> Pv<W> {
-            let (ep, mut e) = stem_head[id.index()];
-            if ep == epoch {
-                while e != NO_ENTRY {
-                    let (mask, stuck, next) = stem_entries[e as usize];
-                    w = w.force(mask, stuck);
-                    e = next;
-                }
-            }
-            w
-        };
-        let force_branch = |mut w: Pv<W>, id: NodeId, pin: usize| -> Pv<W> {
-            let (ep, mut e) = branch_head[id.index()];
-            if ep == epoch {
-                while e != NO_ENTRY {
-                    let (epin, mask, stuck, next) = branch_entries[e as usize];
-                    if epin as usize == pin {
-                        w = w.force(mask, stuck);
-                    }
-                    e = next;
-                }
-            }
-            w
-        };
 
         // Union fault cone: forward closure of every lane's fault site.
         // Unlike the sequential simulator's cone, flip-flops block the
@@ -466,10 +408,8 @@ impl<W: Rail> PackedImplicationEngine<W> {
                     gate
                 }
             };
-            let i = site.index();
-            if cone_stamp[i] != epoch {
-                cone_stamp[i] = epoch;
-                if pos[i] == u32::MAX {
+            if marks.reach(site) {
+                if pos[site.index()] == u32::MAX {
                     cone_pis.push(site);
                 } else {
                     cone_order.push(site);
@@ -483,8 +423,7 @@ impl<W: Rail> PackedImplicationEngine<W> {
                 if pos[s] == u32::MAX {
                     continue; // flip-flop D pin: propagation stops
                 }
-                if cone_stamp[s] != epoch {
-                    cone_stamp[s] = epoch;
+                if marks.reach(sink) {
                     cone_order.push(sink);
                     stack.push(sink);
                 }
@@ -497,7 +436,7 @@ impl<W: Rail> PackedImplicationEngine<W> {
         // source change before any gate pop).
         for &src in cone_pis.iter() {
             let i = src.index();
-            let w = force_stem(Pv::splat(good[i]), src);
+            let w = inject.stem(Pv::splat(good[i]), src);
             fval[i] = w;
             let d = lanes_changed(w, good[i]) & full_mask;
             diff[i] = d;
@@ -525,7 +464,7 @@ impl<W: Rail> PackedImplicationEngine<W> {
             };
             let mut pop = seeds;
             for &src in topo.fanin(id) {
-                if cone_stamp[src.index()] == epoch {
+                if marks.reached(src) {
                     pop |= diff[src.index()];
                 }
             }
@@ -541,14 +480,14 @@ impl<W: Rail> PackedImplicationEngine<W> {
             counters.kernel_gate_evals += 1;
             buf.clear();
             for (pin, &src) in topo.fanin(id).iter().enumerate() {
-                let w = if cone_stamp[src.index()] == epoch {
+                let w = if marks.reached(src) {
                     fval[src.index()]
                 } else {
                     Pv::splat(good[src.index()])
                 };
-                buf.push(force_branch(w, id, pin));
+                buf.push(inject.branch(w, id, pin));
             }
-            let out = force_stem(Pv::eval(topo.kind(id), buf.iter().copied()), id);
+            let out = inject.stem(Pv::eval(topo.kind(id), buf.iter().copied()), id);
             fval[i] = out;
             let d = lanes_changed(out, good[i]) & full_mask;
             diff[i] = d;

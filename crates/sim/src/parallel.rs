@@ -1,5 +1,6 @@
 //! Lane-parallel sequential fault simulation (one fault word —
-//! `W::LANES` faults — per pass), event-driven and cone-restricted.
+//! `W::LANES` faults — per pass), event-driven and restricted to where
+//! the faults can reach.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -9,11 +10,11 @@ use fscan_netlist::{CompiledTopology, GateKind, NodeId};
 
 use crate::comb::CombEvaluator;
 use crate::counters::WorkCounters;
-use crate::event::{GoodCycles, GoodMachine, GoodTrace, TopoQueue};
-use crate::kernel::Rail;
+use crate::event::{GoodTrace, TopoQueue};
+use crate::kernel::{self, Rail};
 use crate::packed::Pv;
 use crate::pool::ShardStats;
-use crate::scratch::{SimScratch, NO_ENTRY};
+use crate::scratch::{NodeMarks, SimScratch};
 use crate::value::V3;
 
 /// Parallel-fault sequential fault simulator: simulates up to
@@ -21,18 +22,20 @@ use crate::value::V3;
 /// 256 at [`R256`](crate::kernel::R256)), one machine per bit lane,
 /// against a shared fault-free trace.
 ///
-/// The good machine is simulated once per vector sequence (event-driven,
-/// see [`GoodTrace`]) and replayed read-only by every fault word — the
-/// trace is scalar and width-independent, so widening the rail divides
-/// the number of cone walks without touching the good machine. A list
-/// that fits one word simulates the good machine only as far as the
-/// word reads it (see [`fault_sim_sharded`](Self::fault_sim_sharded)).
-/// Each word restricts itself to the union fanout cone of its fault
-/// sites — nets outside the cone provably carry good values — and within
-/// the cone only gates whose inputs changed since the previous cycle are
-/// re-evaluated. All structural data comes from the shared
-/// [`CompiledTopology`]; per-word buffers live in a reusable
-/// [`SimScratch`] arena, so the steady-state loop allocates nothing.
+/// A list of several words simulates the good machine once per vector
+/// sequence (event-driven, see [`GoodTrace`]) and every fault word
+/// replays it read-only — the trace is scalar and width-independent, so
+/// widening the rail divides the number of cone walks without touching
+/// the good machine. Each such word restricts itself to the union
+/// fanout cone of its fault sites — nets outside the cone provably carry
+/// good values — and within the cone only gates whose inputs changed
+/// since the previous cycle are re-evaluated. A list that fits one word
+/// steps its good machine together with the word instead, and the word
+/// evaluates only gates a fault effect reaches (see
+/// [`fault_sim_sharded`](Self::fault_sim_sharded)). All structural data
+/// comes from the shared [`CompiledTopology`]; per-word buffers live in
+/// a reusable [`SimScratch`] arena, so the steady-state loop allocates
+/// nothing.
 ///
 /// Produces exactly the same detection verdicts as
 /// [`SeqSim::fault_sim`](crate::SeqSim::fault_sim) (the serial
@@ -118,26 +121,26 @@ impl<W: Rail> ParallelFaultSim<W> {
     /// The zero-allocation workhorse: simulates `faults` against an
     /// already-computed good trace (from [`good_trace`](Self::good_trace)
     /// over the same circuit), writing verdicts into a caller-owned
-    /// vector and running every 64-fault word through the reusable
+    /// vector and running every fault word through the reusable
     /// `scratch` arena. Once `scratch` and `out` are warm (one prior
     /// call of at least this size), a call performs no heap allocation
     /// at all — the property the allocation-counter integration test
     /// pins down.
     ///
     /// Returns exact [`WorkCounters`] for the faulty machines: one
-    /// `gate_evals` per packed gate evaluation actually performed
-    /// (event-driven from cycle 0 on — cycle 0 seeds the cone with value
-    /// *copies* and only evaluates gates a fault effect reaches),
-    /// `cone_nets` = the union fault-cone size per 64-fault word,
-    /// `lane_cycles` = Σ active lanes per simulated cycle, one
+    /// `gate_evals` (and `kernel_gate_evals`) per packed gate evaluation
+    /// actually performed (event-driven from cycle 0 on — cycle 0 seeds
+    /// the cone with value *copies* and only evaluates gates a fault
+    /// effect reaches), `cone_nets` = the union fault-cone size per
+    /// word, `lane_cycles` = Σ active lanes per simulated cycle, one
     /// `early_exits` per word whose faults were all detected before the
     /// vector set ran out, one `scratch_reuses` per word served by the
     /// arena. The good-machine work is *not* included — it lives in
     /// [`GoodTrace::counters`] and is paid once, not per word.
     ///
-    /// Every contribution is a function of one 64-fault word only, so
-    /// sums over any partition of the fault list (at word boundaries)
-    /// are identical — the property `fault_sim_sharded` relies on.
+    /// Every contribution is a function of one word only, so sums over
+    /// any partition of the fault list (at word boundaries) are
+    /// identical — the property `fault_sim_sharded` relies on.
     pub fn fault_sim_into(
         &self,
         faults: &[Fault],
@@ -167,10 +170,14 @@ impl<W: Rail> ParallelFaultSim<W> {
     /// * a list of at most 64 faults on a wider rail runs on the 64-lane
     ///   rail: it is one word at either width, so verdicts and every
     ///   counter are the same, and the narrow word is cheaper;
-    /// * a list that fits one word runs inline, pulling each good cycle
-    ///   from a one-cycle stepper just before reading it, so the good
-    ///   machine stops once every lane is detected — its `gate_evals`
-    ///   and `lane_cycles` cover only the cycles the word read;
+    /// * a list that fits one word runs inline and steps the good
+    ///   machine and the word together, in one topological drain per
+    ///   cycle. The good machine evaluates what a [`GoodTrace`] would
+    ///   and stops once every lane is detected, so its `gate_evals` and
+    ///   `lane_cycles` cover only the cycles the word read. The word
+    ///   keeps packed values only where they differ from the good ones
+    ///   and evaluates only gates a fault sits on or a fault effect
+    ///   reaches; its `cone_nets` are the nets that carried an effect;
     /// * a longer list computes the good trace once and shares it
     ///   read-only: each worker owns one [`SimScratch`] arena (built in
     ///   the pool's per-worker init) and simulates whole words, and
@@ -194,11 +201,8 @@ impl<W: Rail> ParallelFaultSim<W> {
             return (Vec::new(), ShardStats::idle(threads), WorkCounters::ZERO);
         }
         if faults.len() <= W::LANES as usize {
-            let mut good = GoodMachine::new(&self.eval, None, vectors, init);
             let mut out = vec![None; faults.len()];
-            let mut counters =
-                self.simulate_chunk(faults, &mut good, &mut self.scratch(), &mut out);
-            counters += good.trace().counters();
+            let counters = self.simulate_word(vectors, init, faults, &mut self.scratch(), &mut out);
             return (out, ShardStats::serial(faults.len()), counters);
         }
         let trace = self.good_trace(vectors, init);
@@ -249,11 +253,221 @@ impl<W: Rail> ParallelFaultSim<W> {
         })
     }
 
-    /// Simulates one word of at most `W::LANES` faults against the good
-    /// machine, using (and resetting) the caller's scratch arena. Each
-    /// cycle is read from `good` just before the word needs it, so a
-    /// stepping machine simulates no cycle after the word's last
-    /// detection.
+    /// Simulates one word of at most `W::LANES` faults together with its
+    /// good machine, in one topological drain per cycle, using (and
+    /// resetting) the caller's scratch arena.
+    ///
+    /// The good machine schedules exactly as a [`GoodTrace`] does —
+    /// cycle 0 is one levelized pass, later cycles evaluate the gates
+    /// whose good fanins changed — so it books the same `gate_evals` and
+    /// one `lane_cycles` per cycle, and it stops at the word's last
+    /// detection. The word keeps a packed value only for *diverged*
+    /// nodes, those that differ from their good value in some lane;
+    /// every other node reads its good value. A popped gate is evaluated
+    /// packed only when a fault sits on it or one of its fanins is
+    /// diverged. Otherwise its faulty value is its good value, so a gate
+    /// that was diverged drops its mark and wakes its readers. A net that
+    /// carried a fault effect in some cycle counts once in `cone_nets`.
+    fn simulate_word(
+        &self,
+        vectors: &[Vec<V3>],
+        init: &[V3],
+        chunk: &[Fault],
+        scratch: &mut SimScratch<W>,
+        detection: &mut [Option<usize>],
+    ) -> WorkCounters {
+        let topo = &**self.eval.topology();
+        debug_assert_eq!(scratch.num_nodes, topo.num_nodes());
+        debug_assert_eq!(detection.len(), chunk.len());
+        assert_eq!(
+            init.len(),
+            topo.dffs().len(),
+            "init length != flip-flop count"
+        );
+        let mut counters = WorkCounters::ZERO;
+        counters.scratch_reuses += 1;
+        let n_lanes = chunk.len() as u32;
+        let full_mask = W::low_mask(n_lanes);
+
+        scratch.begin_word();
+        scratch.faults.load(chunk);
+        let SimScratch {
+            good_now: good,
+            fval,
+            marks,
+            queue,
+            good_state,
+            captured,
+            buf,
+            faults: inject,
+            ..
+        } = scratch;
+        let inject = &*inject;
+        let mut word = Divergence {
+            marks,
+            fval,
+            reached: 0,
+        };
+        let order = self.eval.order();
+        let pos = self.eval.order_positions();
+
+        // Queues `id`'s readers; a good change also marks them for good
+        // re-evaluation.
+        let wake = |queue: &mut TopoQueue, marks: &mut NodeMarks, id: NodeId, good_changed| {
+            for &sink in topo.fanout_sinks(id) {
+                if topo.kind(sink).is_gate() {
+                    let p = pos[sink.index()];
+                    // From a popped gate: its readers sit above it.
+                    debug_assert!(pos[id.index()] == u32::MAX || p > pos[id.index()]);
+                    queue.insert(p as usize);
+                    if good_changed {
+                        marks.dirty(sink);
+                    }
+                }
+            }
+        };
+        let mut detected_mask = W::EMPTY;
+        for (t, vec_t) in vectors.iter().enumerate() {
+            assert_eq!(
+                vec_t.len(),
+                topo.inputs().len(),
+                "vector length != input count"
+            );
+            if t == 0 {
+                // The good machine's levelized pass. Then force the
+                // stem-faulted inputs and flip-flops, and queue every
+                // faulted gate.
+                for (&pi, &v) in topo.inputs().iter().zip(vec_t) {
+                    good[pi.index()] = v;
+                }
+                for (&ff, &v) in topo.dffs().iter().zip(init) {
+                    good[ff.index()] = v;
+                }
+                for &id in order {
+                    good[id.index()] = kernel::eval_v3(
+                        topo.kind(id),
+                        topo.fanin(id).iter().map(|&src| good[src.index()]),
+                    );
+                }
+                counters.gate_evals += order.len() as u64;
+                for f in chunk {
+                    match f.site {
+                        FaultSite::Stem(n) if pos[n.index()] == u32::MAX => {
+                            let g = good[n.index()];
+                            if word.settle(n, inject.stem(Pv::splat(g), n), g) {
+                                wake(queue, word.marks, n, false);
+                            }
+                        }
+                        FaultSite::Stem(n) => queue.insert(pos[n.index()] as usize),
+                        // A D-pin branch is injected by the clocking step.
+                        FaultSite::Branch { gate, .. } if pos[gate.index()] != u32::MAX => {
+                            queue.insert(pos[gate.index()] as usize)
+                        }
+                        FaultSite::Branch { .. } => {}
+                    }
+                }
+            } else {
+                // Drive the inputs, then present the captured state.
+                for (&pi, &v) in topo.inputs().iter().zip(vec_t) {
+                    if good[pi.index()] != v {
+                        good[pi.index()] = v;
+                        word.settle(pi, inject.stem(Pv::splat(v), pi), v);
+                        wake(queue, word.marks, pi, true);
+                    }
+                }
+                let mut faulty = captured.iter().peekable();
+                for (k, (&ff, &g)) in topo.dffs().iter().zip(good_state.iter()).enumerate() {
+                    let w = match faulty.next_if(|&&(j, _)| j as usize == k) {
+                        Some(&(_, w)) => w,
+                        None => Pv::splat(g),
+                    };
+                    let good_changed = good[ff.index()] != g;
+                    good[ff.index()] = g;
+                    if word.settle(ff, inject.stem(w, ff), g) || good_changed {
+                        wake(queue, word.marks, ff, good_changed);
+                    }
+                }
+            }
+            counters.lane_cycles += 1 + u64::from(n_lanes);
+            // One drain for both machines: each gate pops at most once per
+            // cycle, after all its fanins settled.
+            while let Some(p) = queue.pop() {
+                let id = order[p];
+                let i = id.index();
+                let fanin = topo.fanin(id);
+                let old = good[i];
+                if word.marks.take_dirty(id) {
+                    counters.gate_evals += 1;
+                    good[i] =
+                        kernel::eval_v3(topo.kind(id), fanin.iter().map(|&src| good[src.index()]));
+                }
+                let g = good[i];
+                let faulty_changed =
+                    if inject.at(id) || fanin.iter().any(|&src| word.marks.diverged(src)) {
+                        counters.gate_evals += 1;
+                        counters.kernel_gate_evals += 1;
+                        buf.clear();
+                        for (pin, &src) in fanin.iter().enumerate() {
+                            let w = word.value(src, good[src.index()]);
+                            buf.push(inject.branch(w, id, pin));
+                        }
+                        let w = inject.stem(Pv::eval(topo.kind(id), buf.iter().copied()), id);
+                        word.settle(id, w, g)
+                    } else {
+                        word.converge(id)
+                    };
+                if faulty_changed || g != old {
+                    wake(queue, word.marks, id, g != old);
+                }
+            }
+            // Detection: a diverged PO known and opposite of a known good
+            // PO. Every other output equals the good one in every lane.
+            for &po in topo.outputs() {
+                if !word.marks.diverged(po) {
+                    continue;
+                }
+                let w = word.fval[po.index()];
+                let diff = match good[po.index()] {
+                    V3::Zero => w.ones(),
+                    V3::One => w.zeros(),
+                    V3::X => W::EMPTY,
+                };
+                let newly = diff & full_mask & !detected_mask;
+                if !newly.is_empty() {
+                    newly.for_each_set_lane(|lane| detection[lane as usize] = Some(t));
+                    detected_mask |= newly;
+                }
+            }
+            if detected_mask == full_mask {
+                if t + 1 < vectors.len() {
+                    counters.early_exits += 1;
+                }
+                break;
+            }
+            // Clock: capture the good state, and the faulty D values
+            // (branch faults on D pins injected here) that differ from
+            // it.
+            good_state.clear();
+            captured.clear();
+            for (k, &ff) in topo.dffs().iter().enumerate() {
+                let d = topo.fanin(ff)[0];
+                let g = good[d.index()];
+                good_state.push(g);
+                if word.marks.diverged(d) || inject.at(ff) {
+                    let w = inject.branch(word.value(d, g), ff, 0);
+                    if w != Pv::splat(g) {
+                        captured.push((k as u32, w));
+                    }
+                }
+            }
+        }
+        counters.cone_nets += word.reached;
+        counters
+    }
+
+    /// Simulates one word of at most `W::LANES` faults against a
+    /// finished good trace, using (and resetting) the caller's scratch
+    /// arena.
     ///
     /// Restricted to the union fanout cone of the word's fault sites:
     /// every net outside the cone carries the good value in every lane
@@ -266,7 +480,7 @@ impl<W: Rail> ParallelFaultSim<W> {
     fn simulate_chunk(
         &self,
         chunk: &[Fault],
-        mut good: impl GoodCycles,
+        trace: &GoodTrace,
         scratch: &mut SimScratch<W>,
         detection: &mut [Option<usize>],
     ) -> WorkCounters {
@@ -275,7 +489,7 @@ impl<W: Rail> ParallelFaultSim<W> {
         debug_assert_eq!(detection.len(), chunk.len());
         let mut counters = WorkCounters::ZERO;
         counters.scratch_reuses += 1;
-        let cycles = good.cycles();
+        let cycles = trace.cycles();
         if cycles == 0 {
             return counters;
         }
@@ -283,11 +497,11 @@ impl<W: Rail> ParallelFaultSim<W> {
         let full_mask = W::low_mask(n_lanes);
 
         scratch.begin_word();
+        scratch.faults.load(chunk);
         let SimScratch {
-            epoch,
             good_now,
             fval,
-            cone_stamp,
+            marks,
             stack,
             cone_order,
             cone_pis,
@@ -296,90 +510,34 @@ impl<W: Rail> ParallelFaultSim<W> {
             queue,
             fnext,
             buf,
-            stem_head,
-            stem_entries,
-            branch_head,
-            branch_entries,
+            faults: inject,
             ..
         } = scratch;
-        let epoch = *epoch;
-
-        // Injection tables: epoch-stamped per-node linked lists. Lanes
-        // are disjoint bits, so application order does not matter.
-        for (lane, f) in chunk.iter().enumerate() {
-            let mask = W::lane_bit(lane as u32);
-            match f.site {
-                FaultSite::Stem(n) => {
-                    let i = n.index();
-                    let prev = if stem_head[i].0 == epoch {
-                        stem_head[i].1
-                    } else {
-                        NO_ENTRY
-                    };
-                    stem_head[i] = (epoch, stem_entries.len() as u32);
-                    stem_entries.push((mask, f.stuck, prev));
-                }
-                FaultSite::Branch { gate, pin } => {
-                    let i = gate.index();
-                    let prev = if branch_head[i].0 == epoch {
-                        branch_head[i].1
-                    } else {
-                        NO_ENTRY
-                    };
-                    branch_head[i] = (epoch, branch_entries.len() as u32);
-                    branch_entries.push((pin as u32, mask, f.stuck, prev));
-                }
-            }
-        }
-        let force_stem = |mut w: Pv<W>, id: NodeId| -> Pv<W> {
-            let (ep, mut e) = stem_head[id.index()];
-            if ep == epoch {
-                while e != NO_ENTRY {
-                    let (mask, stuck, next) = stem_entries[e as usize];
-                    w = w.force(mask, stuck);
-                    e = next;
-                }
-            }
-            w
-        };
-        let force_branch = |mut w: Pv<W>, id: NodeId, pin: usize| -> Pv<W> {
-            let (ep, mut e) = branch_head[id.index()];
-            if ep == epoch {
-                while e != NO_ENTRY {
-                    let (epin, mask, stuck, next) = branch_entries[e as usize];
-                    if epin as usize == pin {
-                        w = w.force(mask, stuck);
-                    }
-                    e = next;
-                }
-            }
-            w
-        };
+        let inject = &*inject;
 
         // Union fault cone: forward closure of every fault site over the
         // CSR fanout slices (crossing flip-flops — the D pin is a
-        // fanout), marked by stamping the current epoch.
+        // fanout), marked reached.
         for f in chunk {
             let site = match f.site {
                 FaultSite::Stem(n) => n,
                 FaultSite::Branch { gate, .. } => gate,
             };
-            if cone_stamp[site.index()] != epoch {
-                cone_stamp[site.index()] = epoch;
+            if marks.reach(site) {
                 counters.cone_nets += 1;
                 stack.push(site);
             }
         }
         while let Some(id) = stack.pop() {
             for &sink in topo.fanout_sinks(id) {
-                if cone_stamp[sink.index()] != epoch {
-                    cone_stamp[sink.index()] = epoch;
+                if marks.reach(sink) {
                     counters.cone_nets += 1;
                     stack.push(sink);
                 }
             }
         }
-        let in_cone = |id: NodeId| cone_stamp[id.index()] == epoch;
+        let marks = &*marks;
+        let in_cone = |id: NodeId| marks.reached(id);
 
         let order = self.eval.order();
         let pos = self.eval.order_positions();
@@ -397,7 +555,7 @@ impl<W: Rail> ParallelFaultSim<W> {
 
         // Current good values (replayed from the trace's deltas); faulty
         // lanes' values are meaningful only inside the cone.
-        good_now.copy_from_slice(good.through(0).values0());
+        good_now.copy_from_slice(trace.values0());
         let schedule = |queue: &mut TopoQueue, id: NodeId| {
             for &sink in topo.fanout_sinks(id) {
                 if in_cone(sink) && topo.kind(sink).is_gate() {
@@ -411,7 +569,6 @@ impl<W: Rail> ParallelFaultSim<W> {
 
         let mut detected_mask = W::EMPTY;
         for t in 0..cycles {
-            let trace = good.through(t);
             counters.lane_cycles += u64::from(n_lanes);
             if t == 0 {
                 // Seed: every in-cone net starts at the good snapshot
@@ -422,13 +579,13 @@ impl<W: Rail> ParallelFaultSim<W> {
                 // branch force wakes the gate it feeds, and the shared
                 // event loop below propagates from there.
                 for &pi in cone_pis.iter() {
-                    fval[pi.index()] = force_stem(Pv::splat(good_now[pi.index()]), pi);
+                    fval[pi.index()] = inject.stem(Pv::splat(good_now[pi.index()]), pi);
                 }
                 for &ff in cone_ffs.iter() {
-                    fval[ff.index()] = force_stem(Pv::splat(good_now[ff.index()]), ff);
+                    fval[ff.index()] = inject.stem(Pv::splat(good_now[ff.index()]), ff);
                 }
                 for &id in cone_order.iter() {
-                    fval[id.index()] = force_stem(Pv::splat(good_now[id.index()]), id);
+                    fval[id.index()] = inject.stem(Pv::splat(good_now[id.index()]), id);
                 }
                 for f in chunk {
                     match f.site {
@@ -457,7 +614,7 @@ impl<W: Rail> ParallelFaultSim<W> {
                     good_now[id.index()] = v;
                     if in_cone(id) {
                         if topo.kind(id) == GateKind::Input {
-                            let w = force_stem(Pv::splat(v), id);
+                            let w = inject.stem(Pv::splat(v), id);
                             if w != fval[id.index()] {
                                 fval[id.index()] = w;
                                 schedule(queue, id);
@@ -469,7 +626,7 @@ impl<W: Rail> ParallelFaultSim<W> {
                 }
                 // Present the captured faulty state to in-cone flip-flops.
                 for (k, &ff) in cone_ffs.iter().enumerate() {
-                    let w = force_stem(fnext[k], ff);
+                    let w = inject.stem(fnext[k], ff);
                     if w != fval[ff.index()] {
                         fval[ff.index()] = w;
                         schedule(queue, ff);
@@ -489,9 +646,9 @@ impl<W: Rail> ParallelFaultSim<W> {
                     } else {
                         Pv::splat(good_now[src.index()])
                     };
-                    buf.push(force_branch(w, id, pin));
+                    buf.push(inject.branch(w, id, pin));
                 }
-                let out = force_stem(Pv::eval(topo.kind(id), buf.iter().copied()), id);
+                let out = inject.stem(Pv::eval(topo.kind(id), buf.iter().copied()), id);
                 if out != fval[id.index()] {
                     fval[id.index()] = out;
                     schedule(queue, id);
@@ -531,10 +688,58 @@ impl<W: Rail> ParallelFaultSim<W> {
                 } else {
                     Pv::splat(good_now[d.index()])
                 };
-                fnext.push(force_branch(w, ff, 0));
+                fnext.push(inject.branch(w, ff, 0));
             }
         }
         counters
+    }
+}
+
+/// A one-word simulation's faulty values where they differ from the
+/// good machine's.
+struct Divergence<'s, W: Rail> {
+    marks: &'s mut NodeMarks,
+    fval: &'s mut [Pv<W>],
+    /// Nets that carried a fault effect so far.
+    reached: u64,
+}
+
+impl<W: Rail> Divergence<'_, W> {
+    /// `id`'s faulty value, given its good value `good`.
+    #[inline]
+    fn value(&self, id: NodeId, good: V3) -> Pv<W> {
+        if self.marks.diverged(id) {
+            self.fval[id.index()]
+        } else {
+            Pv::splat(good)
+        }
+    }
+
+    /// Records `id`'s faulty value `w` against its good value `good`;
+    /// `true` if the faulty value changed (judged against `good`, so a
+    /// caller whose good value changed wakes the readers anyway).
+    #[inline]
+    fn settle(&mut self, id: NodeId, w: Pv<W>, good: V3) -> bool {
+        if w == Pv::splat(good) {
+            return self.converge(id);
+        }
+        if self.marks.diverged(id) && self.fval[id.index()] == w {
+            return false;
+        }
+        if self.marks.diverge(id) {
+            self.reached += 1;
+        }
+        self.fval[id.index()] = w;
+        true
+    }
+
+    /// Makes `id`'s faulty value its good value; `true` if it was
+    /// diverged.
+    #[inline]
+    fn converge(&mut self, id: NodeId) -> bool {
+        let was = self.marks.diverged(id);
+        self.marks.converge(id);
+        was
     }
 }
 

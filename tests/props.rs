@@ -635,20 +635,25 @@ proptest! {
     }
 
     /// Oracle for the single-word fault-sim path. A list that fits one
-    /// word steps its good machine only as far as the word reads it,
-    /// and a list of at most 64 faults runs on the 64-lane rail at
-    /// either width. On random circuits and three-valued vectors, for
-    /// lists of 0, 1–64, 65–256 and more than 256 faults, at 64 and 256
-    /// lanes and 1 and 2 threads:
+    /// word is simulated together with its good machine, which stops at
+    /// the word's last detection, and the word evaluates only gates a
+    /// fault effect reaches; a list of at most 64 faults runs on the
+    /// 64-lane rail at either width. On random circuits and three-valued
+    /// vectors, for lists of 0, 1–64, 65–256 and more than 256 faults, at
+    /// 64 and 256 lanes and 1 and 2 threads:
     ///
-    /// * verdicts equal the serial reference's;
-    /// * against an eagerly computed trace, the verdicts and the faulty
-    ///   machines' counters are equal, and the good machine's
-    ///   `gate_evals` never exceed the eager trace's;
+    /// * verdicts equal the serial reference's and, against an eagerly
+    ///   computed trace, the shared-trace words';
     /// * one word's good machine ran exactly the cycles the word read,
-    ///   and stepping it k cycles records the eager trace's first k
-    ///   cycles; several words share the eager trace, counters and all;
+    ///   and its `gate_evals` (the total less the packed
+    ///   `kernel_gate_evals`) equal a trace of those cycles';
+    /// * several words share the eager trace, counters and all;
     /// * at most 64 faults give identical counters at both widths.
+    ///
+    /// One word's packed counters are not compared with the
+    /// shared-trace word's: the two evaluate different gates (a
+    /// stem-faulted gate, say, is evaluated at cycle 0 where the
+    /// shared-trace word copies it).
     #[test]
     fn single_word_fault_sim_matches_eager_and_serial(
         circuit in arb_circuit(),
@@ -701,25 +706,14 @@ proptest! {
                     let at = format!("{size} faults, {lanes} lanes, {threads} threads");
                     prop_assert_eq!(&verdicts, &serial, "{}", at);
                     prop_assert_eq!(&eager_verdicts, &serial, "{}", at);
-                    prop_assert_eq!(work.kernel_gate_evals, faulty.kernel_gate_evals, "{}", at);
-                    prop_assert_eq!(work.cone_nets, faulty.cone_nets, "{}", at);
                     prop_assert_eq!(work.scratch_reuses, faulty.scratch_reuses, "{}", at);
                     prop_assert_eq!(work.early_exits, faulty.early_exits, "{}", at);
-                    let good_evals = work.gate_evals - faulty.gate_evals;
-                    let good_cycles = work.lane_cycles - faulty.lane_cycles;
-                    prop_assert!(good_evals <= eager.counters().gate_evals, "{}", at);
                     if size <= lanes {
                         let read = cycles_read(&verdicts, vectors.len());
                         let stepped = GoodTrace::compute(&eval, &vectors[..read], &init);
-                        prop_assert_eq!(good_cycles, read as u64, "{}", at);
+                        let good_evals = work.gate_evals - work.kernel_gate_evals;
+                        prop_assert_eq!(work.lane_cycles - faulty.lane_cycles, read as u64, "{}", at);
                         prop_assert_eq!(good_evals, stepped.counters().gate_evals, "{}", at);
-                        prop_assert_eq!(stepped.outputs(), &eager.outputs()[..read], "{}", at);
-                        if read > 0 {
-                            prop_assert_eq!(stepped.values0(), eager.values0(), "{}", at);
-                        }
-                        for t in 1..read {
-                            prop_assert!(stepped.changes(t).eq(eager.changes(t)), "{} cycle {}", at, t);
-                        }
                     } else {
                         prop_assert_eq!(work, faulty + eager.counters(), "{}", at);
                     }
